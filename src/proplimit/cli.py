@@ -98,6 +98,8 @@ def _coerce(value, key: str, kind):
             ):
                 raise ValueError
             return list(value)
+        if kind == "int_list":
+            return [_coerce(v, key, "int") for v in value]
         if kind == "num_list":
             arr = [float(v) for v in value]
             return arr
@@ -149,7 +151,7 @@ def cmd_sample_prior(cfg: dict) -> int:
         lambdas = tuple(_coerce(lambdas, "lambdas", "num_list"))
     widths = cfg.get("widths")
     if widths is not None:
-        widths = tuple(int(w) for w in _coerce(widths, "widths", "num_list"))
+        widths = tuple(_coerce(widths, "widths", "int_list"))
     routes = _coerce(cfg.get("routes", ["direct", "mixture"]), "routes", "str_list")
     bad = set(routes) - {"direct", "mixture"}
     if bad or not routes:
@@ -273,6 +275,10 @@ def cmd_posterior_predict(cfg: dict) -> int:
         "predictive_covariance": cov.tolist(),
         "ess": mix.ess,
         "n_components": mix.n_components,
+        "max_weight": mix.max_weight,
+        "psi_min": mix.psi_range[0],
+        "psi_max": mix.psi_range[1],
+        "n_nonfinite": mix.n_nonfinite,
     }
     report["warnings"] = list(mix.warnings)
     report["outputs"] = []

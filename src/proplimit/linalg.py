@@ -38,53 +38,78 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def symmetrize(a, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
     """Return ``(A + A.T) / 2`` after checking A is square and nearly symmetric.
 
+    ``a`` may also be a stack of shape ``(n, m, m)``; each matrix in it is
+    checked on its own and the first offender is named in the error.
+
     Raises
     ------
     ShapeMismatch
         If ``a`` is not square.
     InvalidParameter
-        If the relative asymmetry ``max|A - A.T| / max|A|`` exceeds ``rtol``.
+        If an entry is non-finite, or the relative asymmetry
+        ``max|A - A.T| / max|A|`` exceeds ``rtol``.
     """
-    out = as_matrix(a, name)
-    n, m = out.shape
+    out = _square(a, name)
+    if out.size == 0:
+        return out
+    scale = np.abs(out).max(axis=(-2, -1))
+    gap = np.abs(out - _t(out)).max(axis=(-2, -1))
+    bad = np.flatnonzero(gap > rtol * np.maximum(scale, 1e-300))
+    if bad.size:
+        i = int(bad[0])
+        where = f"{name}[{i}]" if out.ndim == 3 else name
+        raise InvalidParameter(
+            f"{where} is not symmetric: asymmetry {gap.flat[i]:.3e} exceeds "
+            f"{rtol:.1e} * {scale.flat[i]:.3e}"
+        )
+    return (out + _t(out)) / 2.0
+
+
+def _square(a, name: str) -> np.ndarray:
+    """A finite float64 square matrix, or a stack ``(n, m, m)`` of them."""
+    out = np.asarray(a, dtype=np.float64)
+    if out.ndim == 3:
+        if out.size and not np.isfinite(out).all():
+            raise InvalidParameter(f"{name} contains non-finite entries")
+    else:
+        out = as_matrix(out, name)
+    n, m = out.shape[-2:]
     if n != m:
         raise ShapeMismatch(f"{name} must be square, got {n}x{m}")
-    if n == 0:
-        return out
-    scale = np.abs(out).max()
-    gap = np.abs(out - out.T).max()
-    if gap > rtol * max(scale, 1e-300):
-        raise InvalidParameter(
-            f"{name} is not symmetric: asymmetry {gap:.3e} exceeds "
-            f"{rtol:.1e} * {scale:.3e}"
-        )
-    return (out + out.T) / 2.0
+    return out
 
 
-def cholesky(a) -> np.ndarray:
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -2, -1)
+
+
+def cholesky(a, name: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor L with L @ L.T == A.
 
-    The input is symmetrized first.  Fails loudly instead of returning a
+    The input is symmetrized first; a stack ``(n, m, m)`` is factored
+    matrix by matrix in one call.  Fails loudly instead of returning a
     garbage factor: any pivot at or below ``PIVOT_RTOL * max(diag(A))``
     raises :class:`NotPositiveDefinite`.
     """
-    sym = symmetrize(a)
-    n = sym.shape[0]
-    if n == 0:
+    sym = symmetrize(a, name=name)
+    if sym.shape[-1] == 0:
         return sym.copy()
-    max_diag = float(np.max(np.diag(sym))) if n else 0.0
-    if max_diag <= 0.0:
-        raise NotPositiveDefinite("maximum diagonal entry is not positive")
+    max_diag = np.diagonal(sym, axis1=-2, axis2=-1).max(axis=-1)
+    if not (max_diag > 0.0).all():
+        raise NotPositiveDefinite(f"{name}: maximum diagonal entry is not positive")
     try:
         low = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+        raise NotPositiveDefinite(f"{name}: {exc}") from exc
     # LAPACK accepts any positive pivot; enforce the relative tolerance.
-    pivots = np.diag(low) ** 2
-    if np.min(pivots) <= PIVOT_RTOL * max_diag:
+    pivots = np.diagonal(low, axis1=-2, axis2=-1).min(axis=-1) ** 2
+    bad = np.flatnonzero(pivots <= PIVOT_RTOL * max_diag)
+    if bad.size:
+        i = int(bad[0])
+        where = f"{name}[{i}]" if sym.ndim == 3 else name
         raise NotPositiveDefinite(
-            f"pivot {np.min(pivots):.3e} below tolerance "
-            f"{PIVOT_RTOL:.1e} * {max_diag:.3e}"
+            f"{where}: pivot {pivots.flat[i]:.3e} below tolerance "
+            f"{PIVOT_RTOL:.1e} * {max_diag.flat[i]:.3e}"
         )
     return low
 

@@ -9,10 +9,19 @@ mixture: each component keeps a Gaussian law with starred moments
 computes those quantities, performs self-normalized importance weighting
 over mixing draws, and reduces mixtures to predictive moments.
 
-All formulas use the Moore-Penrose inverse of the training block, so
-singular Gram matrices (repeated or collinear inputs) are handled without
-a separate code path; the invertible-case simplifications are kept as a
-cross-check (see ``sigma_star_invertible``), not as a branch.
+The training block is s11 = G11 kron Q, so every starred quantity is
+diagonal in the product eigenbasis U kron V of G11 = U diag(lam) U.T and
+Q = V diag(mu) V.T (the Kronecker-GP identity of Saatci, 2011).  One
+eigendecomposition of G11 is shared by all components and one batched
+``eigh`` of the (n, d, d) Q stack gives every component in closed form,
+O(d^3 + d^2 P) each.  The Moore-Penrose inverse of s11 becomes a mask on
+the products lam mu with the cutoff ``linalg.pinv`` applies, so singular
+Gram matrices (repeated or collinear inputs) need no separate code path.
+
+The per-Q functions (``sigma_star``, ``m_star``, ``psi`` and the
+``*_invertible`` simplifications) form the dense Kronecker blocks and
+invert them directly.  They are reference oracles for the tests and the
+property suites, not a production path.
 """
 
 from __future__ import annotations
@@ -117,31 +126,50 @@ class MixingSample:
 class PosteriorMixture:
     """Weighted Gaussian components plus importance-sampling diagnostics.
 
-    ``means[i]`` and ``covariances[i]`` are the starred moments of
-    component i (test block leading, size ``n_out``); ``weights`` are
-    normalized to sum to one; ``ess`` is the effective sample size
-    ``(sum w)^2 / sum w^2``.  ``warnings`` lists non-fatal diagnostics
-    ("degenerate-weights" when ess < 1.5, "low-ess" below 10% of the
-    component count).
+    ``means[i]`` (length ``n_out``) and ``covariances[i]`` (``n_out`` x
+    ``n_out``) are the starred moments of component i at the test input;
+    :func:`joint_moments` gives the full joint including the training
+    block.  ``weights`` are normalized to sum to one; ``ess`` is the
+    effective sample size ``(sum w)^2 / sum w^2``.  ``psi`` holds each
+    component's weight exponent and ``n_nonfinite`` counts components
+    whose Psi or moments are not finite.  ``warnings`` lists non-fatal
+    diagnostics ("degenerate-weights" when ess < 1.5, "low-ess" below 10%
+    of the component count).
     """
 
     means: np.ndarray
     covariances: np.ndarray
     weights: np.ndarray
     ess: float
-    n_out: int
+    psi: np.ndarray
+    n_nonfinite: int
     warnings: tuple = ()
 
     @property
     def n_components(self) -> int:
         return self.weights.shape[0]
 
+    @property
+    def n_out(self) -> int:
+        return self.means.shape[1]
+
+    @property
+    def max_weight(self) -> float:
+        """Largest normalized weight: 1/n when even, 1 when one component dominates."""
+        return float(self.weights.max())
+
+    @property
+    def psi_range(self) -> tuple:
+        """Smallest and largest weight exponent Psi over the components."""
+        return float(self.psi.min()), float(self.psi.max())
+
 
 def _check_q(q, n_out: int) -> np.ndarray:
+    """Symmetrized Q (or (n, d, d) stack of Qs) after shape and PD checks."""
     q = symmetrize(q, name="Q")
-    if q.shape[0] != n_out:
-        raise ShapeMismatch(f"Q is {q.shape[0]}x{q.shape[0]}, expected {n_out}")
-    cholesky(q)  # mixing matrices must be strictly positive definite
+    if q.shape[-1] != n_out:
+        raise ShapeMismatch(f"Q is {q.shape[-1]}x{q.shape[-1]}, expected {n_out}")
+    cholesky(q, name="Q")  # mixing matrices must be strictly positive definite
     return q
 
 
@@ -165,7 +193,7 @@ def _resolvent(s11: np.ndarray, beta: float):
 
 
 def _starred(q, data: Dataset):
-    """Shared core: starred blocks, posterior mean, and the weight exponent."""
+    """Dense per-Q oracle: starred blocks, posterior mean, weight exponent."""
     blocks = sigma_of_q(q, data)
     beta = data.beta
     s00, s01, s11 = blocks.s00, blocks.s01, blocks.s11
@@ -257,6 +285,85 @@ def m_star_invertible(q, data: Dataset) -> np.ndarray:
     )
 
 
+def _mixing_stack(mixing):
+    """Q draws as one (n, d, d) array plus their prior log-weights."""
+    if isinstance(mixing, np.ndarray) and mixing.ndim == 3:
+        stack, prior_logw = mixing, np.zeros(mixing.shape[0])
+    else:
+        mixing = list(mixing)
+        qs = [m.q if isinstance(m, MixingSample) else m for m in mixing]
+        prior_logw = np.array(
+            [m.log_weight if isinstance(m, MixingSample) else 0.0 for m in mixing]
+        )
+        try:
+            stack = np.asarray(qs, dtype=np.float64)
+        except ValueError as exc:  # ragged: some Q has another size
+            raise ShapeMismatch(f"mixing draws do not stack to (n, d, d): {exc}") from exc
+    if stack.shape[0] == 0:
+        raise EmptyMixing("a posterior mixture needs at least one mixing draw")
+    return stack, prior_logw
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """Product eigenbasis of s11 = G11 kron Q for a stack of Q draws.
+
+    G11 = U diag(lam) U.T is shared; Q_n = V_n diag(mu_n) V_n.T per draw.
+    Arrays indexed (n, j, p) pair output eigenvalue mu_j with input
+    eigenvalue lam_p: ``z = V.T Y U`` is the label matrix in that basis,
+    ``denom = 1 + beta lam mu`` the eigenvalues of I + beta s11, and
+    ``mask`` keeps the products lam mu that ``linalg.pinv`` keeps in s11.
+    ``c = g01 U`` is the test/train Gram row in the input eigenbasis.
+    """
+
+    lam: np.ndarray     # (P,)
+    u: np.ndarray       # (P, P)
+    c: np.ndarray       # (P,)
+    mu: np.ndarray      # (n, d)
+    v: np.ndarray       # (n, d, d)
+    z: np.ndarray       # (n, d, P)
+    denom: np.ndarray   # (n, d, P)
+    mask: np.ndarray    # (n, d, P)
+
+
+def _spectrum(qs: np.ndarray, data: Dataset) -> _Spectrum:
+    d, p = data.n_out, data.n_train
+    if qs.ndim != 3:
+        raise ShapeMismatch(f"Q stack has shape {qs.shape}, expected (n, {d}, {d})")
+    qs = _check_q(qs, d)
+    lam, u = np.linalg.eigh(data._g11)
+    mu, v = np.linalg.eigh(qs)
+    z = np.swapaxes(v, 1, 2) @ (data.y @ u)
+    lam_mu = mu[:, :, None] * lam
+    # linalg.pinv's cutoff on the singular values |lam mu| of s11.
+    cutoff = p * d * np.finfo(np.float64).eps * np.abs(lam_mu).max(axis=(1, 2))
+    return _Spectrum(
+        lam=lam, u=u, c=(data._g01 @ u)[0], mu=mu, v=v, z=z,
+        denom=1.0 + data.beta * lam_mu, mask=lam_mu > cutoff[:, None, None],
+    )
+
+
+def _spectral_core(sp: _Spectrum, data: Dataset):
+    """Weight exponents and test-block moments of every component at once.
+
+    In the product eigenbasis every starred quantity is diagonal:
+    Psi = beta sum z^2 / denom + sum log denom;
+    m0 = beta V sum_p g_jp z_jp;
+    S00* = V diag(mu_j (g00 - beta sum_p c_p g_jp)) V.T,
+    with ``g = mask c mu / denom``, the transfer s01 s11^- s11* in that
+    basis.  Returns ``(psi, m0, s00, g)``.
+    """
+    beta = data.beta
+    psi = beta * np.sum(sp.z**2 / sp.denom, axis=(1, 2)) + np.sum(
+        np.log(sp.denom), axis=(1, 2)
+    )
+    g = np.where(sp.mask, sp.c * sp.mu[:, :, None] / sp.denom, 0.0)
+    m0 = beta * np.einsum("nij,nj->ni", sp.v, np.sum(g * sp.z, axis=2))
+    eig00 = sp.mu * (data._g00 - beta * (g @ sp.c))
+    s00 = (sp.v * eig00[:, None, :]) @ np.swapaxes(sp.v, 1, 2)
+    return psi, m0, (s00 + np.swapaxes(s00, 1, 2)) / 2.0, g
+
+
 def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
     """Self-normalized importance-weighted posterior mixture.
 
@@ -267,44 +374,60 @@ def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
     exponentiation and normalized to sum to one.  The effective sample size
     is always reported; degenerate weightings are flagged in ``warnings``
     rather than raised.
+
+    All components come from one batched eigendecomposition of the Q stack
+    (see :func:`_spectral_core`), O(d^3 + d^2 P) per component; only the
+    test block of each component is kept.
     """
-    if isinstance(mixing, np.ndarray) and mixing.ndim == 3:
-        qs = list(mixing)
-        prior_logw = np.zeros(len(qs))
-    else:
-        mixing = list(mixing)
-        qs = [m.q if isinstance(m, MixingSample) else m for m in mixing]
-        prior_logw = np.array(
-            [m.log_weight if isinstance(m, MixingSample) else 0.0 for m in mixing]
-        )
-    n = len(qs)
-    if n == 0:
-        raise EmptyMixing("posterior_mixture needs at least one mixing draw")
-
-    k = data.n_out * (data.n_train + 1)
-    means = np.empty((n, k))
-    covs = np.empty((n, k, k))
-    log_w = np.empty(n)
-    for i, q in enumerate(qs):
-        starred, mean, psi_value = _starred(q, data)
-        means[i] = mean
-        covs[i] = starred.full()
-        log_w[i] = prior_logw[i] - 0.5 * psi_value
-
+    qs, prior_logw = _mixing_stack(mixing)
+    n = qs.shape[0]
+    psi_values, means, covs, _ = _spectral_core(_spectrum(qs, data), data)
+    log_w = prior_logw - 0.5 * psi_values
     log_w -= log_w.max()
     weights = np.exp(log_w)
     total = weights.sum()
     ess = float(total**2 / np.sum(weights**2))
     weights = weights / total
 
+    finite = (
+        np.isfinite(psi_values)
+        & np.isfinite(means).all(axis=1)
+        & np.isfinite(covs).all(axis=(1, 2))
+    )
     warnings = []
     if ess < DEGENERATE_ESS:
         warnings.append("degenerate-weights")
     if ess < LOW_ESS_FRACTION * n:
         warnings.append("low-ess")
     return PosteriorMixture(
-        means, covs, weights, ess, data.n_out, tuple(warnings)
+        means, covs, weights, ess, psi_values, int(n - finite.sum()), tuple(warnings)
     )
+
+
+def joint_moments(mixing, data: Dataset):
+    """Starred moments of the full joint outputs, one row per Q draw.
+
+    Returns ``(means, covariances)`` of shapes (n, k) and (n, k, k) with
+    k = n_out (P + 1), test block leading: the batched counterpart of
+    :func:`m_star` and ``sigma_star(q).full()``, from the same spectral
+    core as :func:`posterior_mixture`.  Prior log-weights are ignored.
+    """
+    qs, _ = _mixing_stack(mixing)
+    sp = _spectrum(qs, data)
+    _, m0, s00, g = _spectral_core(sp, data)
+    n, d, p = sp.z.shape
+    shrink = sp.lam * sp.mu[:, :, None] / sp.denom  # eigenvalues of s11*
+    m1 = data.beta * np.einsum("nij,njr,pr->npi", sp.v, shrink * sp.z, sp.u)
+    s01 = np.einsum("nij,njr,qr,nkj->niqk", sp.v, g, sp.u, sp.v, optimize=True)
+    s11 = np.einsum(
+        "pr,nij,njr,qr,nkj->npiqk", sp.u, sp.v, shrink, sp.u, sp.v, optimize=True
+    ).reshape(n, p * d, p * d)
+    s11 = (s11 + np.swapaxes(s11, 1, 2)) / 2.0
+    s01 = s01.reshape(n, d, p * d)
+    top = np.concatenate([s00, s01], axis=2)
+    bottom = np.concatenate([np.swapaxes(s01, 1, 2), s11], axis=2)
+    means = np.concatenate([m0, m1.reshape(n, p * d)], axis=1)
+    return means, np.concatenate([top, bottom], axis=1)
 
 
 def predictive_moments(mix: PosteriorMixture):
@@ -315,10 +438,7 @@ def predictive_moments(mix: PosteriorMixture):
     The label-dependent part is accumulated separately so that a point-mass
     mixture has covariance exactly equal to its component block.
     """
-    d = mix.n_out
-    m0 = mix.means[:, :d]
-    s00 = mix.covariances[:, :d, :d]
-    w = mix.weights
+    m0, s00, w = mix.means, mix.covariances, mix.weights
     mean = np.einsum("n,ni->i", w, m0)
     cov_within = np.einsum("n,nij->ij", w, s00)
     second = np.einsum("n,ni,nj->ij", w, m0, m0)

@@ -26,6 +26,13 @@ from .sampling import (
 )
 
 
+def _is_whole(value) -> bool:
+    try:
+        return not isinstance(value, bool) and float(value).is_integer()
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class NetworkShape:
     """Architecture and precision schedule of a deep linear network.
@@ -78,6 +85,8 @@ class NetworkShape:
             raise InvalidParameter("all precisions must be > 0")
         object.__setattr__(self, "lambdas", lambdas)
         if self.widths is not None:
+            if not all(_is_whole(w) for w in self.widths):
+                raise InvalidParameter(f"widths must be whole numbers, got {self.widths}")
             widths = tuple(int(w) for w in self.widths)
             if len(widths) != self.depth or any(w < 1 for w in widths):
                 raise InvalidParameter(

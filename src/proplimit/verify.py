@@ -337,11 +337,11 @@ def check_nngp_degeneracy(cfg: VerifyConfig) -> list[CheckRow]:
     )
 
     data = posterior.Dataset(x=GP_X, y=GP_Y, x0=GP_X0, beta=GP_BETA)
-    mix = posterior.posterior_mixture(posterior.nngp_mixing(2), data)
+    means, covs = posterior.joint_moments(posterior.nngp_mixing(2), data)
     mean_cf, cov_cf = _gp_closed_form(data, np.eye(2))
     gap = max(
-        float(np.max(np.abs(mix.means[0] - mean_cf))),
-        float(np.max(np.abs(mix.covariances[0] - cov_cf))),
+        float(np.max(np.abs(means[0] - mean_cf))),
+        float(np.max(np.abs(covs[0] - cov_cf))),
     )
     rows.append(
         CheckRow(
@@ -350,6 +350,7 @@ def check_nngp_degeneracy(cfg: VerifyConfig) -> list[CheckRow]:
         )
     )
 
+    mix = posterior.posterior_mixture(posterior.nngp_mixing(2), data)
     _, cov_pred = posterior.predictive_moments(mix)
     data_shift = posterior.Dataset(x=GP_X, y=GP_Y + 3.5, x0=GP_X0, beta=GP_BETA)
     mix_shift = posterior.posterior_mixture(posterior.nngp_mixing(2), data_shift)
@@ -888,11 +889,11 @@ def prop_appendix_round_trip(cfg: VerifyConfig) -> list[CheckRow]:
 
     qs = _scalar_limit_mixing(cfg, max(cfg.prop_samples, 50_000), PH_APPENDIX_MIX)
     data = posterior.Dataset(x=[[x1v]], y=[[y_star]], x0=[x0v], beta=beta)
-    mix = posterior.posterior_mixture(qs, data)
-    w = mix.weights
-    mix_mean = np.einsum("n,ni->i", w, mix.means)
-    mix_second = np.einsum("n,nij->ij", w, mix.covariances) + np.einsum(
-        "n,ni,nj->ij", w, mix.means, mix.means
+    w = posterior.posterior_mixture(qs, data).weights
+    means, covs = posterior.joint_moments(qs, data)
+    mix_mean = np.einsum("n,ni->i", w, means)
+    mix_second = np.einsum("n,nij->ij", w, covs) + np.einsum(
+        "n,ni,nj->ij", w, means, means
     )
 
     stat = max(

@@ -44,6 +44,14 @@ class TestConfigHandling:
         assert report["config"]["a"] == 0.5
         assert report["rng"] == {"algorithm": "Philox", "seed": 5}
 
+    def test_fractional_widths_exit_2(self, tmp_path, capsys):
+        code = run(["sample-prior", "--seed", 1, "--out-dir", tmp_path,
+                    "--set", "x=[[1.0]]", "--set", "n_out=1", "--set", "depth=2",
+                    "--set", "width=4", "--set", "widths=[2.5, 4]"])
+        assert code == 2
+        assert "widths" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_unknown_verify_key_exits_2(self, tmp_path, capsys):
         code = run(["converge-test", "--seed", 1, "--out-dir", tmp_path,
                     "--set", "bogus_knob=3"])
@@ -123,8 +131,12 @@ class TestPosteriorPredict:
         code = run(["posterior-predict", "--config", path, "--out-dir", tmp_path])
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["results"]["n_components"] == 200
-        assert report["results"]["ess"] > 100
+        results = report["results"]
+        assert results["n_components"] == 200
+        assert results["ess"] > 100
+        assert 1 / 200 <= results["max_weight"] < 1
+        assert 0 < results["psi_min"] <= results["psi_max"]
+        assert results["n_nonfinite"] == 0
 
     def test_finite_mixing_runs(self, tmp_path):
         cfg = dict(SCALAR_CFG)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proplimit import posterior
-from proplimit.errors import EmptyMixing, InvalidParameter, ShapeMismatch
+from proplimit.errors import (
+    EmptyMixing,
+    InvalidParameter,
+    NotPositiveDefinite,
+    ProplimitError,
+    ShapeMismatch,
+)
 
 SCALAR = dict(x=[[1.0]], y=[[2.0]], x0=[1.0], beta=1.0)
 
@@ -198,3 +206,140 @@ class TestPredictiveMoments:
             if labels == [[2.0]]:
                 ref = cov.tobytes()
         assert cov.tobytes() == ref
+
+
+# Dataset shapes for the differential test: generic inputs, and the
+# rank-deficient cases where the Moore-Penrose route matters.
+DATASET_KINDS = ("random", "repeated", "collinear", "outside-span", "beta-zero")
+
+
+@st.composite
+def spectral_instances(draw):
+    """A Dataset plus a list of SPD Q draws, built from a hypothesis seed."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(DATASET_KINDS))
+    n_q = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_in = int(rng.integers(1, 6))
+    beta = 0.0 if kind == "beta-zero" else float(rng.uniform(0.1, 3.0))
+    x = rng.standard_normal((n_in, p))
+    x0 = rng.standard_normal(n_in)
+    if kind == "repeated" and p > 1:
+        x[:, int(rng.integers(1, p))] = x[:, 0]
+    elif kind == "collinear":
+        # rank r < n_in columns with x0 inside their span
+        r = max(1, p - 2)
+        n_in = r + 2
+        basis = rng.standard_normal((n_in, r))
+        x = basis @ rng.standard_normal((r, p))
+        x0 = basis @ rng.standard_normal(r)
+    elif kind == "outside-span":
+        # more input rows than columns, one column repeated: x0 has a
+        # component outside the span of X
+        n_in = p + 2
+        x = rng.standard_normal((n_in, p))
+        x[:, -1] = x[:, 0]
+        x0 = rng.standard_normal(n_in)
+    data = posterior.Dataset(
+        x=x, y=rng.standard_normal((d, p)), x0=x0, beta=beta
+    )
+    qs = []
+    for _ in range(n_q):
+        m = rng.standard_normal((d, d))
+        qs.append(m @ m.T + 0.3 * np.eye(d))
+    return data, qs
+
+
+def _condition(data, q) -> float:
+    """Ratio of the largest to the smallest kept eigenvalue of s11.
+
+    The dense oracle inverts s11 through an SVD, so its forward error
+    grows with this ratio; the spectral core does not invert it.
+    """
+    lam_mu = np.outer(np.linalg.eigvalsh(q), np.linalg.eigvalsh(data._g11))
+    top = np.abs(lam_mu).max()
+    kept = lam_mu[lam_mu > lam_mu.size * np.finfo(float).eps * top]
+    return float(top / kept.min()) if kept.size else 1.0
+
+
+class TestSpectralCoreMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(spectral_instances())
+    def test_moments_and_psi(self, instance):
+        data, qs = instance
+        d = data.n_out
+        mix = posterior.posterior_mixture(qs, data)
+        means, covs = posterior.joint_moments(qs, data)
+        assert means.shape == (len(qs), d * (data.n_train + 1))
+        assert mix.means.shape == (len(qs), d)
+        for i, q in enumerate(qs):
+            blocks, mean, psi_value = posterior._starred(q, data)
+            full = blocks.full()
+            # 1e-13 per unit of condition: double-precision round-off in the
+            # oracle's pseudoinverse, with a margin for the problem sizes here.
+            tol = 1e-13 * _condition(data, q)
+            scale = max(1.0, np.abs(full).max(), np.abs(mean).max())
+            assert np.abs(covs[i] - full).max() <= tol * scale
+            assert np.abs(means[i] - mean).max() <= tol * scale
+            assert np.abs(mix.covariances[i] - full[:d, :d]).max() <= tol * scale
+            assert np.abs(mix.means[i] - mean[:d]).max() <= tol * scale
+            oracle_psi = posterior.psi(q, data)
+            assert oracle_psi == psi_value
+            assert abs(mix.psi[i] - oracle_psi) <= tol * max(1.0, abs(oracle_psi))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spectral_instances(),
+        st.sampled_from(["asymmetric", "not-pd", "wrong-size"]),
+        st.integers(0, 3),
+    )
+    def test_bad_q_raises_like_oracle(self, instance, fault, where):
+        data, qs = instance
+        d = data.n_out
+        i = where % len(qs)
+        if fault == "asymmetric":
+            assume(d > 1)
+            skew = np.zeros((d, d))
+            skew[0, 1] = 1e-3 * np.abs(qs[i]).max()
+            qs[i] = qs[i] + skew
+        elif fault == "not-pd":
+            qs[i] = qs[i] - 2.0 * np.linalg.eigvalsh(qs[i])[0] * np.eye(d)
+        else:
+            qs[i] = np.eye(d + 1)
+        with pytest.raises(ProplimitError) as oracle:
+            for q in qs:
+                posterior.psi(q, data)
+        for batched in (posterior.posterior_mixture, posterior.joint_moments):
+            with pytest.raises(ProplimitError) as caught:
+                batched(qs, data)
+            assert type(caught.value) is type(oracle.value)
+
+
+class TestMixtureDiagnostics:
+    def test_even_weights(self, np_rng):
+        qs = [m @ m.T + 0.2 * np.eye(1) for m in np_rng.standard_normal((4, 1, 1))]
+        mix = posterior.posterior_mixture(qs, scalar_data(beta=0.0))
+        assert mix.max_weight == pytest.approx(0.25)
+        assert mix.psi_range == (0.0, 0.0)
+        assert mix.n_nonfinite == 0
+
+    def test_psi_spread_and_nonfinite_count(self):
+        # lam mu = 1e4 * 1e306 overflows: that component's Psi is infinite
+        data = scalar_data(x=[[1e2]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mix = posterior.posterior_mixture(
+                [np.eye(1), 2 * np.eye(1), 1e306 * np.eye(1)], data
+            )
+        assert mix.psi_range[0] == pytest.approx(posterior.psi(np.eye(1), data))
+        assert mix.n_nonfinite == 1
+        assert mix.weights[2] == 0.0
+        assert mix.max_weight == pytest.approx(mix.weights[:2].max())
+
+    def test_invalid_stacks_raise_typed_errors(self):
+        with pytest.raises(ShapeMismatch):
+            posterior.posterior_mixture([np.eye(1), np.eye(2)], scalar_data())
+        with pytest.raises(NotPositiveDefinite):
+            posterior.posterior_mixture(np.zeros((2, 1, 1)), scalar_data())
+        with pytest.raises(InvalidParameter):
+            posterior.posterior_mixture([[[np.nan]]], scalar_data())

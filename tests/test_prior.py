@@ -34,6 +34,11 @@ class TestNetworkShape:
         assert shape.layer_widths == (4, 5, 6)
         assert not shape.uniform_width
 
+    def test_fractional_widths_rejected(self):
+        with pytest.raises(InvalidParameter):
+            make_shape(widths=(2.5, 5, 6))
+        assert make_shape(widths=(4.0, 5, 6)).layer_widths == (4, 5, 6)
+
 
 class TestForwardDirect:
     def test_zero_input(self, rng):
