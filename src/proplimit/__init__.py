@@ -6,7 +6,6 @@ network, the infinite-width Gaussian limit, and the proportional
 depth/width limit where outputs become a nontrivial mixture of Gaussians.
 """
 
-from .backend import active_backend, available_backends
 from .errors import (
     EmptyMixing,
     EmptySample,
@@ -21,8 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "active_backend",
-    "available_backends",
     "make_stream",
     "RngStream",
     "ProplimitError",

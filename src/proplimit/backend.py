@@ -1,69 +1,56 @@
-"""Kernel backend selection.
+"""The two hot numpy kernels: lower-triangular chain products and backward suffix sums.
 
-The compiled Cython extension is preferred when importable; otherwise the
-numpy fallback in ``_kernels_py`` is used.  Set ``PROPLIMIT_BACKEND`` to
-``cython`` or ``python`` to force a choice (forcing an unavailable backend
-is an error).  Both backends are engineered to be bit-identical, so the
-selection affects wall time only.
+They stay in this module rather than inlined at their call sites because
+``perfbench/tracing.py`` times them under these two names.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-BACKEND_ENV = "PROPLIMIT_BACKEND"
-
-try:
-    from . import _kernels as _compiled
-except ImportError:  # extension not built
-    _compiled = None
+import numpy as np
 
 
-def _select():
-    forced = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if forced == "python":
-        return _kernels_py
-    if forced == "cython":
-        if _compiled is None:
-            raise ImportError(
-                f"{BACKEND_ENV}=cython but the compiled extension is not available"
-            )
-        return _compiled
-    if forced:
-        raise ValueError(f"unknown {BACKEND_ENV} value {forced!r}")
-    return _compiled if _compiled is not None else _kernels_py
+def lt_chain_multiply(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Multiply chains of lower-triangular matrices, batched over samples.
+
+    Parameters
+    ----------
+    diag : (B, L, D) array
+        Diagonal entries of factor ``l`` of sample ``b``.
+    low : (B, L, T) array, T = D*(D-1)/2
+        Strict lower-triangle entries in ``numpy.tril_indices`` order.
+
+    Returns
+    -------
+    (B, D, D) array
+        For each sample, ``V_L @ ... @ V_2 @ V_1`` where ``V_l`` is the
+        factor assembled from layer index ``l-1`` (layer axis ascending =
+        applied first).
+    """
+    n_samples, n_layers, dim = diag.shape
+    rows, cols = np.tril_indices(dim, -1)
+    didx = np.arange(dim)
+
+    def layer(l: int) -> np.ndarray:
+        mat = np.zeros((n_samples, dim, dim))
+        mat[:, didx, didx] = diag[:, l, :]
+        mat[:, rows, cols] = low[:, l, :]
+        return mat
+
+    out = layer(0)
+    for l in range(1, n_layers):
+        out = np.einsum("nij,njk->nik", layer(l), out)
+    return out
 
 
-_active = _select()
+def suffix_mac(w: np.ndarray, g: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """Backward suffix of multiply-accumulate terms.
 
-
-def active_backend() -> str:
-    """Name of the kernel backend in use: ``cython`` or ``python``."""
-    return _active.NAME
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("cython", "python") if _compiled is not None else ("python",)
-
-
-def get_kernels(name: str | None = None):
-    """Return the kernel module; ``name`` overrides the import-time choice."""
-    if name is None:
-        return _active
-    if name == "python":
-        return _kernels_py
-    if name == "cython":
-        if _compiled is None:
-            raise ValueError("compiled backend not available")
-        return _compiled
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def lt_chain_multiply(diag, low):
-    return _active.lt_chain_multiply(diag, low)
-
-
-def suffix_mac(w, g, dw):
-    return _active.suffix_mac(w, g, dw)
+    Returns ``out`` of length M+1 with ``out[M] = 0`` and
+    ``out[m] = out[m+1] + (w[m] * g[m+1]) * dw[m]``, i.e. the suffix sums
+    of ``w[u] * g[u+1] * dw[u]`` accumulated from the tail.
+    """
+    m_steps = w.shape[0]
+    out = np.zeros(m_steps + 1)
+    terms = (w * g[1:]) * dw
+    out[:m_steps] = np.cumsum(terms[::-1])[::-1]
+    return out

@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, limit, posterior, prior, verify
-from .backend import active_backend
-from .montecarlo import WORKERS_ENV, worker_count
+from .montecarlo import worker_count
 
 # Stream phases for CLI sampling stages.
 PH_DIRECT, PH_MIXTURE, PH_LIMIT_PRIOR, PH_LIMIT_VBAR, PH_MIXING = 1, 2, 3, 4, 5
@@ -122,7 +121,6 @@ def _base_report(command: str, cfg: dict, seed: int) -> dict:
     return {
         "command": command,
         "version": __version__,
-        "backend": active_backend(),
         "rng": {"algorithm": "Philox", "seed": seed},
         "config": {
             k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in cfg.items()

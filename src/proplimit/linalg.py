@@ -2,9 +2,10 @@
 
 Everything operates on plain float64 ``numpy.ndarray`` values.  Symmetric
 positive definite (SPD) arguments are validated on entry: inputs are
-symmetrized as ``(A + A.T) / 2`` and rejected if the asymmetry exceeds a
-relative tolerance, which guards against drift accumulating over long
-Monte Carlo loops.  Determinants of SPD matrices are only ever computed in
+symmetrized as ``A/2 + A.T/2`` (halved before adding, so finite entries
+cannot overflow) and rejected if the asymmetry exceeds a relative
+tolerance, which guards against drift accumulating over long Monte Carlo
+loops.  Determinants of SPD matrices are only ever computed in
 log space through a Cholesky factor so that large mixtures cannot overflow.
 """
 
@@ -36,7 +37,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(a, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
-    """Return ``(A + A.T) / 2`` after checking A is square and nearly symmetric.
+    """Return ``A/2 + A.T/2`` after checking A is square and nearly symmetric.
 
     ``a`` may also be a stack of shape ``(n, m, m)``; each matrix in it is
     checked on its own and the first offender is named in the error.
@@ -62,7 +63,7 @@ def symmetrize(a, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarr
             f"{where} is not symmetric: asymmetry {gap.flat[i]:.3e} exceeds "
             f"{rtol:.1e} * {scale.flat[i]:.3e}"
         )
-    return (out + _t(out)) / 2.0
+    return 0.5 * out + 0.5 * _t(out)
 
 
 def _square(a, name: str) -> np.ndarray:

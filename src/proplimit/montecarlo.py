@@ -29,7 +29,11 @@ _MAX_INDEX = 1 << PHASE_SHIFT
 def worker_count(workers: int | None = None) -> int:
     """Resolve the worker count: explicit arg, else PROPLIMIT_WORKERS, else 1."""
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
+        raw = os.environ.get(WORKERS_ENV, "1") or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InvalidParameter(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     if workers < 1:
         raise InvalidParameter(f"worker count must be >= 1, got {workers}")
     return workers

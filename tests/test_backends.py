@@ -1,16 +1,6 @@
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from proplimit import backend
-from proplimit import _kernels_py
-
-needs_cython = pytest.mark.skipif(
-    "cython" not in backend.available_backends(),
-    reason="compiled extension not built",
-)
 
 
 def random_chain_inputs(np_rng, n=40, layers=30, dim=4):
@@ -23,7 +13,7 @@ def random_chain_inputs(np_rng, n=40, layers=30, dim=4):
 class TestFallbackKernels:
     def test_chain_single_layer_assembles_factor(self, np_rng):
         diag, low = random_chain_inputs(np_rng, n=3, layers=1, dim=3)
-        out = _kernels_py.lt_chain_multiply(diag, low)
+        out = backend.lt_chain_multiply(diag, low)
         expected = np.zeros((3, 3, 3))
         for b in range(3):
             expected[b][np.diag_indices(3)] = diag[b, 0]
@@ -31,83 +21,30 @@ class TestFallbackKernels:
         np.testing.assert_array_equal(out, expected)
 
     def test_chain_matches_dense_product(self, np_rng):
-        diag, low = random_chain_inputs(np_rng, n=5, layers=6, dim=3)
-        out = _kernels_py.lt_chain_multiply(diag, low)
-        for b in range(5):
-            acc = None
-            for l in range(6):
-                mat = np.zeros((3, 3))
-                mat[np.diag_indices(3)] = diag[b, l]
-                mat[np.tril_indices(3, -1)] = low[b, l]
-                acc = mat if acc is None else mat @ acc
-            np.testing.assert_allclose(out[b], acc, rtol=1e-12, atol=1e-14)
+        # dim 17 checks that the kernel has no dimension cap.
+        for dim in (3, 17):
+            diag, low = random_chain_inputs(np_rng, n=5, layers=6, dim=dim)
+            out = backend.lt_chain_multiply(diag, low)
+            for b in range(5):
+                acc = None
+                for l in range(6):
+                    mat = np.zeros((dim, dim))
+                    mat[np.diag_indices(dim)] = diag[b, l]
+                    mat[np.tril_indices(dim, -1)] = low[b, l]
+                    acc = mat if acc is None else mat @ acc
+                np.testing.assert_allclose(out[b], acc, rtol=1e-12, atol=1e-14)
 
     def test_suffix_mac_definition(self, np_rng):
         m = 64
         w = np_rng.standard_normal(m)
         g = np_rng.standard_normal(m + 1)
         dw = np_rng.standard_normal(m)
-        out = _kernels_py.suffix_mac(w, g, dw)
+        # BrownianGrid hands the kernel frozen arrays.
+        for arr in (w, g, dw):
+            arr.setflags(write=False)
+        out = backend.suffix_mac(w, g, dw)
         assert out[m] == 0.0
         brute = np.array(
             [np.sum(w[u:] * g[u + 1:] * dw[u:]) for u in range(m)] + [0.0]
         )
         np.testing.assert_allclose(out, brute, rtol=1e-12, atol=1e-14)
-
-
-@needs_cython
-class TestBackendAgreement:
-    def test_chain_bitwise_identical(self, np_rng):
-        compiled = backend.get_kernels("cython")
-        diag, low = random_chain_inputs(np_rng)
-        a = compiled.lt_chain_multiply(diag, low)
-        b = _kernels_py.lt_chain_multiply(diag, low)
-        assert np.array_equal(a, b)
-
-    def test_suffix_mac_bitwise_identical(self, np_rng):
-        compiled = backend.get_kernels("cython")
-        for m in (2, 17, 4096):
-            w = np_rng.standard_normal(m)
-            g = np_rng.standard_normal(m + 1)
-            dw = np_rng.standard_normal(m)
-            assert np.array_equal(
-                compiled.suffix_mac(w, g, dw), _kernels_py.suffix_mac(w, g, dw)
-            )
-
-    def test_readonly_inputs_accepted(self, np_rng):
-        compiled = backend.get_kernels("cython")
-        w = np_rng.standard_normal(8)
-        g = np_rng.standard_normal(9)
-        dw = np_rng.standard_normal(8)
-        for arr in (w, g, dw):
-            arr.setflags(write=False)
-        assert np.array_equal(
-            compiled.suffix_mac(w, g, dw), _kernels_py.suffix_mac(w, g, dw)
-        )
-
-
-@needs_cython
-def test_forced_python_backend_end_to_end_identical(tmp_path):
-    # The full pipeline produces identical bytes under either backend.
-    script = (
-        "import numpy as np\n"
-        "from proplimit import prior, limit\n"
-        "a = prior.vbar_finite_samples(20, 8, 3, 64, 7, phase=1)\n"
-        "b = limit.vbar_limit_samples(0.7, 3, 128, 32, 7, phase=2)\n"
-        "open(r'{out}', 'wb').write(a.tobytes() + b.tobytes())\n"
-    )
-    outputs = {}
-    for name in ("cython", "python"):
-        out = tmp_path / f"{name}.bin"
-        code = script.format(out=out)
-        env = {"PROPLIMIT_BACKEND": name, "PATH": "/usr/bin:/bin"}
-        subprocess.run(
-            [sys.executable, "-c", code], check=True, env=env, capture_output=True
-        )
-        outputs[name] = out.read_bytes()
-    assert outputs["cython"] == outputs["python"]
-
-
-def test_backend_env_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        backend.get_kernels("fortran")

@@ -170,6 +170,10 @@ def test_symmetrize_gate():
     np.testing.assert_allclose(out, out.T)
     with pytest.raises(InvalidParameter):
         linalg.symmetrize([[1.0, 0.6], [0.5, 1.0]])
+    # Finite entries near the float64 maximum must not overflow.
+    huge = 1e308 * np.eye(2)
+    np.testing.assert_array_equal(linalg.symmetrize(huge), huge)
+    np.testing.assert_array_equal(linalg.cholesky(huge), 1e154 * np.eye(2))
 
 
 def test_det_kron_identity_log_space(np_rng):

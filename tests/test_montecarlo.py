@@ -60,6 +60,12 @@ class TestWorkerCount:
         monkeypatch.delenv(montecarlo.WORKERS_ENV, raising=False)
         assert montecarlo.worker_count() == 1
 
+    @pytest.mark.parametrize("raw", ["abc", "2.5"])
+    def test_malformed_env_is_typed(self, monkeypatch, raw):
+        monkeypatch.setenv(montecarlo.WORKERS_ENV, raw)
+        with pytest.raises(InvalidParameter, match=montecarlo.WORKERS_ENV):
+            montecarlo.worker_count()
+
 
 class TestReductions:
     def test_mean_and_se(self, np_rng):
