@@ -14,14 +14,13 @@ from .errors import (
     ProplimitError,
     ShapeMismatch,
 )
-from .sampling import RngStream, make_stream
+from .sampling import make_stream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "make_stream",
-    "RngStream",
     "ProplimitError",
     "ShapeMismatch",
     "NotPositiveDefinite",

@@ -32,7 +32,6 @@ import numpy as np
 from . import backend, montecarlo
 from .errors import InvalidParameter, ShapeMismatch
 from .linalg import as_matrix
-from .sampling import RngStream
 
 # Path enumeration is exponential in the band offset; refuse silly inputs.
 MAX_DIM = 12
@@ -92,7 +91,7 @@ def _grid_from_increments(a: float, diag_incr: np.ndarray, off_incr: np.ndarray)
     )
 
 
-def simulate_paths(a: float, dim: int, steps: int, rng: RngStream) -> BrownianGrid:
+def simulate_paths(a: float, dim: int, steps: int, rng: np.random.Generator) -> BrownianGrid:
     """Simulate all driving paths for one draw.
 
     Increments are exact Gaussians with variance 1/steps; diagonal-path
@@ -106,9 +105,9 @@ def simulate_paths(a: float, dim: int, steps: int, rng: RngStream) -> BrownianGr
     if steps < 2:
         raise InvalidParameter(f"need at least 2 grid steps, got {steps}")
     root_dt = 1.0 / np.sqrt(steps)
-    diag_incr = rng.gen.standard_normal((dim, steps)) * root_dt
+    diag_incr = rng.standard_normal((dim, steps)) * root_dt
     n_off = dim * (dim - 1) // 2
-    off_incr = rng.gen.standard_normal((n_off, steps)) * root_dt
+    off_incr = rng.standard_normal((n_off, steps)) * root_dt
     return _grid_from_increments(a, diag_incr, off_incr)
 
 
@@ -177,7 +176,7 @@ def iterated_integral(grid: BrownianGrid, path) -> float:
     return _integral_from_cache(grid, path, {})
 
 
-def sample_diag_limit(a: float, dim: int, rng: RngStream) -> np.ndarray:
+def sample_diag_limit(a: float, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Independent draws of the limiting diagonal entries.
 
     Entry k (0-based) is ``exp(Z_k)`` with Z_k ~ N(-a(k+1)/2, a/2);
@@ -188,7 +187,7 @@ def sample_diag_limit(a: float, dim: int, rng: RngStream) -> np.ndarray:
     if dim < 1:
         raise InvalidParameter(f"dim must be >= 1, got {dim}")
     means = -a * np.arange(1, dim + 1) / 2.0
-    z = means + np.sqrt(a / 2.0) * rng.gen.standard_normal(dim)
+    z = means + np.sqrt(a / 2.0) * rng.standard_normal(dim)
     return np.exp(z)
 
 
@@ -213,7 +212,7 @@ def vbar_limit_from_grid(grid: BrownianGrid) -> np.ndarray:
     return out
 
 
-def sample_vbar_limit(a: float, dim: int, steps: int, rng: RngStream) -> np.ndarray:
+def sample_vbar_limit(a: float, dim: int, steps: int, rng: np.random.Generator) -> np.ndarray:
     """One draw of the proportional-limit lower-triangular matrix.
 
     At a = 0 this returns the identity bit-exactly.  ``dim`` is capped at
@@ -235,7 +234,7 @@ def sample_prior_limit(
     n_in: int,
     lambda_star: float,
     steps: int,
-    rng: RngStream,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """One limit-prior output draw: ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``.
 
@@ -248,7 +247,7 @@ def sample_prior_limit(
     if x.shape[0] != n_in:
         raise ShapeMismatch(f"x has {x.shape[0]} rows, expected {n_in}")
     vbar = sample_vbar_limit(a, dim, steps, rng)
-    z = rng.gen.standard_normal((dim, n_in))
+    z = rng.standard_normal((dim, n_in))
     return (vbar @ (z @ x)) / np.sqrt(n_in * lambda_star)
 
 
@@ -320,7 +319,7 @@ def vbar_limit_refinement_pair(
     if ratio < 2:
         raise InvalidParameter("refinement requires fine_steps > coarse_steps")
 
-    def one(rng: RngStream) -> np.ndarray:
+    def one(rng: np.random.Generator) -> np.ndarray:
         fine = simulate_paths(a, dim, fine_steps, rng)
         diag_incr = np.diff(fine.diag_paths, axis=1)
         coarse = _grid_from_increments(

@@ -12,7 +12,7 @@ log space through a Cholesky factor so that large mixtures cannot overflow.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .errors import InvalidParameter, NotPositiveDefinite, ShapeMismatch
 
@@ -160,11 +160,6 @@ def spd_solve(a, b) -> np.ndarray:
         )
     out = cho_solve((low, True), rhs, check_finite=False)
     return out[:, 0] if vector_rhs else out
-
-
-def solve_lower_triangular(low, b) -> np.ndarray:
-    """Solve ``L @ X = B`` for lower-triangular L."""
-    return solve_triangular(low, b, lower=True, check_finite=False)
 
 
 def vec(a) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Monte Carlo drivers: per-sample streams, worker pool, deterministic reductions.
+"""Monte Carlo drivers: per-sample streams, one chunked pool, deterministic reductions.
 
 Every sample index ``i`` of a run draws from its own stream keyed by
 ``(seed, (phase << PHASE_SHIFT) | i)``, so the set of values produced is
@@ -6,9 +6,12 @@ bit-identical no matter how indices are partitioned across workers.  The
 ``phase`` namespaces independent stages of one run (routes, criteria,
 commands) inside a single master seed.
 
-Moment reductions collect per-sample values into index-ordered arrays and
-reduce with numpy, which is deterministic for a fixed array; worker count
-therefore changes wall time only.
+:func:`chunked_map` is the only partitioner: it cuts ``range(n)`` into
+contiguous chunks of ``min(MAX_CHUNK, ceil(n / workers))`` indices and runs
+them serially (one worker) or on a thread pool.  :func:`sample_map` is a
+per-index loop on top of it.  Moment reductions collect per-sample values
+into index-ordered arrays and reduce with numpy, which is deterministic
+for a fixed array; worker count therefore changes wall time only.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import InvalidParameter
-from .sampling import RngStream, make_stream
+from .sampling import make_stream
 
 WORKERS_ENV = "PROPLIMIT_WORKERS"
 PHASE_SHIFT = 40
+MAX_CHUNK = 1024
 _MAX_INDEX = 1 << PHASE_SHIFT
 
 
@@ -34,12 +38,14 @@ def worker_count(workers: int | None = None) -> int:
             workers = int(raw)
         except ValueError:
             raise InvalidParameter(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise InvalidParameter(f"worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise InvalidParameter(f"worker count must be >= 1, got {workers}")
-    return workers
+    return int(workers)
 
 
-def stream_for(seed: int, phase: int, index: int) -> RngStream:
+def stream_for(seed: int, phase: int, index: int) -> np.random.Generator:
     """The stream owned by sample ``index`` of stage ``phase``."""
     if not 0 <= index < _MAX_INDEX:
         raise InvalidParameter(f"sample index {index} out of range")
@@ -51,9 +57,10 @@ def stream_for(seed: int, phase: int, index: int) -> RngStream:
 def sample_map(fn, n_samples: int, seed: int, phase: int, workers: int | None = None) -> np.ndarray:
     """Stack ``fn(stream_for(seed, phase, i))`` for ``i`` in range(n_samples).
 
-    ``fn`` must return an ndarray (or scalar) of fixed shape.  Work is split
-    into contiguous index chunks across a thread pool; because each sample
-    owns its stream, results are independent of the partitioning.
+    ``fn`` must return an ndarray (or scalar) of fixed shape; index 0 runs
+    first to learn it.  The remaining indices run through
+    :func:`chunked_map`; because each sample owns its stream, results are
+    independent of the partitioning.
     """
     if n_samples < 1:
         raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
@@ -63,51 +70,33 @@ def sample_map(fn, n_samples: int, seed: int, phase: int, workers: int | None = 
     out = np.empty((n_samples,) + first.shape)
     out[0] = first
 
-    def run_chunk(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
+    def run(lo: int, hi: int) -> None:
+        for i in range(max(lo, 1), hi):
             out[i] = fn(stream_for(seed, phase, i))
 
-    _dispatch(run_chunk, 1, n_samples, workers)
+    chunked_map(run, n_samples, workers)
     return out
 
 
-def chunked_map(fn, n_samples: int, workers: int | None = None, chunk: int = 1024):
+def chunked_map(fn, n_samples: int, workers: int | None = None) -> None:
     """Run ``fn(lo, hi)`` over contiguous chunks of ``range(n_samples)``.
 
-    For drivers that batch kernel calls over many samples at once.  ``fn``
+    Chunks hold ``min(MAX_CHUNK, ceil(n_samples / workers))`` indices, so
+    every worker gets work and batched kernels see bounded batches.  ``fn``
     must write its results into preallocated arrays indexed by absolute
     sample index (so chunk boundaries cannot change the outcome).
     """
     if n_samples < 1:
         raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
     workers = worker_count(workers)
-    bounds = list(range(0, n_samples, chunk)) + [n_samples]
+    size = min(MAX_CHUNK, -(-n_samples // workers))
+    bounds = [(lo, min(lo + size, n_samples)) for lo in range(0, n_samples, size)]
     if workers == 1:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for lo, hi in bounds:
             fn(lo, hi)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(fn, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        for fut in futures:
-            fut.result()
-
-
-def _dispatch(run_chunk, lo: int, hi: int, workers: int) -> None:
-    if hi <= lo:
-        return
-    if workers == 1:
-        run_chunk(lo, hi)
-        return
-    edges = np.linspace(lo, hi, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_chunk, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        for fut in futures:
+        for fut in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
             fut.result()
 
 

@@ -19,11 +19,7 @@ import numpy as np
 from . import backend, montecarlo
 from .errors import InvalidParameter, ShapeMismatch
 from .linalg import as_matrix, kron
-from .sampling import (
-    RngStream,
-    bartlett_chain_draws,
-    sample_gaussian_matrix,
-)
+from .sampling import bartlett_chain_draws, sample_gaussian_matrix
 
 
 def _is_whole(value) -> bool:
@@ -115,7 +111,7 @@ def _check_input(x, n_in: int) -> np.ndarray:
     return x
 
 
-def forward_direct(x, shape: NetworkShape, rng: RngStream) -> np.ndarray:
+def forward_direct(x, shape: NetworkShape, rng: np.random.Generator) -> np.ndarray:
     """One prior draw of the network outputs via the weight product.
 
     Draws every weight matrix ``W_l`` with i.i.d. N(0, 1/lambdas[l]) entries
@@ -131,7 +127,9 @@ def forward_direct(x, shape: NetworkShape, rng: RngStream) -> np.ndarray:
     return h
 
 
-def sample_vbar_finite(depth: int, width: int, dim: int, rng: RngStream) -> np.ndarray:
+def sample_vbar_finite(
+    depth: int, width: int, dim: int, rng: np.random.Generator
+) -> np.ndarray:
     """Product of ``depth`` i.i.d. Bartlett factors, lower triangular.
 
     Factor ``l`` has Wishart(width, I/width) outer product; the returned
@@ -144,7 +142,7 @@ def sample_vbar_finite(depth: int, width: int, dim: int, rng: RngStream) -> np.n
     return chained[0]
 
 
-def sample_prior_mixture(x, shape: NetworkShape, rng: RngStream) -> np.ndarray:
+def sample_prior_mixture(x, shape: NetworkShape, rng: np.random.Generator) -> np.ndarray:
     """One prior draw via the Gaussian-mixture representation.
 
     Draws ``Vbar`` with :func:`sample_vbar_finite` then an independent
@@ -156,7 +154,7 @@ def sample_prior_mixture(x, shape: NetworkShape, rng: RngStream) -> np.ndarray:
         raise InvalidParameter("the mixture route requires a common hidden width")
     x = _check_input(x, shape.n_in)
     vbar = sample_vbar_finite(shape.depth, shape.width, shape.n_out, rng)
-    z = rng.gen.standard_normal((shape.n_out, shape.n_in))
+    z = rng.standard_normal((shape.n_out, shape.n_in))
     # einsum + reciprocal scale keeps this bit-identical to the batched driver
     scale = 1.0 / np.sqrt(shape.n_in * shape.lambda_star)
     return np.einsum("ij,jk->ik", vbar, np.einsum("ij,jk->ik", z, x)) * scale
@@ -242,7 +240,7 @@ def prior_mixture_samples(
         for j in range(m):
             rng = montecarlo.stream_for(seed, phase, lo + j)
             diag[j], low[j] = bartlett_chain_draws(shape.width, d, depth, rng)
-            z[j] = rng.gen.standard_normal((d, n_in))
+            z[j] = rng.standard_normal((d, n_in))
         vbar = backend.lt_chain_multiply(diag, low)
         zx = np.einsum("nij,jk->nik", z, x)
         out[lo:hi] = np.einsum("nij,njk->nik", vbar, zx) * scale

@@ -1,10 +1,12 @@
 """Reproducible random generation.
 
-Streams are counter-based (Philox) and keyed by ``(seed, stream_id)``:
-equal keys replay bit-identical sequences, distinct keys give statistically
-independent streams, and no stream is affected by draws from another.  This
-is what makes parallel Monte Carlo reproducible independent of how samples
-are partitioned across workers: every sample index owns its own stream.
+A stream is a plain ``numpy.random.Generator`` over the counter-based
+Philox bit generator, keyed by ``(seed, stream_id)``: equal keys replay
+bit-identical sequences, distinct keys give statistically independent
+streams, and no stream is affected by draws from another.  This is what
+makes parallel Monte Carlo reproducible independent of how samples are
+partitioned across workers: every sample index owns its own stream.
+Streams are single-owner: do not share one generator across threads.
 """
 
 from __future__ import annotations
@@ -16,33 +18,19 @@ from .errors import InvalidParameter
 _MASK64 = (1 << 64) - 1
 
 
-class RngStream:
-    """A single random stream keyed by ``(seed, stream_id)``.
+def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The deterministic stream keyed by ``(seed, stream_id)``.
 
-    Wraps a ``numpy.random.Generator`` over the Philox counter-based bit
-    generator.  The key is recorded so reports can state RNG provenance.
-    Streams are single-owner: do not share one instance across threads.
+    Both halves of the Philox key are taken modulo 2**64, so ``seed=-1``
+    keys the same stream as ``seed=2**64 - 1``.  The key is built as an
+    explicit uint64 array: a plain list holding a half >= 2**63 would be
+    inferred as float64 and rounded, making such seeds collide.
     """
-
-    __slots__ = ("seed", "stream_id", "gen")
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
-        self.gen = np.random.Generator(
-            np.random.Philox(key=[self.seed, self.stream_id])
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+    key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def make_stream(seed: int, stream_id: int = 0) -> RngStream:
-    """Create the deterministic stream keyed by ``(seed, stream_id)``."""
-    return RngStream(seed, stream_id)
-
-
-def sample_gamma(shape, rate, rng: RngStream, size=None):
+def sample_gamma(shape, rate, rng: np.random.Generator, size=None):
     """Draw from Gamma(shape, rate) in the shape-rate parametrization.
 
     Parameters
@@ -56,11 +44,13 @@ def sample_gamma(shape, rate, rng: RngStream, size=None):
         raise InvalidParameter(f"gamma shape must be > 0, got {shape}")
     if not rate > 0:
         raise InvalidParameter(f"gamma rate must be > 0, got {rate}")
-    out = rng.gen.gamma(shape, 1.0 / rate, size=size)
+    out = rng.gamma(shape, 1.0 / rate, size=size)
     return float(out) if size is None and np.ndim(shape) == 0 else out
 
 
-def sample_gaussian_matrix(rows: int, cols: int, variance: float, rng: RngStream) -> np.ndarray:
+def sample_gaussian_matrix(
+    rows: int, cols: int, variance: float, rng: np.random.Generator
+) -> np.ndarray:
     """Matrix of i.i.d. N(0, variance) entries, drawn in row-major order.
 
     Entries are generated as ``sqrt(variance) * standard_normal`` so that
@@ -70,7 +60,7 @@ def sample_gaussian_matrix(rows: int, cols: int, variance: float, rng: RngStream
         raise InvalidParameter(f"variance must be > 0, got {variance}")
     if rows < 0 or cols < 0:
         raise InvalidParameter("matrix dimensions must be nonnegative")
-    return np.sqrt(variance) * rng.gen.standard_normal((rows, cols))
+    return np.sqrt(variance) * rng.standard_normal((rows, cols))
 
 
 def _bartlett_dof_check(dof: int, dim: int) -> None:
@@ -82,7 +72,7 @@ def _bartlett_dof_check(dof: int, dim: int) -> None:
         )
 
 
-def bartlett_chain_draws(dof: int, dim: int, n_layers: int, rng: RngStream):
+def bartlett_chain_draws(dof: int, dim: int, n_layers: int, rng: np.random.Generator):
     """Raw randomness for ``n_layers`` independent Bartlett factors.
 
     Returns ``(diag, low)`` where ``diag[l, i]`` is the (strictly positive)
@@ -96,11 +86,11 @@ def bartlett_chain_draws(dof: int, dim: int, n_layers: int, rng: RngStream):
     """
     _bartlett_dof_check(dof, dim)
     shapes = (dof - np.arange(dim)) / 2.0
-    gammas = rng.gen.gamma(
+    gammas = rng.gamma(
         np.broadcast_to(shapes, (n_layers, dim)), 2.0 / dof
     )
     n_low = dim * (dim - 1) // 2
-    low = rng.gen.standard_normal((n_layers, n_low)) / np.sqrt(dof)
+    low = rng.standard_normal((n_layers, n_low)) / np.sqrt(dof)
     return np.sqrt(gammas), low
 
 
@@ -111,7 +101,7 @@ def _fill_lower(diag_row: np.ndarray, low_row: np.ndarray, dim: int) -> np.ndarr
     return out
 
 
-def sample_bartlett(dof: int, dim: int, rng: RngStream) -> np.ndarray:
+def sample_bartlett(dof: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """One lower-triangular Bartlett factor V with V @ V.T Wishart-distributed.
 
     Diagonal entry ``V[i, i]`` (0-based ``i``) is the positive square root of
@@ -122,7 +112,9 @@ def sample_bartlett(dof: int, dim: int, rng: RngStream) -> np.ndarray:
     return _fill_lower(diag[0], low[0], dim)
 
 
-def sample_wishart(dof: int, dim: int, rng: RngStream, method: str = "bartlett") -> np.ndarray:
+def sample_wishart(
+    dof: int, dim: int, rng: np.random.Generator, method: str = "bartlett"
+) -> np.ndarray:
     """Wishart draw with ``dof`` degrees of freedom and scale ``I / dof``.
 
     ``method="bartlett"`` returns V @ V.T from :func:`sample_bartlett`.
@@ -135,6 +127,6 @@ def sample_wishart(dof: int, dim: int, rng: RngStream, method: str = "bartlett")
         factor = sample_bartlett(dof, dim, rng)
         return factor @ factor.T
     if method == "outer":
-        g = rng.gen.standard_normal((dim, dof)) / np.sqrt(dof)
+        g = rng.standard_normal((dim, dof)) / np.sqrt(dof)
         return g @ g.T
     raise InvalidParameter(f"unknown wishart method {method!r}")

@@ -15,7 +15,7 @@ touching the checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, ndtr
@@ -103,22 +103,6 @@ class VerifyConfig:
     prop_instances: int = 1_000
     appendix_samples: int = 2_000_000
     ks_alpha: float = 1e-3
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "VerifyConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise KeyError(f"unknown verify config keys: {sorted(unknown)}")
-        return cls(**mapping)
-
-    def scaled(self, factor: float) -> "VerifyConfig":
-        """Shrink every sample count by ``factor`` (for smoke runs)."""
-        updates = {}
-        for f in fields(self):
-            if f.name.endswith(("_samples", "_mixing")) or f.name == "appendix_samples":
-                updates[f.name] = max(64, int(getattr(self, f.name) * factor))
-        return replace(self, **updates)
 
 
 def _vecs(draws: np.ndarray) -> np.ndarray:
@@ -445,7 +429,7 @@ def check_label_dependence(cfg: VerifyConfig) -> list[CheckRow]:
 
 def check_linalg_substrate(cfg: VerifyConfig) -> list[CheckRow]:
     """Randomized batteries for the dense linear-algebra layer."""
-    rng = montecarlo.stream_for(cfg.seed, PH_C9, 0).gen
+    rng = montecarlo.stream_for(cfg.seed, PH_C9, 0)
     n = cfg.prop_instances
 
     worst_chol = 0.0
@@ -584,7 +568,7 @@ def prop_bartlett_wishart_moments(cfg: VerifyConfig) -> list[CheckRow]:
     bart = np.einsum("nij,nkj->nik", factors, factors)
 
     rng_o = montecarlo.stream_for(cfg.seed, PH_WISHART_OUTER, 0)
-    g = rng_o.gen.standard_normal((n, dim, dof)) / math.sqrt(dof)
+    g = rng_o.standard_normal((n, dim, dof)) / math.sqrt(dof)
     outer = np.einsum("nij,nkj->nik", g, g)
 
     flat_b = bart.reshape(n, -1)
@@ -699,7 +683,7 @@ def prop_matnormal_mc(cfg: VerifyConfig) -> list[CheckRow]:
     low1 = linalg.cholesky(m1)
     low2 = linalg.cholesky(m2)
     n = cfg.prop_samples
-    g = rng.gen.standard_normal((n, 3, 3))
+    g = rng.standard_normal((n, 3, 3))
     z = np.einsum("ij,njk,lk->nil", low1, g, low2)
     hzk = np.einsum("ij,njk,kl->nil", h, z, k)
     vecs = hzk.transpose(0, 2, 1).reshape(n, -1)
@@ -806,7 +790,7 @@ def _random_dataset(rng, n_in, p, d):
 
 
 def prop_posterior_psd(cfg: VerifyConfig) -> list[CheckRow]:
-    rng = montecarlo.stream_for(cfg.seed, PH_POSTERIOR_PSD, 0).gen
+    rng = montecarlo.stream_for(cfg.seed, PH_POSTERIOR_PSD, 0)
     failures = 0
     for _ in range(cfg.prop_instances):
         d = int(rng.integers(1, 4))
@@ -830,7 +814,7 @@ def prop_posterior_psd(cfg: VerifyConfig) -> list[CheckRow]:
 
 
 def prop_posterior_remark(cfg: VerifyConfig) -> list[CheckRow]:
-    rng = montecarlo.stream_for(cfg.seed, PH_POSTERIOR_REMARK, 0).gen
+    rng = montecarlo.stream_for(cfg.seed, PH_POSTERIOR_REMARK, 0)
     worst = 0.0
     for _ in range(cfg.prop_instances):
         d = int(rng.integers(1, 4))
@@ -866,7 +850,7 @@ def prop_appendix_round_trip(cfg: VerifyConfig) -> list[CheckRow]:
     the binned moments of (s0, s1) with the reweighted mixture moments.
     """
     a, x0v, x1v, beta, y_star, half_bin = 1.0, 1.0, 0.8, 1.0, 1.2, 0.02
-    rng = montecarlo.stream_for(cfg.seed, PH_APPENDIX_JOINT, 0).gen
+    rng = montecarlo.stream_for(cfg.seed, PH_APPENDIX_JOINT, 0)
     n = cfg.appendix_samples
     z_mix = rng.standard_normal(n) * math.sqrt(a / 2.0) - a / 2.0
     q = np.exp(2.0 * z_mix)
@@ -1012,7 +996,7 @@ def prop_ks_calibration(cfg: VerifyConfig) -> list[CheckRow]:
     failures = 0
     for rep in range(n_rep):
         rng = montecarlo.stream_for(cfg.seed, PH_KS_CALIBRATION, rep)
-        draws = rng.gen.standard_normal(n_draw)
+        draws = rng.standard_normal(n_draw)
         report = analysis.ks_statistic(draws, ndtr, alpha=1e-3)
         failures += 0 if report.passed else 1
     return [

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from proplimit import montecarlo
+from proplimit import montecarlo, prior
 from proplimit.errors import InvalidParameter
 
 
 def draw3(rng):
-    return rng.gen.standard_normal(3)
+    return rng.standard_normal(3)
 
 
 class TestSampleMap:
@@ -32,19 +32,36 @@ class TestSampleMap:
 
 
 class TestChunkedMap:
+    @staticmethod
+    def _run(n, workers):
+        out = np.empty((n, 3))
+        bounds = []
+
+        def fn(lo, hi):
+            bounds.append((lo, hi))
+            for i in range(lo, hi):
+                out[i] = draw3(montecarlo.stream_for(9, 4, i))
+
+        montecarlo.chunked_map(fn, n, workers=workers)
+        return out, sorted(bounds)
+
+    @staticmethod
+    def _assert_tiles(bounds, n):
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(lo < hi for lo, hi in bounds)
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
     def test_chunk_size_invariance(self):
-        def runner(out):
-            def fn(lo, hi):
-                for i in range(lo, hi):
-                    out[i] = draw3(montecarlo.stream_for(9, 4, i))
-
-            return fn
-
-        a = np.empty((50, 3))
-        montecarlo.chunked_map(runner(a), 50, workers=1, chunk=7)
-        b = np.empty((50, 3))
-        montecarlo.chunked_map(runner(b), 50, workers=4, chunk=13)
+        a, bounds_a = self._run(50, workers=1)
+        b, bounds_b = self._run(50, workers=4)
         np.testing.assert_array_equal(a, b)
+        self._assert_tiles(bounds_a, 50)
+        self._assert_tiles(bounds_b, 50)
+        assert len(bounds_b) == 4
+        big, bounds_big = self._run(3000, workers=1)
+        self._assert_tiles(bounds_big, 3000)
+        assert max(hi - lo for lo, hi in bounds_big) <= montecarlo.MAX_CHUNK
+        np.testing.assert_array_equal(big[:50], a)
 
 
 class TestWorkerCount:
@@ -65,6 +82,20 @@ class TestWorkerCount:
         monkeypatch.setenv(montecarlo.WORKERS_ENV, raw)
         with pytest.raises(InvalidParameter, match=montecarlo.WORKERS_ENV):
             montecarlo.worker_count()
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, np.float64(2.0)])
+    def test_non_integer_is_typed(self, bad):
+        with pytest.raises(InvalidParameter, match="integer"):
+            montecarlo.worker_count(bad)
+
+    def test_numpy_integer_accepted(self):
+        assert montecarlo.worker_count(np.int64(3)) == 3
+
+    def test_samplers_reject_fractional_workers(self):
+        with pytest.raises(InvalidParameter):
+            montecarlo.sample_map(draw3, 4, seed=1, phase=0, workers=2.5)
+        with pytest.raises(InvalidParameter):
+            prior.vbar_finite_samples(2, 4, 2, 4, seed=1, workers=2.5)
 
 
 class TestReductions:

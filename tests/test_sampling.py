@@ -11,25 +11,40 @@ class TestStreams:
         a = sampling.make_stream(42, 0)
         b = sampling.make_stream(42, 0)
         np.testing.assert_array_equal(
-            a.gen.standard_normal(100), b.gen.standard_normal(100)
+            a.standard_normal(100), b.standard_normal(100)
         )
 
     def test_distinct_stream_ids_differ(self):
-        a = sampling.make_stream(42, 0).gen.standard_normal(100)
-        b = sampling.make_stream(42, 1).gen.standard_normal(100)
+        a = sampling.make_stream(42, 0).standard_normal(100)
+        b = sampling.make_stream(42, 1).standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = sampling.make_stream(42, 0).gen.standard_normal(100)
-        b = sampling.make_stream(43, 0).gen.standard_normal(100)
+        a = sampling.make_stream(42, 0).standard_normal(100)
+        b = sampling.make_stream(43, 0).standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_advancing_one_stream_leaves_another_untouched(self):
         a = sampling.make_stream(7, 0)
         b = sampling.make_stream(7, 1)
-        b_ref = sampling.make_stream(7, 1).gen.standard_normal(10)
-        a.gen.standard_normal(1000)
-        np.testing.assert_array_equal(b.gen.standard_normal(10), b_ref)
+        b_ref = sampling.make_stream(7, 1).standard_normal(10)
+        a.standard_normal(1000)
+        np.testing.assert_array_equal(b.standard_normal(10), b_ref)
+
+    def test_key_layout_is_masked_seed_then_stream_id(self):
+        # Output bytes depend on this exact Philox key; a negative seed wraps mod 2**64.
+        key = np.array([2**64 - 1, 0], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        np.testing.assert_array_equal(
+            sampling.make_stream(-1, 0).standard_normal(16), ref.standard_normal(16)
+        )
+
+    @pytest.mark.parametrize("seed, neighbour", [(-1, 0), (2**63 + 1, 2**63)])
+    def test_high_seeds_do_not_collide(self, seed, neighbour):
+        # Rounding the key through float64 would map each seed onto its neighbour.
+        a = sampling.make_stream(seed, 0).standard_normal(8)
+        b = sampling.make_stream(neighbour, 0).standard_normal(8)
+        assert not np.array_equal(a, b)
 
 
 class TestGamma:
