@@ -43,14 +43,31 @@ def lt_chain_multiply(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 def suffix_mac(w: np.ndarray, g: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Backward suffix of multiply-accumulate terms.
+    """Backward suffix sums of multiply-accumulate terms over a stack of pairs.
 
-    Returns ``out`` of length M+1 with ``out[M] = 0`` and
-    ``out[m] = out[m+1] + (w[m] * g[m+1]) * dw[m]``, i.e. the suffix sums
-    of ``w[u] * g[u+1] * dw[u]`` accumulated from the tail.
+    Parameters
+    ----------
+    w, dw : (p, M) arrays
+        Integrand weights and Brownian increments of ``p`` pairs.
+    g : (p, r, M+1) array
+        ``r`` inner suffixes per pair.
+
+    Returns
+    -------
+    (r, M+1) array
+        ``out[:, M] = 0`` and
+        ``out[j, m] = out[j, m+1] + sum_i w[i, m] * g[i, j, m+1] * dw[i, m]``:
+        the pair terms are summed first, then accumulated from the tail in
+        one reversed cumsum per row.  p = r = 1 is a single iterated
+        integral's step.
     """
-    m_steps = w.shape[0]
-    out = np.zeros(m_steps + 1)
-    terms = (w * g[1:]) * dw
-    out[:m_steps] = np.cumsum(terms[::-1])[::-1]
+    m_steps = w.shape[1]
+    if w.shape[0] == 1:
+        # One pair: a plain product, since einsum's per-call set-up costs
+        # more than the arithmetic on short grids.
+        terms = (w[0] * dw[0]) * g[0, :, 1:]
+    else:
+        terms = np.einsum("im,ijm->jm", w * dw, g[:, :, 1:])
+    out = np.zeros((g.shape[1], m_steps + 1))
+    np.add.accumulate(terms[:, ::-1], axis=1, out=out[:, m_steps - 1::-1])
     return out

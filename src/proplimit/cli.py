@@ -72,7 +72,10 @@ def _require(cfg: dict, key: str, kind, command: str):
 def _coerce(value, key: str, kind):
     try:
         if kind == "int":
-            if isinstance(value, bool) or int(value) != float(value):
+            if isinstance(value, bool):
+                raise ValueError
+            # Integers compare exactly: float() would round those above 2**53.
+            if not isinstance(value, (int, np.integer)) and int(value) != float(value):
                 raise ValueError
             return int(value)
         if kind == "float":
@@ -109,6 +112,10 @@ def _coerce(value, key: str, kind):
 
 def _common(cfg: dict, command: str):
     seed = _require(cfg, "seed", "int", command)
+    # Streams key on the seed mod 2**64; outside that range two seeds would
+    # draw the same numbers under different provenance.
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     out_dir = Path(_coerce(cfg.get("out_dir", "."), "out_dir", "str"))
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = cfg.get("workers")

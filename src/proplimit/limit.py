@@ -18,8 +18,20 @@ and the integral for path r = (r_0 < ... < r_h) is
 integral strictly ahead of the outer integration time.  Discretization bias
 is O(M^{-1/2}); the grid size M is configurable (default 4096).
 
-Exact combinatorial path enumeration costs 2^(k-i-1) per entry, practical
-for dim <= 8; dim is capped at MAX_DIM below.
+Entry (r, c) sums this over all 2^(r-c-1) paths from c to r.  The sum is
+linear in the inner suffix, so it is built by a backward dynamic program
+over the intermediate rows instead of path by path:
+
+    F_r^{(r)} = exp(Z_r(1)),
+    F_k^{(r)}[m] = sqrt(a) sum_{k < k' <= r} sum_{u >= m}
+                   exp(Z_k(t_u) - Z_k'(t_u)) F_k'^{(r)}[u+1] dW^{(k',k)}_u,
+    V[r, c] = F_c^{(r)}[0]
+
+(the endpoint factor enters as the terminal value, by linearity), with
+the terminal row r as an array axis: one stacked suffix sum per
+intermediate row, O(dim^3 M) flops and O(dim^2 M) memory per draw.  Path
+enumeration (:func:`enumerate_paths`, :func:`iterated_integral`) stays as
+the reference the tests and the verify suite check it against.
 """
 
 from __future__ import annotations
@@ -33,8 +45,8 @@ from . import backend, montecarlo
 from .errors import InvalidParameter, ShapeMismatch
 from .linalg import as_matrix
 
-# Path enumeration is exponential in the band offset; refuse silly inputs.
-MAX_DIM = 12
+# The path-sum program costs O(dim^3 M) per draw; refuse silly inputs.
+MAX_DIM = 32
 
 DEFAULT_STEPS = 4096
 
@@ -144,36 +156,27 @@ def validate_path(path, dim: int) -> tuple:
     return path
 
 
-def _pair_weights(grid: BrownianGrid, lo: int, hi: int, cache: dict) -> np.ndarray:
-    # exp(Z_lo(t_u) - Z_hi(t_u)) at the left endpoints u = 0..M-1
-    key = (lo, hi)
-    if key not in cache:
-        z = grid.drifted_paths
-        cache[key] = np.exp(z[lo, :-1] - z[hi, :-1])
-    return cache[key]
-
-
-def _integral_from_cache(grid: BrownianGrid, path, cache: dict) -> float:
-    hops = len(path) - 1
-    suffix = np.ones(grid.steps + 1)
-    for j in range(hops, 0, -1):
-        w = _pair_weights(grid, path[j - 1], path[j], cache)
-        dw = grid.offdiag_increments[tril_position(path[j], path[j - 1])]
-        suffix = backend.suffix_mac(w, suffix, dw)
-    end_value = np.exp(grid.drifted_paths[path[-1], -1])
-    return float(grid.a ** (hops / 2.0) * end_value * suffix[0])
-
-
 def iterated_integral(grid: BrownianGrid, path) -> float:
     """Discretized iterated Ito integral H(path) on the given grid.
 
     ``path`` is a strictly increasing tuple of 0-based row indices.  The
     value carries the ``a^(h/2)`` prefactor and the ``exp(Z(1))`` endpoint
     factor, so it is exactly one summand of a below-diagonal limit entry.
-    Zero off-diagonal increments (or a = 0) give exactly 0.
+    Zero off-diagonal increments (or a = 0) give exactly 0.  Summed over
+    :func:`enumerate_paths`, it is the path-by-path reference for
+    :func:`vbar_limit_from_grid`.
     """
     path = validate_path(path, grid.dim)
-    return _integral_from_cache(grid, path, {})
+    z = grid.drifted_paths
+    hops = len(path) - 1
+    suffix = np.ones(grid.steps + 1)
+    for j in range(hops, 0, -1):
+        lo, hi = path[j - 1], path[j]
+        # exp(Z_lo(t_u) - Z_hi(t_u)) at the left endpoints u = 0..M-1
+        w = np.exp(z[lo, :-1] - z[hi, :-1])
+        dw = grid.offdiag_increments[tril_position(hi, lo)]
+        suffix = backend.suffix_mac(w[None], suffix[None, None], dw[None])[0]
+    return float(grid.a ** (hops / 2.0) * np.exp(z[path[-1], -1]) * suffix[0])
 
 
 def sample_diag_limit(a: float, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,31 +200,41 @@ def vbar_limit_from_grid(grid: BrownianGrid) -> np.ndarray:
     Diagonal entries come from the grid's own endpoint values ``Z_k(1)``
     (not independent redraws), so all entries of one draw share the same
     driving paths.  Below-diagonal entries sum the iterated integrals over
-    every admissible path, shortest paths first.
+    every admissible path, through the backward program of the module
+    docstring: one :func:`backend.suffix_mac` call per intermediate row.
     """
-    dim = grid.dim
-    out = np.zeros((dim, dim))
-    np.fill_diagonal(out, np.exp(grid.drifted_paths[:, -1]))
-    cache: dict = {}
-    for row in range(1, dim):
-        for col in range(row):
-            total = 0.0
-            for path in enumerate_paths(row, col):
-                total += _integral_from_cache(grid, path, cache)
-            out[row, col] = total
-    return out
+    dim, steps = grid.dim, grid.steps
+    z = grid.drifted_paths
+    left = z[:, :-1]  # Z at the left endpoints t_0 .. t_{M-1}
+    # f[r, k] = F_k^{(r)} on the grid, so f[:, :, 0] is the matrix itself;
+    # entries with r < k stay zero.
+    f = np.zeros((dim, dim, steps + 1))
+    f.reshape(dim * dim, steps + 1)[:: dim + 1] = np.exp(z[:, -1])[:, None]
+    root_a = np.sqrt(grid.a)
+    for k in range(dim - 2, -1, -1):
+        w = left[k] - left[k + 1:]
+        np.exp(w, out=w)
+        # tril_position(r, k) for r > k, inlined
+        dw = grid.offdiag_increments.take(
+            [r * (r - 1) // 2 + k for r in range(k + 1, dim)], axis=0
+        )
+        g = f[k + 1:, k + 1:].swapaxes(0, 1)
+        np.multiply(root_a, backend.suffix_mac(w, g, dw), out=f[k + 1:, k])
+    # + 0.0 turns the -0.0 that root_a = 0 leaves below the diagonal into 0.0.
+    return f[:, :, 0] + 0.0
 
 
 def sample_vbar_limit(a: float, dim: int, steps: int, rng: np.random.Generator) -> np.ndarray:
     """One draw of the proportional-limit lower-triangular matrix.
 
     At a = 0 this returns the identity bit-exactly.  ``dim`` is capped at
-    ``MAX_DIM=12``: the per-entry path count grows as 2^(row-col-1).
+    ``MAX_DIM=32``: each draw costs O(dim^3 steps) time and O(dim^2 steps)
+    memory.
     """
     if dim > MAX_DIM:
         raise InvalidParameter(
             f"dim={dim} exceeds MAX_DIM={MAX_DIM}; "
-            "path enumeration is exponential in the band offset"
+            "the path-sum program costs O(dim^3 steps) per draw"
         )
     grid = simulate_paths(a, dim, steps, rng)
     return vbar_limit_from_grid(grid)
@@ -292,6 +305,21 @@ def prior_limit_samples(
     )
 
 
+def _coarsened(fine: BrownianGrid, coarse_steps: int) -> BrownianGrid:
+    """The same driving paths on ``coarse_steps`` steps, a divisor of ``fine.steps``.
+
+    Each coarse increment sums ``fine.steps // coarse_steps`` consecutive
+    fine increments.
+    """
+    ratio = fine.steps // coarse_steps
+    diag_incr = np.diff(fine.diag_paths, axis=1)
+    return _grid_from_increments(
+        fine.a,
+        diag_incr.reshape(fine.dim, coarse_steps, ratio).sum(axis=2),
+        fine.offdiag_increments.reshape(-1, coarse_steps, ratio).sum(axis=2),
+    )
+
+
 def vbar_limit_refinement_pair(
     a: float,
     dim: int,
@@ -315,18 +343,12 @@ def vbar_limit_refinement_pair(
         raise InvalidParameter(
             f"fine_steps={fine_steps} must be a multiple of coarse_steps={coarse_steps}"
         )
-    ratio = fine_steps // coarse_steps
-    if ratio < 2:
+    if fine_steps // coarse_steps < 2:
         raise InvalidParameter("refinement requires fine_steps > coarse_steps")
 
     def one(rng: np.random.Generator) -> np.ndarray:
         fine = simulate_paths(a, dim, fine_steps, rng)
-        diag_incr = np.diff(fine.diag_paths, axis=1)
-        coarse = _grid_from_increments(
-            a,
-            diag_incr.reshape(dim, coarse_steps, ratio).sum(axis=2),
-            fine.offdiag_increments.reshape(-1, coarse_steps, ratio).sum(axis=2),
-        )
+        coarse = _coarsened(fine, coarse_steps)
         return np.stack([vbar_limit_from_grid(coarse), vbar_limit_from_grid(fine)])
 
     both = montecarlo.sample_map(one, n_samples, seed, phase, workers)

@@ -11,12 +11,13 @@ over mixing draws, and reduces mixtures to predictive moments.
 
 The training block is s11 = G11 kron Q, so every starred quantity is
 diagonal in the product eigenbasis U kron V of G11 = U diag(lam) U.T and
-Q = V diag(mu) V.T (the Kronecker-GP identity of Saatci, 2011).  One
-eigendecomposition of G11 is shared by all components and one batched
-``eigh`` of the (n, d, d) Q stack gives every component in closed form,
-O(d^3 + d^2 P) each.  The Moore-Penrose inverse of s11 becomes a mask on
-the products lam mu with the cutoff ``linalg.pinv`` applies, so singular
-Gram matrices (repeated or collinear inputs) need no separate code path.
+Q = V diag(mu) V.T (the Kronecker-GP identity of Saatci, 2011).  One SVD
+of the training inputs (X / sqrt(n_in) = W diag(sqrt(lam)) U.T) is shared
+by all components and one batched ``eigh`` of the (n, d, d) Q stack gives
+every component in closed form, O(d^3 + d^2 P) each.  The Moore-Penrose
+inverse of s11 becomes a mask on the products lam mu with the cutoff
+``linalg.pinv`` applies, so singular Gram matrices (repeated or collinear
+inputs) need no separate code path.
 
 The per-Q functions (``sigma_star``, ``m_star``, ``psi`` and the
 ``*_invertible`` simplifications) form the dense Kronecker blocks and
@@ -313,12 +314,18 @@ class _Spectrum:
     eigenvalue lam_p: ``z = V.T Y U`` is the label matrix in that basis,
     ``denom = 1 + beta lam mu`` the eigenvalues of I + beta s11, and
     ``mask`` keeps the products lam mu that ``linalg.pinv`` keeps in s11.
-    ``c = g01 U`` is the test/train Gram row in the input eigenbasis.
+    With x0 / sqrt(n_in) = W a + e (e orthogonal to the left singular
+    vectors W of the training inputs), ``a`` holds the test input's
+    coordinates, ``c = a sqrt(lam) = g01 U`` the test/train Gram row in the
+    input eigenbasis and ``r0 = |e|^2`` the squared residual of x0 off the
+    span of the training inputs, so g00 = r0 + sum a^2.
     """
 
     lam: np.ndarray     # (P,)
     u: np.ndarray       # (P, P)
+    a: np.ndarray       # (P,)
     c: np.ndarray       # (P,)
+    r0: float
     mu: np.ndarray      # (n, d)
     v: np.ndarray       # (n, d, d)
     z: np.ndarray       # (n, d, P)
@@ -331,14 +338,22 @@ def _spectrum(qs: np.ndarray, data: Dataset) -> _Spectrum:
     if qs.ndim != 3:
         raise ShapeMismatch(f"Q stack has shape {qs.shape}, expected (n, {d}, {d})")
     qs = _check_q(qs, d)
-    lam, u = np.linalg.eigh(data._g11)
+    root_n = np.sqrt(data.n_in)
+    # Full U even when n_in < P: the null directions of G11 still carry labels.
+    w, sing, ut = np.linalg.svd(data.x / root_n, full_matrices=data.n_in < p)
+    lam = np.zeros(p)
+    lam[: sing.size] = sing**2
+    a = np.zeros(p)
+    a[: sing.size] = w.T @ data.x0 / root_n
+    resid = data.x0 / root_n - w @ a[: sing.size]
     mu, v = np.linalg.eigh(qs)
-    z = np.swapaxes(v, 1, 2) @ (data.y @ u)
+    z = np.swapaxes(v, 1, 2) @ (data.y @ ut.T)
     lam_mu = mu[:, :, None] * lam
     # linalg.pinv's cutoff on the singular values |lam mu| of s11.
     cutoff = p * d * np.finfo(np.float64).eps * np.abs(lam_mu).max(axis=(1, 2))
     return _Spectrum(
-        lam=lam, u=u, c=(data._g01 @ u)[0], mu=mu, v=v, z=z,
+        lam=lam, u=ut.T, a=a, c=a * np.sqrt(lam), r0=float(resid @ resid),
+        mu=mu, v=v, z=z,
         denom=1.0 + data.beta * lam_mu, mask=lam_mu > cutoff[:, None, None],
     )
 
@@ -351,7 +366,11 @@ def _spectral_core(sp: _Spectrum, data: Dataset):
     m0 = beta V sum_p g_jp z_jp;
     S00* = V diag(mu_j (g00 - beta sum_p c_p g_jp)) V.T,
     with ``g = mask c mu / denom``, the transfer s01 s11^- s11* in that
-    basis.  Returns ``(psi, m0, s00, g)``.
+    basis.  S00* is evaluated in the equivalent residual form
+    mu_j (r0 + sum_p a_p^2 / denom_jp), with denom_jp read as 1 where the
+    mask drops (j, p): subtracting the projected part of g00 cancels
+    catastrophically once beta lam mu is large, and can turn the variance
+    negative.  Returns ``(psi, m0, s00, g)``.
     """
     beta = data.beta
     psi = beta * np.sum(sp.z**2 / sp.denom, axis=(1, 2)) + np.sum(
@@ -359,7 +378,7 @@ def _spectral_core(sp: _Spectrum, data: Dataset):
     )
     g = np.where(sp.mask, sp.c * sp.mu[:, :, None] / sp.denom, 0.0)
     m0 = beta * np.einsum("nij,nj->ni", sp.v, np.sum(g * sp.z, axis=2))
-    eig00 = sp.mu * (data._g00 - beta * (g @ sp.c))
+    eig00 = sp.mu * (sp.r0 + np.where(sp.mask, 1.0 / sp.denom, 1.0) @ sp.a**2)
     s00 = (sp.v * eig00[:, None, :]) @ np.swapaxes(sp.v, 1, 2)
     return psi, m0, (s00 + np.swapaxes(s00, 1, 2)) / 2.0, g
 

@@ -36,15 +36,22 @@ class TestFallbackKernels:
 
     def test_suffix_mac_definition(self, np_rng):
         m = 64
-        w = np_rng.standard_normal(m)
-        g = np_rng.standard_normal(m + 1)
-        dw = np_rng.standard_normal(m)
-        # BrownianGrid hands the kernel frozen arrays.
-        for arr in (w, g, dw):
-            arr.setflags(write=False)
-        out = backend.suffix_mac(w, g, dw)
-        assert out[m] == 0.0
-        brute = np.array(
-            [np.sum(w[u:] * g[u + 1:] * dw[u:]) for u in range(m)] + [0.0]
-        )
-        np.testing.assert_allclose(out, brute, rtol=1e-12, atol=1e-14)
+        # p = r = 1 is one step of a single iterated integral; p = 3, r = 2
+        # sums a stack of pairs before the suffix accumulation.
+        for p, r in ((1, 1), (3, 2)):
+            w = np_rng.standard_normal((p, m))
+            g = np_rng.standard_normal((p, r, m + 1))
+            dw = np_rng.standard_normal((p, m))
+            # BrownianGrid hands the kernel frozen arrays.
+            for arr in (w, g, dw):
+                arr.setflags(write=False)
+            out = backend.suffix_mac(w, g, dw)
+            assert out.shape == (r, m + 1)
+            assert (out[:, m] == 0.0).all()
+            brute = np.array(
+                [
+                    [np.sum(w[:, u:] * g[:, j, u + 1:] * dw[:, u:]) for u in range(m)] + [0.0]
+                    for j in range(r)
+                ]
+            )
+            np.testing.assert_allclose(out, brute, rtol=1e-12, atol=1e-14)

@@ -27,6 +27,22 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)
         assert "seed" in err["error"]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
+        code = run(["sample-limit", "--seed", seed, "--out-dir", tmp_path,
+                    "--set", "a=0.5", "--set", "dim=2", "--set", "n_samples=2"])
+        assert code == 2
+        assert "seed" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        code = run(["sample-limit", "--seed", 2**64 - 1, "--out-dir", tmp_path,
+                    "--set", "a=0.5", "--set", "dim=2", "--set", "steps=4",
+                    "--set", "n_samples=2"])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["rng"]["seed"] == 2**64 - 1
+
     def test_bad_value_exits_2(self, tmp_path, capsys):
         code = run(["sample-limit", "--seed", 1, "--out-dir", tmp_path,
                     "--set", "a=-2", "--set", "dim=2"])

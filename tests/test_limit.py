@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from proplimit import analysis, limit, montecarlo, prior
 from proplimit.errors import InvalidParameter, ShapeMismatch
+from proplimit.sampling import make_stream
 
 SEED = 99
 
@@ -136,6 +139,7 @@ class TestVbarLimit:
     def test_lazy_regime_identity_bit_exact(self, rng):
         out = limit.sample_vbar_limit(0.0, 3, 16, rng)
         assert np.array_equal(out, np.eye(3))
+        assert not np.signbit(out).any()
 
     def test_structure(self, rng):
         out = limit.sample_vbar_limit(1.0, 4, 128, rng)
@@ -156,7 +160,59 @@ class TestVbarLimit:
 
     def test_dim_cap(self, rng):
         with pytest.raises(InvalidParameter):
-            limit.sample_vbar_limit(0.5, 13, 16, rng)
+            limit.sample_vbar_limit(0.5, limit.MAX_DIM + 1, 16, rng)
+
+    def test_dim_24_draw(self, rng):
+        out = limit.sample_vbar_limit(0.5, 24, 256, rng)
+        assert np.isfinite(out).all()
+        assert np.array_equal(np.triu(out, 1), np.zeros((24, 24)))
+        assert (np.diag(out) > 0).all()
+
+
+def enumerated_vbar(grid) -> np.ndarray:
+    """Oracle: every below-diagonal entry summed path by path."""
+    out = np.diag(np.exp(grid.drifted_paths[:, -1]))
+    for row in range(1, grid.dim):
+        for col in range(row):
+            out[row, col] = sum(
+                limit.iterated_integral(grid, path)
+                for path in limit.enumerate_paths(row, col)
+            )
+    return out
+
+
+@st.composite
+def limit_grids(draw):
+    """Simulated grids, some with zeroed off-diagonal increments and some
+    coarsened from a finer grid as in ``vbar_limit_refinement_pair``."""
+    dim = draw(st.integers(1, 6))
+    a = draw(st.floats(0.0, 4.0))
+    steps = draw(st.integers(2, 64))
+    ratio = draw(st.sampled_from((1, 2, 4)))
+    rng = make_stream(draw(st.integers(0, 2**32 - 1)), 0)
+    grid = limit.simulate_paths(a, dim, steps * ratio, rng)
+    if ratio > 1:
+        grid = limit._coarsened(grid, steps)
+    zeroed = draw(st.lists(st.booleans(), min_size=dim * (dim - 1) // 2,
+                           max_size=dim * (dim - 1) // 2))
+    increments = grid.offdiag_increments.copy()
+    increments[np.array(zeroed, dtype=bool)] = 0.0
+    return dataclasses.replace(grid, offdiag_increments=increments)
+
+
+class TestPathSumMatchesEnumeration:
+    @settings(max_examples=200, deadline=None)
+    @given(limit_grids())
+    def test_matches_enumeration(self, grid):
+        out = limit.vbar_limit_from_grid(grid)
+        ref = enumerated_vbar(grid)
+        # Rounding in either order is bounded by the same sums taken over
+        # |dW|, where nothing cancels; zero entries must match exactly.
+        scale = enumerated_vbar(
+            dataclasses.replace(grid, offdiag_increments=np.abs(grid.offdiag_increments))
+        )
+        assert np.all(np.abs(out - ref) <= 1e-13 * scale)
+        np.testing.assert_array_equal(np.diag(out), np.diag(ref))
 
 
 class TestRefinementPair:

@@ -169,6 +169,17 @@ class TestPosteriorMixture:
         mix = posterior.posterior_mixture(samples, scalar_data())
         np.testing.assert_allclose(mix.weights, [0.25, 0.75], rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12, 1e15, 1e18])
+    def test_in_span_variance_at_large_q(self, scale):
+        # x0 lies in the span of the training inputs; the exact test-block
+        # variance is s / (1 + 1.25 s) for Q = s I.
+        data = posterior.Dataset(x=[[1.0, 0.5]], y=[[1.0, -1.0]], x0=[1.0], beta=1.0)
+        mix = posterior.posterior_mixture([scale * np.eye(1)], data)
+        var = mix.covariances[0, 0, 0]
+        exact = scale / (1.0 + 1.25 * scale)
+        assert var >= 0.0
+        assert abs(var - exact) <= 1e-12 * exact
+
     def test_degenerate_weights_flagged_not_raised(self):
         samples = [
             posterior.MixingSample(q=np.eye(1), log_weight=0.0),
