@@ -44,6 +44,7 @@ import numpy as np
 from . import backend, montecarlo
 from .errors import InvalidParameter, ShapeMismatch
 from .linalg import as_matrix
+from .prior import mixture_outputs
 
 # The path-sum program costs O(dim^3 M) per draw; refuse silly inputs.
 MAX_DIM = 32
@@ -110,8 +111,8 @@ def simulate_paths(a: float, dim: int, steps: int, rng: np.random.Generator) -> 
     increments are drawn first (one call), then the off-diagonal increments
     (one call), so the stream consumption order is canonical.
     """
-    if a < 0:
-        raise InvalidParameter(f"limit ratio must be >= 0, got {a}")
+    if not 0 <= a < np.inf:
+        raise InvalidParameter(f"limit ratio must be finite and >= 0, got {a}")
     if dim < 1:
         raise InvalidParameter(f"dim must be >= 1, got {dim}")
     if steps < 2:
@@ -179,21 +180,6 @@ def iterated_integral(grid: BrownianGrid, path) -> float:
     return float(grid.a ** (hops / 2.0) * np.exp(z[path[-1], -1]) * suffix[0])
 
 
-def sample_diag_limit(a: float, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent draws of the limiting diagonal entries.
-
-    Entry k (0-based) is ``exp(Z_k)`` with Z_k ~ N(-a(k+1)/2, a/2);
-    at a = 0 the vector is exactly all ones.
-    """
-    if a < 0:
-        raise InvalidParameter(f"limit ratio must be >= 0, got {a}")
-    if dim < 1:
-        raise InvalidParameter(f"dim must be >= 1, got {dim}")
-    means = -a * np.arange(1, dim + 1) / 2.0
-    z = means + np.sqrt(a / 2.0) * rng.standard_normal(dim)
-    return np.exp(z)
-
-
 def vbar_limit_from_grid(grid: BrownianGrid) -> np.ndarray:
     """Assemble the limit matrix from one simulated grid.
 
@@ -240,30 +226,6 @@ def sample_vbar_limit(a: float, dim: int, steps: int, rng: np.random.Generator) 
     return vbar_limit_from_grid(grid)
 
 
-def sample_prior_limit(
-    x,
-    a: float,
-    dim: int,
-    n_in: int,
-    lambda_star: float,
-    steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One limit-prior output draw: ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``.
-
-    ``Z`` is an independent dim x n_in standard-normal matrix drawn after
-    the grid.  At a = 0 the law is exactly the infinite-width Gaussian.
-    """
-    if not lambda_star > 0:
-        raise InvalidParameter(f"lambda_star must be > 0, got {lambda_star}")
-    x = as_matrix(x, "x")
-    if x.shape[0] != n_in:
-        raise ShapeMismatch(f"x has {x.shape[0]} rows, expected {n_in}")
-    vbar = sample_vbar_limit(a, dim, steps, rng)
-    z = rng.standard_normal((dim, n_in))
-    return (vbar @ (z @ x)) / np.sqrt(n_in * lambda_star)
-
-
 def vbar_limit_samples(
     a: float,
     dim: int,
@@ -295,13 +257,26 @@ def prior_limit_samples(
     phase: int = 0,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Stack of limit-prior output draws: (n, dim, P)."""
+    """Stack of limit-prior output draws: (n, dim, P).
+
+    Each output is ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``: sample
+    ``i`` draws its grid and then an independent ``dim x n_in``
+    standard-normal ``Z``, and each chunk goes through the output map
+    :func:`prior.mixture_outputs` the finite mixture route uses.  At a = 0
+    the law is exactly the infinite-width Gaussian.
+    """
+    if not lambda_star > 0:
+        raise InvalidParameter(f"lambda_star must be > 0, got {lambda_star}")
+    x = as_matrix(x, "x")
+    if x.shape[0] != n_in:
+        raise ShapeMismatch(f"x has {x.shape[0]} rows, expected {n_in}")
     return montecarlo.sample_map(
-        lambda rng: sample_prior_limit(x, a, dim, n_in, lambda_star, steps, rng),
+        lambda rng: (sample_vbar_limit(a, dim, steps, rng), rng.standard_normal((dim, n_in))),
         n_samples,
         seed,
         phase,
         workers,
+        lambda vbar, z: mixture_outputs(vbar, z, x, lambda_star),
     )
 
 

@@ -12,7 +12,6 @@ log space through a Cholesky factor so that large mixtures cannot overflow.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import InvalidParameter, NotPositiveDefinite, ShapeMismatch
 
@@ -144,24 +143,3 @@ def logdet_spd(a) -> float:
     if low.shape[0] == 0:
         return 0.0
     return float(2.0 * np.sum(np.log(np.diag(low))))
-
-
-def spd_solve(a, b) -> np.ndarray:
-    """Solve ``A @ X = B`` for SPD A without forming the inverse."""
-    low = cholesky(a)
-    rhs = np.asarray(b, dtype=np.float64)
-    vector_rhs = rhs.ndim == 1
-    if vector_rhs:
-        rhs = rhs[:, None]
-    rhs = as_matrix(rhs, "b")
-    if rhs.shape[0] != low.shape[0]:
-        raise ShapeMismatch(
-            f"b has {rhs.shape[0]} rows, expected {low.shape[0]}"
-        )
-    out = cho_solve((low, True), rhs, check_finite=False)
-    return out[:, 0] if vector_rhs else out
-
-
-def vec(a) -> np.ndarray:
-    """Stack the columns of ``a`` into a 1-d vector (column-major order)."""
-    return as_matrix(a, "a").reshape(-1, order="F").copy()

@@ -6,12 +6,14 @@ bit-identical no matter how indices are partitioned across workers.  The
 ``phase`` namespaces independent stages of one run (routes, criteria,
 commands) inside a single master seed.
 
-:func:`chunked_map` is the only partitioner: it cuts ``range(n)`` into
-contiguous chunks of ``min(MAX_CHUNK, ceil(n / workers))`` indices and runs
-them serially (one worker) or on a thread pool.  :func:`sample_map` is a
-per-index loop on top of it.  Moment reductions collect per-sample values
-into index-ordered arrays and reduce with numpy, which is deterministic
-for a fixed array; worker count therefore changes wall time only.
+:func:`sample_map` is the only sampler driver and the only partitioner:
+it cuts ``range(n)`` into contiguous chunks of
+``min(MAX_CHUNK, ceil(n / workers))`` indices, runs them serially (one
+worker) or on a thread pool, collects each chunk's raw draws into
+buffers and hands them to an optional batched ``finish``.  Moment
+reductions collect per-sample values into index-ordered arrays and
+reduce with numpy, which is deterministic for a fixed array; worker
+count therefore changes wall time only.
 """
 
 from __future__ import annotations
@@ -54,50 +56,59 @@ def stream_for(seed: int, phase: int, index: int) -> np.random.Generator:
     return make_stream(seed, (phase << PHASE_SHIFT) | index)
 
 
-def sample_map(fn, n_samples: int, seed: int, phase: int, workers: int | None = None) -> np.ndarray:
-    """Stack ``fn(stream_for(seed, phase, i))`` for ``i`` in range(n_samples).
+def sample_map(
+    draw, n_samples: int, seed: int, phase: int, workers: int | None = None, finish=None
+) -> np.ndarray:
+    """Rows built from ``draw(stream_for(seed, phase, i))`` for ``i`` in range(n_samples).
 
-    ``fn`` must return an ndarray (or scalar) of fixed shape; index 0 runs
-    first to learn it.  The remaining indices run through
-    :func:`chunked_map`; because each sample owns its stream, results are
-    independent of the partitioning.
-    """
-    if n_samples < 1:
-        raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
-    workers = worker_count(workers)
-
-    first = np.asarray(fn(stream_for(seed, phase, 0)), dtype=np.float64)
-    out = np.empty((n_samples,) + first.shape)
-    out[0] = first
-
-    def run(lo: int, hi: int) -> None:
-        for i in range(max(lo, 1), hi):
-            out[i] = fn(stream_for(seed, phase, i))
-
-    chunked_map(run, n_samples, workers)
-    return out
-
-
-def chunked_map(fn, n_samples: int, workers: int | None = None) -> None:
-    """Run ``fn(lo, hi)`` over contiguous chunks of ``range(n_samples)``.
-
-    Chunks hold ``min(MAX_CHUNK, ceil(n_samples / workers))`` indices, so
-    every worker gets work and batched kernels see bounded batches.  ``fn``
-    must write its results into preallocated arrays indexed by absolute
-    sample index (so chunk boundaries cannot change the outcome).
+    ``range(n_samples)`` is cut into contiguous chunks of
+    ``min(MAX_CHUNK, ceil(n_samples / workers))`` indices, run serially
+    (one worker) or on a thread pool.  Within a chunk, each draw -- an
+    array or a tuple of arrays of fixed shapes -- is written into chunk
+    buffers allocated from the chunk's first draw; ``finish(*buffers)``
+    then turns them into the chunk's rows (a batched kernel, say), or the
+    single buffer is the rows when ``finish`` is None.  The first chunk
+    runs first to learn the row shape.  Because each sample owns its
+    stream and ``finish`` maps rows to rows, results do not depend on the
+    partitioning.
     """
     if n_samples < 1:
         raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
     workers = worker_count(workers)
     size = min(MAX_CHUNK, -(-n_samples // workers))
-    bounds = [(lo, min(lo + size, n_samples)) for lo in range(0, n_samples, size)]
+    rest = [(lo, min(lo + size, n_samples)) for lo in range(size, n_samples, size)]
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        first = draw(stream_for(seed, phase, lo))
+        single = not isinstance(first, tuple)
+        parts = (first,) if single else first
+        buffers = [np.empty((hi - lo,) + np.shape(part)) for part in parts]
+        for buf, part in zip(buffers, parts):
+            buf[0] = part
+        for j in range(1, hi - lo):
+            parts = draw(stream_for(seed, phase, lo + j))
+            if single:
+                buffers[0][j] = parts
+            else:
+                for buf, part in zip(buffers, parts):
+                    buf[j] = part
+        return buffers[0] if finish is None else finish(*buffers)
+
+    rows = chunk(0, size)
+    out = np.empty((n_samples,) + rows.shape[1:])
+    out[:size] = rows
+
+    def fill(lo: int, hi: int) -> None:
+        out[lo:hi] = chunk(lo, hi)
+
     if workers == 1:
-        for lo, hi in bounds:
-            fn(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for fut in [pool.submit(fn, lo, hi) for lo, hi in bounds]:
-            fut.result()
+        for lo, hi in rest:
+            fill(lo, hi)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for fut in [pool.submit(fill, lo, hi) for lo, hi in rest]:
+                fut.result()
+    return out
 
 
 def mean_and_se(values: np.ndarray):

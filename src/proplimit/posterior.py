@@ -44,7 +44,8 @@ class Dataset:
     """Supervised data plus one test input.
 
     ``x`` is n_in x P (training inputs as columns), ``y`` is n_out x P
-    (labels), ``x0`` the test input, ``beta >= 0`` the label precision.
+    (labels), ``x0`` the test input, ``beta`` the finite, nonnegative label
+    precision.
     The stacked input matrix [x0, x] and the column-stacked label vector
     are derived once at construction.
     """
@@ -75,8 +76,8 @@ class Dataset:
             raise InvalidParameter("need at least one training input")
         if not np.isfinite(x0).all():
             raise InvalidParameter("x0 contains non-finite entries")
-        if not self.beta >= 0:
-            raise InvalidParameter(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < np.inf:
+            raise InvalidParameter(f"beta must be finite and >= 0, got {self.beta}")
         n_in = x.shape[0]
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -113,14 +114,6 @@ class SigmaBlocks:
         top = np.hstack([self.s00, self.s01])
         bottom = np.hstack([self.s01.T, self.s11])
         return np.vstack([top, bottom])
-
-
-@dataclass(frozen=True)
-class MixingSample:
-    """One mixing draw: a strictly positive definite Q with a log-weight."""
-
-    q: np.ndarray
-    log_weight: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -286,23 +279,15 @@ def m_star_invertible(q, data: Dataset) -> np.ndarray:
     )
 
 
-def _mixing_stack(mixing):
-    """Q draws as one (n, d, d) array plus their prior log-weights."""
-    if isinstance(mixing, np.ndarray) and mixing.ndim == 3:
-        stack, prior_logw = mixing, np.zeros(mixing.shape[0])
-    else:
-        mixing = list(mixing)
-        qs = [m.q if isinstance(m, MixingSample) else m for m in mixing]
-        prior_logw = np.array(
-            [m.log_weight if isinstance(m, MixingSample) else 0.0 for m in mixing]
-        )
-        try:
-            stack = np.asarray(qs, dtype=np.float64)
-        except ValueError as exc:  # ragged: some Q has another size
-            raise ShapeMismatch(f"mixing draws do not stack to (n, d, d): {exc}") from exc
+def _mixing_stack(mixing) -> np.ndarray:
+    """Q draws as one (n, d, d) array."""
+    try:
+        stack = np.asarray(mixing, dtype=np.float64)
+    except ValueError as exc:  # ragged: some Q has another size
+        raise ShapeMismatch(f"mixing draws do not stack to (n, d, d): {exc}") from exc
     if stack.shape[0] == 0:
         raise EmptyMixing("a posterior mixture needs at least one mixing draw")
-    return stack, prior_logw
+    return stack
 
 
 @dataclass(frozen=True)
@@ -387,21 +372,19 @@ def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
     """Self-normalized importance-weighted posterior mixture.
 
     ``mixing`` is a sequence (or (n, d, d) stack) of Q draws from the prior
-    mixing law, optionally :class:`MixingSample` values carrying prior
-    log-weights.  Each component gets log-weight
-    ``prior_log_weight - Psi(Q)/2``; weights are max-subtracted before
-    exponentiation and normalized to sum to one.  The effective sample size
-    is always reported; degenerate weightings are flagged in ``warnings``
-    rather than raised.
+    mixing law.  Each component gets log-weight ``-Psi(Q)/2``; weights are
+    max-subtracted before exponentiation and normalized to sum to one.  The
+    effective sample size is always reported; degenerate weightings are
+    flagged in ``warnings`` rather than raised.
 
     All components come from one batched eigendecomposition of the Q stack
     (see :func:`_spectral_core`), O(d^3 + d^2 P) per component; only the
     test block of each component is kept.
     """
-    qs, prior_logw = _mixing_stack(mixing)
+    qs = _mixing_stack(mixing)
     n = qs.shape[0]
     psi_values, means, covs, _ = _spectral_core(_spectrum(qs, data), data)
-    log_w = prior_logw - 0.5 * psi_values
+    log_w = -0.5 * psi_values
     log_w -= log_w.max()
     weights = np.exp(log_w)
     total = weights.sum()
@@ -429,9 +412,9 @@ def joint_moments(mixing, data: Dataset):
     Returns ``(means, covariances)`` of shapes (n, k) and (n, k, k) with
     k = n_out (P + 1), test block leading: the batched counterpart of
     :func:`m_star` and ``sigma_star(q).full()``, from the same spectral
-    core as :func:`posterior_mixture`.  Prior log-weights are ignored.
+    core as :func:`posterior_mixture`.
     """
-    qs, _ = _mixing_stack(mixing)
+    qs = _mixing_stack(mixing)
     sp = _spectrum(qs, data)
     _, m0, s00, g = _spectral_core(sp, data)
     n, d, p = sp.z.shape

@@ -8,6 +8,13 @@ Bartlett factors ``Vbar = V_L @ ... @ V_1`` plus one standard-normal matrix
 have identical laws whenever every hidden width exceeds the output
 dimension.  Keeping both alive gives the test suite a pair of independent
 oracles for the same distribution.
+
+The mixture route runs on :func:`montecarlo.sample_map` with a batched
+``finish``: each sample only draws its Bartlett factors (and ``Z``) from
+its stream, and each chunk's chains are multiplied in one
+:func:`backend.lt_chain_multiply` call.  :func:`mixture_outputs` is the
+``Vbar @ Z @ X`` map it shares with the proportional-limit prior
+(``limit.prior_limit_samples``).
 """
 
 from __future__ import annotations
@@ -127,37 +134,16 @@ def forward_direct(x, shape: NetworkShape, rng: np.random.Generator) -> np.ndarr
     return h
 
 
-def sample_vbar_finite(
-    depth: int, width: int, dim: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Product of ``depth`` i.i.d. Bartlett factors, lower triangular.
+def mixture_outputs(vbar: np.ndarray, z: np.ndarray, x: np.ndarray, lambda_star: float):
+    """Outputs ``Vbar @ Z @ x / sqrt(n_in * lambda_star)`` of a batch of mixing draws.
 
-    Factor ``l`` has Wishart(width, I/width) outer product; the returned
-    product ``V_depth @ ... @ V_1`` has strictly positive diagonal.
+    ``vbar`` is (n, d, d), ``z`` is (n, d, n_in) standard normal and ``x``
+    is (n_in, P); returns (n, d, P).  The finite mixture route and the
+    proportional-limit prior differ only in the law of ``vbar``.
     """
-    diag, low = bartlett_chain_draws(width, dim, depth, rng)
-    chained = backend.lt_chain_multiply(
-        np.ascontiguousarray(diag[None]), np.ascontiguousarray(low[None])
-    )
-    return chained[0]
-
-
-def sample_prior_mixture(x, shape: NetworkShape, rng: np.random.Generator) -> np.ndarray:
-    """One prior draw via the Gaussian-mixture representation.
-
-    Draws ``Vbar`` with :func:`sample_vbar_finite` then an independent
-    ``n_out x n_in`` standard-normal ``Z`` and returns
-    ``Vbar @ Z @ x / sqrt(n_in * lambda_star)``.  Requires the common-width
-    regime (no per-layer ``widths`` override).
-    """
-    if not shape.uniform_width:
-        raise InvalidParameter("the mixture route requires a common hidden width")
-    x = _check_input(x, shape.n_in)
-    vbar = sample_vbar_finite(shape.depth, shape.width, shape.n_out, rng)
-    z = rng.standard_normal((shape.n_out, shape.n_in))
-    # einsum + reciprocal scale keeps this bit-identical to the batched driver
-    scale = 1.0 / np.sqrt(shape.n_in * shape.lambda_star)
-    return np.einsum("ij,jk->ik", vbar, np.einsum("ij,jk->ik", z, x)) * scale
+    scale = 1.0 / np.sqrt(x.shape[0] * lambda_star)
+    zx = np.einsum("nij,jk->nik", z, x)
+    return np.einsum("nij,njk->nik", vbar, zx) * scale
 
 
 def prior_covariance_exact(x, n_in: int, lambda_star: float, n_out: int) -> np.ndarray:
@@ -219,34 +205,25 @@ def prior_mixture_samples(
 ) -> np.ndarray:
     """Stack of mixture-route draws: (n, n_out, P).
 
-    Sample ``i`` consumes its stream exactly like
-    :func:`sample_prior_mixture`, but the triangular chains are multiplied
-    in batched kernel calls for speed.
+    Sample ``i`` draws its Bartlett chain and then an independent
+    ``n_out x n_in`` standard-normal ``Z`` from its stream; each chunk's
+    chains are multiplied in one batched kernel call and mapped through
+    :func:`mixture_outputs`.  Requires the common-width regime (no
+    per-layer ``widths`` override).
     """
     if not shape.uniform_width:
         raise InvalidParameter("the mixture route requires a common hidden width")
     x = _check_input(x, shape.n_in)
-    d, n_in, p = shape.n_out, shape.n_in, x.shape[1]
-    depth = shape.depth
-    n_low = d * (d - 1) // 2
-    scale = 1.0 / np.sqrt(n_in * shape.lambda_star)
-    out = np.empty((n_samples, d, p))
+    d = shape.n_out
 
-    def run(lo: int, hi: int) -> None:
-        m = hi - lo
-        diag = np.empty((m, depth, d))
-        low = np.empty((m, depth, n_low))
-        z = np.empty((m, d, n_in))
-        for j in range(m):
-            rng = montecarlo.stream_for(seed, phase, lo + j)
-            diag[j], low[j] = bartlett_chain_draws(shape.width, d, depth, rng)
-            z[j] = rng.standard_normal((d, n_in))
-        vbar = backend.lt_chain_multiply(diag, low)
-        zx = np.einsum("nij,jk->nik", z, x)
-        out[lo:hi] = np.einsum("nij,njk->nik", vbar, zx) * scale
+    def draw(rng: np.random.Generator):
+        diag, low = bartlett_chain_draws(shape.width, d, shape.depth, rng)
+        return diag, low, rng.standard_normal((d, shape.n_in))
 
-    montecarlo.chunked_map(run, n_samples, workers)
-    return out
+    def finish(diag, low, z):
+        return mixture_outputs(backend.lt_chain_multiply(diag, low), z, x, shape.lambda_star)
+
+    return montecarlo.sample_map(draw, n_samples, seed, phase, workers, finish)
 
 
 def vbar_finite_samples(
@@ -258,18 +235,12 @@ def vbar_finite_samples(
     phase: int = 0,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Stack of Bartlett-chain products: (n, dim, dim)."""
-    n_low = dim * (dim - 1) // 2
-    out = np.empty((n_samples, dim, dim))
+    """Stack of Bartlett-chain products ``V_depth @ ... @ V_1``: (n, dim, dim).
 
-    def run(lo: int, hi: int) -> None:
-        m = hi - lo
-        diag = np.empty((m, depth, dim))
-        low = np.empty((m, depth, n_low))
-        for j in range(m):
-            rng = montecarlo.stream_for(seed, phase, lo + j)
-            diag[j], low[j] = bartlett_chain_draws(width, dim, depth, rng)
-        out[lo:hi] = backend.lt_chain_multiply(diag, low)
-
-    montecarlo.chunked_map(run, n_samples, workers)
-    return out
+    Factor ``l`` has Wishart(width, I/width) outer product; every product
+    is lower triangular with strictly positive diagonal.
+    """
+    return montecarlo.sample_map(
+        lambda rng: bartlett_chain_draws(width, dim, depth, rng),
+        n_samples, seed, phase, workers, backend.lt_chain_multiply,
+    )

@@ -49,6 +49,22 @@ class TestConfigHandling:
         assert code == 2
         assert "error" in json.loads(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("a", ["NaN", "Infinity"])
+    def test_non_finite_ratio_exits_2(self, tmp_path, capsys, a):
+        code = run(["sample-limit", "--seed", 1, "--out-dir", tmp_path, "--set", f"a={a}",
+                    "--set", "dim=2", "--set", "steps=4", "--set", "n_samples=2"])
+        assert code == 2
+        assert "finite" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_infinite_beta_exits_2(self, tmp_path, capsys):
+        args = ["posterior-predict", "--out-dir", tmp_path]
+        for key, value in {**SCALAR_CFG, "beta": float("inf")}.items():
+            args += ["--set", f"{key}={json.dumps(value)}"]
+        assert run(args) == 2
+        assert "beta" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "report.json").exists()
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a": 0.5, "dim": 2, "n_samples": 3, "steps": 8}))

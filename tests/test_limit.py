@@ -57,7 +57,10 @@ class TestSimulatePaths:
         with pytest.raises(ValueError):
             grid.diag_paths[0, 0] = 1.0
 
-    @pytest.mark.parametrize("a,dim,steps", [(-0.1, 2, 16), (0.5, 0, 16), (0.5, 2, 1)])
+    @pytest.mark.parametrize(
+        "a,dim,steps",
+        [(-0.1, 2, 16), (0.5, 0, 16), (0.5, 2, 1), (np.nan, 2, 16), (np.inf, 2, 16)],
+    )
     def test_invalid_parameters(self, rng, a, dim, steps):
         with pytest.raises(InvalidParameter):
             limit.simulate_paths(a, dim, steps, rng)
@@ -114,25 +117,6 @@ class TestIteratedIntegral:
         grid = limit.simulate_paths(0.5, 2, 16, rng)
         with pytest.raises(ShapeMismatch):
             limit.iterated_integral(grid, (0, 3))
-
-
-class TestDiagLimit:
-    def test_lazy_regime_exact_ones(self, rng):
-        np.testing.assert_array_equal(limit.sample_diag_limit(0.0, 4, rng), np.ones(4))
-
-    def test_lognormal_moments(self):
-        n = 30_000
-        draws = montecarlo.sample_map(
-            lambda r: limit.sample_diag_limit(1.0, 1, r), n, SEED, phase=5
-        ).ravel()
-        mean, se = montecarlo.mean_and_se(draws[:, None])
-        assert abs(mean[0] - np.exp(-0.25)) < 4 * se[0]
-        sq, sq_se = montecarlo.mean_and_se(draws[:, None] ** 2)
-        assert abs(sq[0] - 1.0) < 4 * sq_se[0]
-
-    def test_negative_ratio_rejected(self, rng):
-        with pytest.raises(InvalidParameter):
-            limit.sample_diag_limit(-1.0, 2, rng)
 
 
 class TestVbarLimit:
@@ -238,9 +222,19 @@ class TestRefinementPair:
 
 
 class TestPriorLimit:
-    def test_zero_input(self, rng):
-        out = limit.sample_prior_limit(np.zeros((2, 3)), 0.5, 2, 2, 1.0, 16, rng)
-        np.testing.assert_array_equal(out, np.zeros((2, 3)))
+    def test_zero_input(self):
+        out = limit.prior_limit_samples(np.zeros((2, 3)), 0.5, 2, 2, 1.0, 16, 3, SEED)
+        np.testing.assert_array_equal(out, np.zeros((3, 2, 3)))
+
+    def test_rows_match_single_draws(self):
+        # Sample i draws its grid, then Z, from stream i.
+        x = np.array([[1.0, -0.5, 0.2], [0.4, 0.9, -1.1]])
+        out = limit.prior_limit_samples(x, 0.7, 3, 2, 2.0, 16, 4, SEED, phase=12)
+        for i in range(4):
+            rng = montecarlo.stream_for(SEED, 12, i)
+            vbar = limit.sample_vbar_limit(0.7, 3, 16, rng)
+            z = rng.standard_normal((3, 2))
+            np.testing.assert_allclose(out[i], vbar @ z @ x / 2.0, rtol=1e-13, atol=1e-15)
 
     def test_lazy_regime_gaussian_covariance(self):
         x = np.array([[1.0, -0.5], [0.4, 0.9]])
@@ -270,6 +264,6 @@ class TestPriorLimit:
         mean, se = montecarlo.mean_and_se(residual)
         assert np.all(np.abs(mean) < 4 * se)
 
-    def test_lambda_star_validation(self, rng):
+    def test_lambda_star_validation(self):
         with pytest.raises(InvalidParameter):
-            limit.sample_prior_limit(np.eye(2), 0.5, 2, 2, 0.0, 16, rng)
+            limit.prior_limit_samples(np.eye(2), 0.5, 2, 2, 0.0, 16, 2, SEED)

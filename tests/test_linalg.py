@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proplimit import linalg
-from proplimit.errors import InvalidParameter, NotPositiveDefinite, ShapeMismatch
+from proplimit.errors import InvalidParameter, NotPositiveDefinite
 
 
 class TestCholesky:
@@ -115,53 +115,6 @@ class TestLogdet:
         sign, ref = np.linalg.slogdet(spd)
         assert sign == 1.0
         assert value == pytest.approx(ref, rel=1e-10)
-
-
-class TestSolve:
-    def test_identity(self, np_rng):
-        b = np_rng.standard_normal((2, 3))
-        np.testing.assert_allclose(linalg.spd_solve(np.eye(2), b), b, atol=1e-14)
-
-    def test_diagonal(self):
-        out = linalg.spd_solve(np.diag([2.0, 4.0]), np.array([1.0, 1.0]))
-        np.testing.assert_allclose(out, [0.5, 0.25], rtol=1e-14)
-
-    def test_hand_checked(self):
-        out = linalg.spd_solve(np.array([[4.0, 2.0], [2.0, 2.0]]), np.array([2.0, 2.0]))
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-14)
-
-    def test_residual_random(self, np_rng):
-        for _ in range(20):
-            dim = int(np_rng.integers(1, 8))
-            m = np_rng.standard_normal((dim, dim))
-            spd = m @ m.T + np.eye(dim)
-            b = np_rng.standard_normal((dim, 2))
-            x = linalg.spd_solve(spd, b)
-            assert np.max(np.abs(spd @ x - b)) < 1e-9 * max(1.0, np.max(np.abs(b)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            linalg.spd_solve(np.eye(2), np.ones((3, 1)))
-
-
-class TestVec:
-    def test_column_major(self):
-        np.testing.assert_array_equal(
-            linalg.vec([[1.0, 2.0], [3.0, 4.0]]), [1.0, 3.0, 2.0, 4.0]
-        )
-
-    def test_column_vector_identity(self):
-        col = np.array([[1.0], [2.0]])
-        np.testing.assert_array_equal(linalg.vec(col), [1.0, 2.0])
-
-    def test_zeros(self):
-        np.testing.assert_array_equal(linalg.vec(np.zeros((2, 3))), np.zeros(6))
-
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_fortran_flatten(self, rows, cols, seed):
-        a = np.random.default_rng(seed).standard_normal((rows, cols))
-        np.testing.assert_array_equal(linalg.vec(a), a.flatten(order="F"))
 
 
 def test_symmetrize_gate():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proplimit import montecarlo, prior
+from proplimit import montecarlo, prior, verify
 from proplimit.errors import InvalidParameter
 
 
@@ -34,15 +34,20 @@ class TestSampleMap:
 class TestChunkedMap:
     @staticmethod
     def _run(n, workers):
-        out = np.empty((n, 3))
         bounds = []
 
-        def fn(lo, hi):
-            bounds.append((lo, hi))
-            for i in range(lo, hi):
-                out[i] = draw3(montecarlo.stream_for(9, 4, i))
+        def draw(rng):
+            # Sample index: the low PHASE_SHIFT bits of the stream's key.
+            key = int(rng.bit_generator.state["state"]["key"][1])
+            return draw3(rng), key & ((1 << montecarlo.PHASE_SHIFT) - 1)
 
-        montecarlo.chunked_map(fn, n, workers=workers)
+        def finish(rows, index):
+            lo, hi = int(index[0]), int(index[-1]) + 1
+            np.testing.assert_array_equal(index, np.arange(lo, hi))
+            bounds.append((lo, hi))
+            return rows
+
+        out = montecarlo.sample_map(draw, n, 9, 4, workers=workers, finish=finish)
         return out, sorted(bounds)
 
     @staticmethod
@@ -62,6 +67,14 @@ class TestChunkedMap:
         self._assert_tiles(bounds_big, 3000)
         assert max(hi - lo for lo, hi in bounds_big) <= montecarlo.MAX_CHUNK
         np.testing.assert_array_equal(big[:50], a)
+        np.testing.assert_array_equal(a[7], draw3(montecarlo.stream_for(9, 4, 7)))
+
+
+def test_verify_phase_ids_distinct():
+    # Each verify stage must draw from its own streams; c4 uses four phases.
+    phases = [v for k, v in vars(verify).items() if k.startswith("PH_") and k != "PH_C4_BASE"]
+    phases += [verify.PH_C4_BASE + k for k in range(4)]
+    assert len(phases) == len(set(phases))
 
 
 class TestWorkerCount:

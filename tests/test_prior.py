@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proplimit import montecarlo, prior, sampling
+from proplimit import backend, montecarlo, prior, sampling
 from proplimit.errors import InvalidParameter, ShapeMismatch
 
 SEED = 424242
@@ -75,20 +75,26 @@ class TestForwardDirect:
         assert f.shape == (2, 3)
 
 
+def chain_from_stream(depth, width, dim, rng):
+    """One Bartlett-chain product, drawn and multiplied on its own."""
+    diag, low = sampling.bartlett_chain_draws(width, dim, depth, rng)
+    return backend.lt_chain_multiply(diag[None], low[None])[0]
+
+
 class TestVbarFinite:
     def test_single_layer_equals_bartlett_factor(self):
-        chain = prior.sample_vbar_finite(1, 10, 3, sampling.make_stream(7, 0))
-        factor = sampling.sample_bartlett(10, 3, sampling.make_stream(7, 0))
+        chain = prior.vbar_finite_samples(1, 10, 3, 1, 7)[0]
+        factor = sampling.sample_bartlett(10, 3, montecarlo.stream_for(7, 0, 0))
         np.testing.assert_array_equal(chain, factor)
 
-    def test_triangular_with_positive_diagonal(self, rng):
-        v = prior.sample_vbar_finite(20, 6, 4, rng)
-        assert np.allclose(np.triu(v, 1), 0.0)
-        assert (np.diag(v) > 0).all()
+    def test_triangular_with_positive_diagonal(self):
+        for v in prior.vbar_finite_samples(20, 6, 4, 3, SEED, phase=1):
+            assert np.allclose(np.triu(v, 1), 0.0)
+            assert (np.diag(v) > 0).all()
 
-    def test_width_gate(self, rng):
+    def test_width_gate(self):
         with pytest.raises(InvalidParameter):
-            prior.sample_vbar_finite(3, 2, 2, rng)
+            prior.vbar_finite_samples(3, 2, 2, 1, SEED)
 
     def test_first_diagonal_unit_second_moment(self):
         n = 50_000
@@ -109,25 +115,24 @@ class TestVbarFinite:
     def test_batch_matches_single_draws(self):
         batch = prior.vbar_finite_samples(5, 8, 3, 4, SEED, phase=4)
         for i in range(4):
-            single = prior.sample_vbar_finite(
-                5, 8, 3, montecarlo.stream_for(SEED, 4, i)
-            )
+            single = chain_from_stream(5, 8, 3, montecarlo.stream_for(SEED, 4, i))
             np.testing.assert_array_equal(batch[i], single)
 
 
 class TestPriorMixture:
-    def test_zero_input(self, rng):
-        f = prior.sample_prior_mixture(np.zeros((3, 2)), make_shape(), rng)
-        np.testing.assert_array_equal(f, np.zeros((2, 2)))
+    def test_zero_input(self):
+        f = prior.prior_mixture_samples(np.zeros((3, 2)), make_shape(), 3, SEED)
+        np.testing.assert_array_equal(f, np.zeros((3, 2, 2)))
 
     def test_batch_matches_single_draws(self):
+        # Sample i draws its chain, then Z, from stream i.
         x = np.array([[1.0, 0.2], [0.0, -1.0], [0.5, 0.3]])
         batch = prior.prior_mixture_samples(x, make_shape(), 5, SEED, phase=5)
         for i in range(5):
-            single = prior.sample_prior_mixture(
-                x, make_shape(), montecarlo.stream_for(SEED, 5, i)
-            )
-            np.testing.assert_array_equal(batch[i], single)
+            rng = montecarlo.stream_for(SEED, 5, i)
+            vbar = chain_from_stream(3, 8, 2, rng)
+            z = rng.standard_normal((2, 3))
+            np.testing.assert_allclose(batch[i], vbar @ z @ x / np.sqrt(3.0), rtol=1e-13)
 
     def test_covariance_against_direct_route(self):
         # Moderate-scale smoke version of the sampler-equivalence criterion.
@@ -159,10 +164,10 @@ class TestPriorMixture:
         se = kurts.std(ddof=1) / np.sqrt(len(kurts))
         assert kurt > 3.0 + 4 * se
 
-    def test_mixture_rejects_unequal_widths(self, rng):
+    def test_mixture_rejects_unequal_widths(self):
         with pytest.raises(InvalidParameter):
-            prior.sample_prior_mixture(
-                np.zeros((3, 2)), make_shape(widths=(4, 5, 6)), rng
+            prior.prior_mixture_samples(
+                np.zeros((3, 2)), make_shape(widths=(4, 5, 6)), 2, SEED
             )
 
 
