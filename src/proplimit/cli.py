@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import sys
 import time
@@ -49,12 +51,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, lines) -> None:
+    """Write the ``header`` row, then ``lines``: CSV text, one or more rows per item.
+
+    ``lines`` may be lazy; it is consumed, and so formatted, here.
+    """
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        handle.write(",".join(header) + "\n")
+        handle.writelines(lines)
+
+
+def _table_text(rows) -> str:
+    """CSV text of rows of mixed values, each formatted by ``_fmt`` and quoted as needed."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+    return buffer.getvalue()
 
 
 def _write_report(path: Path, report: dict) -> None:
@@ -137,11 +148,18 @@ def _base_report(command: str, cfg: dict, seed: int) -> dict:
 
 
 def _sample_rows(draws: np.ndarray, route: str):
+    """Lazy CSV text of ``sample_id,route,row,col,value`` rows, one block per sample.
+
+    Values take 17 significant digits, as ``_fmt`` writes them; route
+    names are plain words, so no field needs quoting.
+    """
     n, n_rows, n_cols = draws.shape
-    for idx in range(n):
-        for r in range(n_rows):
-            for c in range(n_cols):
-                yield idx, route, r, c, draws[idx, r, c]
+    template = "".join(f"%d,{route},{r},{c},%.17g\n" for r in range(n_rows) for c in range(n_cols))
+    args = [0] * (2 * n_rows * n_cols)
+    for idx, values in enumerate(draws.reshape(n, -1).tolist()):
+        args[0::2] = [idx] * len(values)
+        args[1::2] = values
+        yield template % tuple(args)
 
 
 def cmd_sample_prior(cfg: dict) -> int:
@@ -174,16 +192,19 @@ def cmd_sample_prior(cfg: dict) -> int:
         routes=routes, n_samples=n_samples, out_dir=str(out_dir),
     )
     start = time.perf_counter()
-    rows = []
+    drawn = []
     for route in routes:
         if route == "direct":
             draws = prior.forward_direct_samples(x, shape, n_samples, seed, PH_DIRECT, workers)
         else:
             draws = prior.prior_mixture_samples(x, shape, n_samples, seed, PH_MIXTURE, workers)
-        rows.extend(_sample_rows(draws, route))
+        drawn.append((draws, route))
 
     csv_path = out_dir / "samples.csv"
-    _write_csv(csv_path, ["sample_id", "route", "row", "col", "value"], rows)
+    _write_csv(
+        csv_path, ["sample_id", "route", "row", "col", "value"],
+        itertools.chain.from_iterable(_sample_rows(*pair) for pair in drawn),
+    )
     report = _base_report(command, resolved, seed)
     report["results"] = {"n_samples": n_samples, "routes": routes}
     report["outputs"] = [csv_path.name]
@@ -318,10 +339,10 @@ def _run_verify(cfg: dict, command: str, include_properties: bool, csv_name: str
     _write_csv(
         csv_path,
         ["test", "N", "L", "a", "statistic", "threshold", "reference", "pass"],
-        [
+        [_table_text(
             (r.test, r.width, r.depth, r.a, r.statistic, r.threshold, r.reference, r.passed)
             for r in rows
-        ],
+        )],
     )
     n_failed = sum(0 if r.passed else 1 for r in rows)
     resolved = dict(cfg, out_dir=str(out_dir))

@@ -265,8 +265,8 @@ def prior_limit_samples(
     :func:`prior.mixture_outputs` the finite mixture route uses.  At a = 0
     the law is exactly the infinite-width Gaussian.
     """
-    if not lambda_star > 0:
-        raise InvalidParameter(f"lambda_star must be > 0, got {lambda_star}")
+    if not 0 < lambda_star < np.inf:
+        raise InvalidParameter(f"lambda_star must be finite and > 0, got {lambda_star}")
     x = as_matrix(x, "x")
     if x.shape[0] != n_in:
         raise ShapeMismatch(f"x has {x.shape[0]} rows, expected {n_in}")

@@ -84,8 +84,8 @@ class NetworkShape:
             raise InvalidParameter(
                 f"need depth + 1 = {self.depth + 1} precisions, got {len(lambdas)}"
             )
-        if not all(v > 0 for v in lambdas):
-            raise InvalidParameter("all precisions must be > 0")
+        if not all(0 < v < np.inf for v in lambdas):
+            raise InvalidParameter(f"all precisions must be finite and > 0, got {lambdas}")
         object.__setattr__(self, "lambdas", lambdas)
         if self.widths is not None:
             if not all(_is_whole(w) for w in self.widths):
@@ -153,8 +153,8 @@ def prior_covariance_exact(x, n_in: int, lambda_star: float, n_out: int) -> np.n
     kron I_{n_out}`` exactly (column-major vec; output index varies fastest).
     Returned symmetric PSD; singular whenever X has collinear columns.
     """
-    if not lambda_star > 0:
-        raise InvalidParameter(f"lambda_star must be > 0, got {lambda_star}")
+    if not 0 < lambda_star < np.inf:
+        raise InvalidParameter(f"lambda_star must be finite and > 0, got {lambda_star}")
     x = _check_input(x, n_in)
     gram = (x.T @ x) / (n_in * lambda_star)
     gram = (gram + gram.T) / 2.0
@@ -213,6 +213,10 @@ def prior_mixture_samples(
     """
     if not shape.uniform_width:
         raise InvalidParameter("the mixture route requires a common hidden width")
+    if not 0 < shape.lambda_star < np.inf:
+        # Finite precisions can still multiply out to 0 or inf.
+        raise InvalidParameter(f"the product of the precisions must be finite and > 0, "
+                               f"got {shape.lambda_star}")
     x = _check_input(x, shape.n_in)
     d = shape.n_out
 

@@ -16,18 +16,40 @@ import numpy as np
 from .errors import InvalidParameter
 
 _MASK64 = (1 << 64) - 1
+# Philox counter and output buffer of a freshly keyed stream; the state
+# setter copies them, so one shared array serves every rekey.
+_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
-def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+def make_stream(
+    seed: int, stream_id: int = 0, rng: np.random.Generator | None = None
+) -> np.random.Generator:
     """The deterministic stream keyed by ``(seed, stream_id)``.
 
     Both halves of the Philox key are taken modulo 2**64, so ``seed=-1``
     keys the same stream as ``seed=2**64 - 1``.  The key is built as an
     explicit uint64 array: a plain list holding a half >= 2**63 would be
     inferred as float64 and rounded, making such seeds collide.
+
+    Without ``rng`` this builds a new generator.  With ``rng`` (a Philox
+    generator the caller owns) it rekeys that generator in place -- new
+    key, zero counter, empty output buffer, no pending 32-bit half -- which
+    is exactly the state a new generator starts in, and returns it; this
+    costs a fraction of building a generator.  Any stream previously drawn
+    from ``rng`` ends there.
     """
     key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def sample_gamma(shape, rate, rng: np.random.Generator, size=None):
@@ -85,13 +107,16 @@ def bartlett_chain_draws(dof: int, dim: int, n_layers: int, rng: np.random.Gener
     normals, each as a single generator call.
     """
     _bartlett_dof_check(dof, dim)
-    shapes = (dof - np.arange(dim)) / 2.0
-    gammas = rng.gamma(
-        np.broadcast_to(shapes, (n_layers, dim)), 2.0 / dof
-    )
-    n_low = dim * (dim - 1) // 2
-    low = rng.standard_normal((n_layers, n_low)) / np.sqrt(dof)
-    return np.sqrt(gammas), low
+    shapes = np.empty((n_layers, dim))
+    shapes[:] = (dof - np.arange(dim)) / 2.0
+    # Gamma(k, rate) is standard_gamma(k) / rate: numpy's own gamma(k,
+    # scale) draws the same standard_gamma values and multiplies them.
+    diag = rng.standard_gamma(shapes)
+    diag *= 2.0 / dof
+    np.sqrt(diag, out=diag)
+    low = rng.standard_normal((n_layers, dim * (dim - 1) // 2))
+    low /= np.sqrt(dof)
+    return diag, low
 
 
 def _fill_lower(diag_row: np.ndarray, low_row: np.ndarray, dim: int) -> np.ndarray:

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from proplimit import cli, posterior
+from proplimit import backend, cli, posterior
 
 SCALAR_CFG = {
     "seed": 13,
@@ -65,6 +66,24 @@ class TestConfigHandling:
         assert "beta" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "report.json").exists()
 
+    def test_infinite_precision_exits_2(self, tmp_path, capsys):
+        code = run(["sample-prior", "--seed", 1, "--out-dir", tmp_path,
+                    "--set", "x=[[1.0]]", "--set", "n_out=1", "--set", "depth=1",
+                    "--set", "width=4", "--set", "n_samples=2",
+                    "--set", 'routes=["mixture"]', "--set", "lambdas=[Infinity, 1.0]"])
+        assert code == 2
+        assert "precisions" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_infinite_lambda_star_exits_2(self, tmp_path, capsys):
+        code = run(["sample-limit", "--seed", 1, "--out-dir", tmp_path,
+                    "--set", "a=0.5", "--set", "dim=1", "--set", "steps=4",
+                    "--set", "n_samples=2", "--set", "emit=prior",
+                    "--set", "x=[[1.0]]", "--set", "lambda_star=Infinity"])
+        assert code == 2
+        assert "lambda_star" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a": 0.5, "dim": 2, "n_samples": 3, "steps": 8}))
@@ -116,6 +135,29 @@ class TestSampleCommands:
         assert run(args + ["--out-dir", out_a]) == 0
         assert run(args + ["--out-dir", out_b]) == 0
         assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
+
+    def test_sample_prior_csv_bytes_pinned(self, tmp_path, monkeypatch):
+        # With the chain product held to a left-to-right einsum loop, the
+        # two-route CSV (direct draws, mixture draws, formatting) is pinned.
+        def sequential_chain(diag, low):
+            n, layers, dim = diag.shape
+            rows, cols = np.tril_indices(dim, -1)
+            out = None
+            for l in range(layers):
+                mat = np.zeros((n, dim, dim))
+                mat[:, np.arange(dim), np.arange(dim)] = diag[:, l, :]
+                mat[:, rows, cols] = low[:, l, :]
+                out = mat if out is None else np.einsum("nij,njk->nik", mat, out)
+            return out
+
+        monkeypatch.setattr(backend, "lt_chain_multiply", sequential_chain)
+        code = run(["sample-prior", "--seed", 11, "--out-dir", tmp_path,
+                    "--set", "x=[[1.0, 0.5, -2.0], [0.0, 1.0, 0.25]]",
+                    "--set", "n_out=2", "--set", "depth=3", "--set", "width=5",
+                    "--set", "n_samples=40"])
+        assert code == 0
+        data = (tmp_path / "samples.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest()[:12] == "8a79d6164730"
 
     def test_sample_limit_vbar_lazy_identity(self, tmp_path):
         code = run(["sample-limit", "--seed", 3, "--out-dir", tmp_path,
@@ -194,3 +236,15 @@ class TestConvergeTest:
     def test_unknown_criterion_exits_2(self, tmp_path):
         assert run(["converge-test", "--seed", 1, "--out-dir", tmp_path,
                     "--set", 'criteria=["no-such-check"]']) == 2
+
+
+def test_write_csv_golden(tmp_path):
+    # Signed zero, infinity and NaN take the same 17-digit text as any value.
+    draws = np.random.default_rng(0).standard_normal((300, 3, 2))
+    draws[0, 0, 0], draws[1, 0, 0], draws[2, 1, 1] = -0.0, np.inf, np.nan
+    path = tmp_path / "samples.csv"
+    cli._write_csv(path, ["sample_id", "route", "row", "col", "value"],
+                   cli._sample_rows(draws, "mixture"))
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:12] == "3700d41c43e4"
+    assert b"\n1,mixture,0,0,inf\n" in data and b"\n0,mixture,0,0,-0\n" in data

@@ -265,5 +265,6 @@ class TestPriorLimit:
         assert np.all(np.abs(mean) < 4 * se)
 
     def test_lambda_star_validation(self):
-        with pytest.raises(InvalidParameter):
-            limit.prior_limit_samples(np.eye(2), 0.5, 2, 2, 0.0, 16, 2, SEED)
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(InvalidParameter):
+                limit.prior_limit_samples(np.eye(2), 0.5, 2, 2, bad, 16, 2, SEED)

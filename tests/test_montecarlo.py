@@ -1,8 +1,12 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
 from proplimit import montecarlo, prior, verify
 from proplimit.errors import InvalidParameter
+from proplimit.sampling import bartlett_chain_draws, make_stream
 
 
 def draw3(rng):
@@ -25,6 +29,25 @@ class TestSampleMap:
         a = montecarlo.sample_map(draw3, 4, seed=5, phase=1, workers=1)
         b = montecarlo.sample_map(draw3, 4, seed=5, phase=2, workers=1)
         assert not np.array_equal(a, b)
+
+    def test_reused_buffers_under_thread_switching(self):
+        # 20 chunks on 4 threads share the spare chunk buffers; frequent
+        # thread switches would expose two chunks writing one buffer set.
+        def draw(rng):
+            return rng.standard_normal(3), rng.standard_normal((2, 2))
+
+        def finish(a, b):
+            return np.concatenate([a, b.reshape(len(b), -1)], axis=1)
+
+        n = 20 * montecarlo.MAX_CHUNK
+        base = montecarlo.sample_map(draw, n, seed=5, phase=3, workers=1, finish=finish)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = montecarlo.sample_map(draw, n, seed=5, phase=3, workers=4, finish=finish)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(out, base)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -68,6 +91,79 @@ class TestChunkedMap:
         assert max(hi - lo for lo, hi in bounds_big) <= montecarlo.MAX_CHUNK
         np.testing.assert_array_equal(big[:50], a)
         np.testing.assert_array_equal(a[7], draw3(montecarlo.stream_for(9, 4, 7)))
+
+
+def used_generator():
+    """A generator left mid-stream: a half-used Philox buffer and a pending uint32."""
+    rng = montecarlo.stream_for(3, 1, 0)
+    rng.integers(0, 2**32, dtype=np.uint32)
+    rng.bit_generator.random_raw(1)
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+    return rng
+
+
+def plain(state):
+    """A bit generator state with its arrays as lists, comparable with ==."""
+    return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
+def mixed_draws(rng):
+    return (
+        rng.integers(0, 2**32, size=3, dtype=np.uint32),
+        rng.standard_normal(5),
+        rng.standard_gamma(np.array([0.5, 3.0, 31.5])),
+        rng.bit_generator.random_raw(6),
+    )
+
+
+class TestRekeyedStreams:
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63 + 1, 2**64 - 1, -1])
+    @pytest.mark.parametrize(
+        "phase, index", [(0, 0), (2, 7), (2**23 + 5, 1), (2**24 - 1, 2**40 - 1)]
+    )
+    def test_rekey_draws_what_a_new_stream_draws(self, seed, phase, index):
+        rng = used_generator()
+        rekeyed = montecarlo.stream_for(seed, phase, index, rng)
+        assert rekeyed is rng
+        fresh = make_stream(seed, (phase << montecarlo.PHASE_SHIFT) | index)
+        assert plain(rekeyed.bit_generator.state) == plain(fresh.bit_generator.state)
+        for got, want in zip(mixed_draws(rekeyed), mixed_draws(fresh)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_plain_calls_do_not_alias(self):
+        a = montecarlo.stream_for(5, 2, 0)
+        b = montecarlo.stream_for(5, 2, 1)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        a_ref = mixed_draws(montecarlo.stream_for(5, 2, 0))
+        b_ref = mixed_draws(montecarlo.stream_for(5, 2, 1))
+        # Interleaved use: drawing from one never moves the other.
+        for got, want in zip(mixed_draws(b), b_ref):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(mixed_draws(a), a_ref):
+            np.testing.assert_array_equal(got, want)
+
+    def test_phase_beyond_key_rejected(self):
+        # phase << PHASE_SHIFT must fit the 64-bit key half, or phases would collide.
+        with pytest.raises(InvalidParameter):
+            montecarlo.stream_for(1, 1 << (64 - montecarlo.PHASE_SHIFT), 0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_raw_chain_draw_digest(self, workers):
+        # Pinned bytes of Bartlett draws through rekeyed streams: the
+        # diagonals alone, then diagonals and lower entries side by side.
+        def draw(rng):
+            return bartlett_chain_draws(64, 3, 200, rng)
+
+        def digest(out):
+            return hashlib.sha256(out.tobytes()).hexdigest()[:12]
+
+        diag = montecarlo.sample_map(draw, 2500, 674797529, 2, workers=workers)
+        assert digest(diag) == "dbe568592a37"
+        both = montecarlo.sample_map(draw, 2500, 674797529, 2, workers=workers,
+                                     finish=lambda d, low: np.concatenate([d, low], axis=2))
+        assert digest(both) == "06f445915a1f"
 
 
 def test_verify_phase_ids_distinct():

@@ -29,6 +29,11 @@ class TestNetworkShape:
         with pytest.raises(InvalidParameter):
             make_shape(lambdas=(1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_precisions_finite_and_positive(self, bad):
+        with pytest.raises(InvalidParameter):
+            make_shape(lambdas=(1.0, bad, 1.0, 1.0))
+
     def test_custom_widths(self):
         shape = make_shape(widths=(4, 5, 6))
         assert shape.layer_widths == (4, 5, 6)
@@ -164,6 +169,11 @@ class TestPriorMixture:
         se = kurts.std(ddof=1) / np.sqrt(len(kurts))
         assert kurt > 3.0 + 4 * se
 
+    def test_mixture_rejects_overflowing_precision_product(self):
+        shape = make_shape(depth=1, lambdas=(1e200, 1e200))
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameter):
+            prior.prior_mixture_samples(np.eye(3), shape, 2, SEED)
+
     def test_mixture_rejects_unequal_widths(self):
         with pytest.raises(InvalidParameter):
             prior.prior_mixture_samples(
@@ -185,6 +195,11 @@ class TestPriorCovarianceExact:
         base = prior.prior_covariance_exact(np.eye(2), 2, 1.0, 1)
         halved = prior.prior_covariance_exact(np.eye(2), 2, 2.0, 1)
         np.testing.assert_allclose(halved, base / 2.0)
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_lambda_star_finite_and_positive(self, bad):
+        with pytest.raises(InvalidParameter):
+            prior.prior_covariance_exact(np.eye(2), 2, bad, 1)
 
 
 class TestMatnormalVecCov:
