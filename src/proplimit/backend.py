@@ -64,32 +64,39 @@ def lt_chain_multiply(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
     return out
 
 
-def suffix_mac(w: np.ndarray, g: np.ndarray, dw: np.ndarray) -> np.ndarray:
+def suffix_mac(c: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Backward suffix sums of multiply-accumulate terms over a stack of pairs.
 
     Parameters
     ----------
-    w, dw : (p, M) arrays
-        Integrand weights and Brownian increments of ``p`` pairs.
+    c : (p, M) array
+        Coefficients of ``p`` pairs: an integrand weight times a Brownian
+        increment.
     g : (p, r, M+1) array
         ``r`` inner suffixes per pair.
+    out : (r, M+1) array, optional
+        Where to write the result, which then allocates nothing; a new
+        array when None.
 
     Returns
     -------
     (r, M+1) array
         ``out[:, M] = 0`` and
-        ``out[j, m] = out[j, m+1] + sum_i w[i, m] * g[i, j, m+1] * dw[i, m]``:
-        the pair terms are summed first, then accumulated from the tail in
-        one reversed cumsum per row.  p = r = 1 is a single iterated
-        integral's step.
+        ``out[j, m] = out[j, m+1] + sum_i c[i, m] * g[i, j, m+1]``: the pair
+        terms are summed first into ``out[:, :M]``, then accumulated from
+        the tail in place, one reversed cumsum per row.  p = r = 1 is a
+        single iterated integral's step.
     """
-    m_steps = w.shape[1]
-    if w.shape[0] == 1:
+    m_steps = c.shape[1]
+    if out is None:
+        out = np.empty((g.shape[1], m_steps + 1))
+    terms = out[:, :m_steps]
+    if c.shape[0] == 1:
         # One pair: a plain product, since einsum's per-call set-up costs
         # more than the arithmetic on short grids.
-        terms = (w[0] * dw[0]) * g[0, :, 1:]
+        np.multiply(c[0], g[0, :, 1:], out=terms)
     else:
-        terms = np.einsum("im,ijm->jm", w * dw, g[:, :, 1:])
-    out = np.zeros((g.shape[1], m_steps + 1))
-    np.add.accumulate(terms[:, ::-1], axis=1, out=out[:, m_steps - 1::-1])
+        np.einsum("im,ijm->jm", c, g[:, :, 1:], out=terms)
+    out[:, m_steps] = 0.0
+    np.add.accumulate(terms[:, ::-1], axis=1, out=terms[:, ::-1])
     return out

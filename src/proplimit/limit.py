@@ -32,6 +32,15 @@ the terminal row r as an array axis: one stacked suffix sum per
 intermediate row, O(dim^3 M) flops and O(dim^2 M) memory per draw.  Path
 enumeration (:func:`enumerate_paths`, :func:`iterated_integral`) stays as
 the reference the tests and the verify suite check it against.
+
+A draw fills all d(d+1)/2 x M increments with one ``standard_normal``
+call, then scales, sums and drifts them, and runs the program, in place
+in a :class:`Workspace`: the increments, the paths, the ``(d, d, M+1)``
+table and the row scratch of one grid shape, allocated once.  Each
+sampler call keeps a pool of workspaces and takes one per draw, so there
+is one per worker thread at most, and a draw allocates nothing but the
+matrix it returns.  Standalone calls of :func:`simulate_paths` and
+:func:`vbar_limit_from_grid` use a fresh workspace each.
 """
 
 from __future__ import annotations
@@ -61,7 +70,8 @@ class BrownianGrid:
     the Brownian motion attached to strict-lower position ``t`` in
     ``numpy.tril_indices`` order; ``drifted_paths[k]`` caches
     ``Z_k(t) = sqrt(a/2) W_k(t) - ((k+1)/2) a t`` for 0-based row k.
-    Arrays are read-only: a grid is immutable once simulated.
+    Arrays are read-only views of a :class:`Workspace`'s memory, so a grid
+    changes with the next draw into the same workspace.
     """
 
     a: float
@@ -76,52 +86,126 @@ class BrownianGrid:
         return self.diag_paths.shape[0]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def drifted_from_diag(a: float, times: np.ndarray, diag_paths: np.ndarray) -> np.ndarray:
-    """Recompute the drifted paths Z_k from the plain paths W_k."""
-    dim = diag_paths.shape[0]
-    drift_rates = (np.arange(1, dim + 1) / 2.0) * a
-    return np.sqrt(a / 2.0) * diag_paths - drift_rates[:, None] * times[None, :]
-
-
-def _grid_from_increments(a: float, diag_incr: np.ndarray, off_incr: np.ndarray) -> BrownianGrid:
-    dim, steps = diag_incr.shape
-    times = np.arange(steps + 1) / steps
-    diag_paths = np.zeros((dim, steps + 1))
-    np.cumsum(diag_incr, axis=1, out=diag_paths[:, 1:])
-    drifted = drifted_from_diag(a, times, diag_paths)
-    return BrownianGrid(
-        a=float(a),
-        steps=steps,
-        times=_freeze(times),
-        diag_paths=_freeze(diag_paths),
-        offdiag_increments=_freeze(np.ascontiguousarray(off_incr)),
-        drifted_paths=_freeze(drifted),
-    )
-
-
-def simulate_paths(a: float, dim: int, steps: int, rng: np.random.Generator) -> BrownianGrid:
-    """Simulate all driving paths for one draw.
-
-    Increments are exact Gaussians with variance 1/steps; diagonal-path
-    increments are drawn first (one call), then the off-diagonal increments
-    (one call), so the stream consumption order is canonical.
-    """
+def _check_grid(a: float, dim: int, steps: int) -> None:
+    """Reject a limit ratio, dimension or grid size no draw accepts."""
     if not 0 <= a < np.inf:
         raise InvalidParameter(f"limit ratio must be finite and >= 0, got {a}")
     if dim < 1:
         raise InvalidParameter(f"dim must be >= 1, got {dim}")
+    if dim > MAX_DIM:
+        raise InvalidParameter(
+            f"dim={dim} exceeds MAX_DIM={MAX_DIM}; "
+            "the path-sum program costs O(dim^3 steps) per draw"
+        )
     if steps < 2:
         raise InvalidParameter(f"need at least 2 grid steps, got {steps}")
-    root_dt = 1.0 / np.sqrt(steps)
-    diag_incr = rng.standard_normal((dim, steps)) * root_dt
-    n_off = dim * (dim - 1) // 2
-    off_incr = rng.standard_normal((n_off, steps)) * root_dt
-    return _grid_from_increments(a, diag_incr, off_incr)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
+class Workspace:
+    """Memory of one limit draw at a fixed ``(a, dim, steps)``, reused by the next.
+
+    Holds the Brownian increments (diagonal rows first, then the strict
+    lower positions in ``numpy.tril_indices`` order), the plain and the
+    drifted paths, the path-sum table ``table[r, k] = F_k^{(r)}`` and the
+    row scratch of the program.  ``grid`` is the :class:`BrownianGrid` over
+    this memory.  ``fine_steps`` sizes the scratch for coarsening a grid of
+    that many steps into this one.  Entries of the table with r < k are
+    never written and stay 0.
+    """
+
+    def __init__(self, a: float, dim: int, steps: int, fine_steps: int | None = None):
+        n_off = dim * (dim - 1) // 2
+        self.root_dt = 1.0 / np.sqrt(steps)
+        self.root_half_a = np.sqrt(a / 2.0)
+        self.root_a = np.sqrt(a)
+        self.increments = np.empty((dim + n_off, steps))
+        times = np.arange(steps + 1) / steps
+        self.drift = ((np.arange(1, dim + 1) / 2.0) * a)[:, None] * times[None, :]
+        self.diag_paths = np.zeros((dim, steps + 1))
+        self.drifted = np.empty((dim, steps + 1))
+        self.fine_diff = None if fine_steps is None else np.empty((dim, fine_steps))
+        self.grid = BrownianGrid(
+            a=float(a),
+            steps=steps,
+            times=_read_only(times),
+            diag_paths=_read_only(self.diag_paths),
+            offdiag_increments=_read_only(self.increments[dim:]),
+            drifted_paths=_read_only(self.drifted),
+        )
+        self.table = np.zeros((dim, dim, steps + 1))
+        self.table_diag = self.table.reshape(dim * dim, steps + 1)[:: dim + 1]
+        self.ends = np.empty(dim)
+        weights = np.empty((dim - 1, steps))
+        pair_dw = np.empty((dim - 1, steps))
+        # Per intermediate row k, last first: the row's scratch, the
+        # positions of its increments (r, k), r > k, its inner suffixes
+        # table[k+1:, k+1:] as (k', r) pairs, and its output table[k+1:, k].
+        self.rows = [
+            (
+                k,
+                weights[: dim - k - 1],
+                pair_dw[: dim - k - 1],
+                np.array([tril_position(r, k) for r in range(k + 1, dim)]),
+                self.table[k + 1:, k + 1:].swapaxes(0, 1),
+                self.table[k + 1:, k],
+            )
+            for k in range(dim - 2, -1, -1)
+        ]
+
+    def fill_paths(self) -> BrownianGrid:
+        """Sum the increments into the paths and drift them; returns ``grid``."""
+        dim = self.diag_paths.shape[0]
+        np.cumsum(self.increments[:dim], axis=1, out=self.diag_paths[:, 1:])
+        np.multiply(self.root_half_a, self.diag_paths, out=self.drifted)
+        np.subtract(self.drifted, self.drift, out=self.drifted)
+        return self.grid
+
+
+def _pooled(make, draw):
+    """``draw(rng, workspace)`` as ``draw(rng)``, on workspaces from a pool.
+
+    Each call takes a workspace (``make()`` when the pool is empty) and puts
+    it back after the draw, so a pool holds one per draw in flight: one per
+    worker thread at most.  ``list.pop`` and ``append`` are atomic, so the
+    threads of ``montecarlo.sample_map`` can share the pool.
+    """
+    pool = []
+
+    def pooled(rng: np.random.Generator):
+        try:
+            workspace = pool.pop()
+        except IndexError:
+            workspace = make()
+        out = draw(rng, workspace)
+        pool.append(workspace)
+        return out
+
+    return pooled
+
+
+def simulate_paths(
+    a: float, dim: int, steps: int, rng: np.random.Generator, workspace: Workspace | None = None
+) -> BrownianGrid:
+    """Simulate all driving paths for one draw.
+
+    Increments are exact Gaussians with variance 1/steps, all drawn by one
+    call: the diagonal-path rows first, then the off-diagonal rows, so the
+    stream consumption order is canonical.  Without ``workspace`` the
+    arguments are checked and a fresh workspace holds the grid; a given
+    workspace must have been made for ``(a, dim, steps)``.
+    """
+    if workspace is None:
+        _check_grid(a, dim, steps)
+        workspace = Workspace(a, dim, steps)
+    rng.standard_normal(out=workspace.increments)
+    np.multiply(workspace.increments, workspace.root_dt, out=workspace.increments)
+    return workspace.fill_paths()
 
 
 def tril_position(row: int, col: int) -> int:
@@ -176,54 +260,62 @@ def iterated_integral(grid: BrownianGrid, path) -> float:
         # exp(Z_lo(t_u) - Z_hi(t_u)) at the left endpoints u = 0..M-1
         w = np.exp(z[lo, :-1] - z[hi, :-1])
         dw = grid.offdiag_increments[tril_position(hi, lo)]
-        suffix = backend.suffix_mac(w[None], suffix[None, None], dw[None])[0]
+        suffix = backend.suffix_mac((w * dw)[None], suffix[None, None])[0]
     return float(grid.a ** (hops / 2.0) * np.exp(z[path[-1], -1]) * suffix[0])
 
 
-def vbar_limit_from_grid(grid: BrownianGrid) -> np.ndarray:
+def vbar_limit_from_grid(grid: BrownianGrid, workspace: Workspace | None = None) -> np.ndarray:
     """Assemble the limit matrix from one simulated grid.
 
     Diagonal entries come from the grid's own endpoint values ``Z_k(1)``
     (not independent redraws), so all entries of one draw share the same
     driving paths.  Below-diagonal entries sum the iterated integrals over
     every admissible path, through the backward program of the module
-    docstring: one :func:`backend.suffix_mac` call per intermediate row.
+    docstring: one :func:`backend.suffix_mac` call per intermediate row,
+    computed in ``workspace`` (made for the grid's ``a``, ``dim`` and
+    ``steps``; a fresh one when None).  Only the returned matrix is new.
     """
-    dim, steps = grid.dim, grid.steps
+    if workspace is None:
+        workspace = Workspace(grid.a, grid.dim, grid.steps)
     z = grid.drifted_paths
     left = z[:, :-1]  # Z at the left endpoints t_0 .. t_{M-1}
-    # f[r, k] = F_k^{(r)} on the grid, so f[:, :, 0] is the matrix itself;
-    # entries with r < k stay zero.
-    f = np.zeros((dim, dim, steps + 1))
-    f.reshape(dim * dim, steps + 1)[:: dim + 1] = np.exp(z[:, -1])[:, None]
-    root_a = np.sqrt(grid.a)
-    for k in range(dim - 2, -1, -1):
-        w = left[k] - left[k + 1:]
+    # table[r, k] = F_k^{(r)} on the grid, so table[:, :, 0] is the matrix.
+    np.exp(z[:, -1], out=workspace.ends)
+    workspace.table_diag[...] = workspace.ends[:, None]
+    for k, w, dw, below, g, out in workspace.rows:
+        np.subtract(left[k], left[k + 1:], out=w)
         np.exp(w, out=w)
-        # tril_position(r, k) for r > k, inlined
-        dw = grid.offdiag_increments.take(
-            [r * (r - 1) // 2 + k for r in range(k + 1, dim)], axis=0
-        )
-        g = f[k + 1:, k + 1:].swapaxes(0, 1)
-        np.multiply(root_a, backend.suffix_mac(w, g, dw), out=f[k + 1:, k])
+        np.take(grid.offdiag_increments, below, axis=0, out=dw, mode="clip")
+        np.multiply(w, dw, out=w)
+        backend.suffix_mac(w, g, out)
+        np.multiply(workspace.root_a, out, out=out)
     # + 0.0 turns the -0.0 that root_a = 0 leaves below the diagonal into 0.0.
-    return f[:, :, 0] + 0.0
+    return workspace.table[:, :, 0] + 0.0
 
 
-def sample_vbar_limit(a: float, dim: int, steps: int, rng: np.random.Generator) -> np.ndarray:
+def sample_vbar_limit(
+    a: float, dim: int, steps: int, rng: np.random.Generator, workspace: Workspace | None = None
+) -> np.ndarray:
     """One draw of the proportional-limit lower-triangular matrix.
 
     At a = 0 this returns the identity bit-exactly.  ``dim`` is capped at
     ``MAX_DIM=32``: each draw costs O(dim^3 steps) time and O(dim^2 steps)
-    memory.
+    memory.  Without ``workspace`` the arguments are checked and the draw
+    runs in a fresh workspace; a given one must have been made for
+    ``(a, dim, steps)``.
     """
-    if dim > MAX_DIM:
-        raise InvalidParameter(
-            f"dim={dim} exceeds MAX_DIM={MAX_DIM}; "
-            "the path-sum program costs O(dim^3 steps) per draw"
-        )
-    grid = simulate_paths(a, dim, steps, rng)
-    return vbar_limit_from_grid(grid)
+    if workspace is None:
+        _check_grid(a, dim, steps)
+        workspace = Workspace(a, dim, steps)
+    return vbar_limit_from_grid(simulate_paths(a, dim, steps, rng, workspace), workspace)
+
+
+def _pooled_vbar_draw(a: float, dim: int, steps: int):
+    """``sample_vbar_limit`` as a one-argument draw on pooled workspaces."""
+    return _pooled(
+        lambda: Workspace(a, dim, steps),
+        lambda rng, workspace: sample_vbar_limit(a, dim, steps, rng, workspace),
+    )
 
 
 def vbar_limit_samples(
@@ -236,13 +328,8 @@ def vbar_limit_samples(
     workers: int | None = None,
 ) -> np.ndarray:
     """Stack of independent limit-matrix draws: (n, dim, dim)."""
-    return montecarlo.sample_map(
-        lambda rng: sample_vbar_limit(a, dim, steps, rng),
-        n_samples,
-        seed,
-        phase,
-        workers,
-    )
+    _check_grid(a, dim, steps)
+    return montecarlo.sample_map(_pooled_vbar_draw(a, dim, steps), n_samples, seed, phase, workers)
 
 
 def prior_limit_samples(
@@ -270,8 +357,10 @@ def prior_limit_samples(
     x = as_matrix(x, "x")
     if x.shape[0] != n_in:
         raise ShapeMismatch(f"x has {x.shape[0]} rows, expected {n_in}")
+    _check_grid(a, dim, steps)
+    draw_vbar = _pooled_vbar_draw(a, dim, steps)
     return montecarlo.sample_map(
-        lambda rng: (sample_vbar_limit(a, dim, steps, rng), rng.standard_normal((dim, n_in))),
+        lambda rng: (draw_vbar(rng), rng.standard_normal((dim, n_in))),
         n_samples,
         seed,
         phase,
@@ -280,19 +369,24 @@ def prior_limit_samples(
     )
 
 
-def _coarsened(fine: BrownianGrid, coarse_steps: int) -> BrownianGrid:
+def _coarsened(
+    fine: BrownianGrid, coarse_steps: int, workspace: Workspace | None = None
+) -> BrownianGrid:
     """The same driving paths on ``coarse_steps`` steps, a divisor of ``fine.steps``.
 
     Each coarse increment sums ``fine.steps // coarse_steps`` consecutive
-    fine increments.
+    fine increments, the diagonal ones recovered from the fine paths.  The
+    grid is built in ``workspace``, made for ``coarse_steps`` with
+    ``fine_steps=fine.steps`` (a fresh one when None).
     """
-    ratio = fine.steps // coarse_steps
-    diag_incr = np.diff(fine.diag_paths, axis=1)
-    return _grid_from_increments(
-        fine.a,
-        diag_incr.reshape(fine.dim, coarse_steps, ratio).sum(axis=2),
-        fine.offdiag_increments.reshape(-1, coarse_steps, ratio).sum(axis=2),
-    )
+    dim, ratio = fine.dim, fine.steps // coarse_steps
+    if workspace is None:
+        workspace = Workspace(fine.a, dim, coarse_steps, fine.steps)
+    diff, incr = workspace.fine_diff, workspace.increments
+    np.subtract(fine.diag_paths[:, 1:], fine.diag_paths[:, :-1], out=diff)
+    np.sum(diff.reshape(dim, coarse_steps, ratio), axis=2, out=incr[:dim])
+    np.sum(fine.offdiag_increments.reshape(-1, coarse_steps, ratio), axis=2, out=incr[dim:])
+    return workspace.fill_paths()
 
 
 def vbar_limit_refinement_pair(
@@ -314,6 +408,7 @@ def vbar_limit_refinement_pair(
     refinement constant.  Returns ``(coarse, fine)`` stacks of shape
     (n, dim, dim).
     """
+    _check_grid(a, dim, coarse_steps)
     if fine_steps % coarse_steps != 0:
         raise InvalidParameter(
             f"fine_steps={fine_steps} must be a multiple of coarse_steps={coarse_steps}"
@@ -321,10 +416,16 @@ def vbar_limit_refinement_pair(
     if fine_steps // coarse_steps < 2:
         raise InvalidParameter("refinement requires fine_steps > coarse_steps")
 
-    def one(rng: np.random.Generator) -> np.ndarray:
-        fine = simulate_paths(a, dim, fine_steps, rng)
-        coarse = _coarsened(fine, coarse_steps)
-        return np.stack([vbar_limit_from_grid(coarse), vbar_limit_from_grid(fine)])
+    def one(rng: np.random.Generator, pair) -> np.ndarray:
+        fine_ws, coarse_ws = pair
+        fine = simulate_paths(a, dim, fine_steps, rng, fine_ws)
+        coarse = _coarsened(fine, coarse_steps, coarse_ws)
+        return np.stack(
+            [vbar_limit_from_grid(coarse, coarse_ws), vbar_limit_from_grid(fine, fine_ws)]
+        )
 
-    both = montecarlo.sample_map(one, n_samples, seed, phase, workers)
+    def make():
+        return Workspace(a, dim, fine_steps), Workspace(a, dim, coarse_steps, fine_steps)
+
+    both = montecarlo.sample_map(_pooled(make, one), n_samples, seed, phase, workers)
     return both[:, 0], both[:, 1]

@@ -44,22 +44,27 @@ class TestFallbackKernels:
         # p = r = 1 is one step of a single iterated integral; p = 3, r = 2
         # sums a stack of pairs before the suffix accumulation.
         for p, r in ((1, 1), (3, 2)):
-            w = np_rng.standard_normal((p, m))
+            c = np_rng.standard_normal((p, m))
             g = np_rng.standard_normal((p, r, m + 1))
-            dw = np_rng.standard_normal((p, m))
-            # BrownianGrid hands the kernel frozen arrays.
-            for arr in (w, g, dw):
+            # Grids hand the kernel read-only arrays.
+            for arr in (c, g):
                 arr.setflags(write=False)
-            out = backend.suffix_mac(w, g, dw)
+            out = backend.suffix_mac(c, g)
             assert out.shape == (r, m + 1)
             assert (out[:, m] == 0.0).all()
             brute = np.array(
                 [
-                    [np.sum(w[:, u:] * g[:, j, u + 1:] * dw[:, u:]) for u in range(m)] + [0.0]
+                    [np.sum(c[:, u:] * g[:, j, u + 1:]) for u in range(m)] + [0.0]
                     for j in range(r)
                 ]
             )
             np.testing.assert_allclose(out, brute, rtol=1e-12, atol=1e-14)
+            # Into a given array, strided as a path-sum table column, with
+            # the same bytes and a tail zeroed over whatever it held.
+            table = np.full((r, 2, m + 1), np.nan)
+            written = backend.suffix_mac(c, g, table[:, 1])
+            assert written.base is table
+            np.testing.assert_array_equal(table[:, 1], out)
 
 
 def sequential_chain(diag, low):

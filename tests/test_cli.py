@@ -110,6 +110,21 @@ class TestConfigHandling:
         assert "bogus_knob" in json.loads(capsys.readouterr().err)["error"]
 
 
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_overrides_do_not_leak_between_calls(self, tmp_path):
+        base = ["sample-limit", "--seed", 1, "--set", "a=0.5", "--set", "dim=2",
+                "--set", "steps=4", "--set", "n_samples=2"]
+        assert run(base + ["--out-dir", tmp_path / "a", "--set", "note=\"first\""]) == 0
+        assert run(base + ["--out-dir", tmp_path / "b", "--set", "n_samples=3"]) == 0
+        first = json.loads((tmp_path / "a" / "report.json").read_text())["config"]
+        second = json.loads((tmp_path / "b" / "report.json").read_text())["config"]
+        assert first["note"] == "first" and first["n_samples"] == 2
+        assert "note" not in second and second["n_samples"] == 3
+
+
 class TestSampleCommands:
     def test_sample_prior_csv(self, tmp_path):
         code = run([
@@ -236,6 +251,15 @@ class TestConvergeTest:
     def test_unknown_criterion_exits_2(self, tmp_path):
         assert run(["converge-test", "--seed", 1, "--out-dir", tmp_path,
                     "--set", 'criteria=["no-such-check"]']) == 2
+
+    def test_zero_step_refinement_grid_exits_2(self, tmp_path, capsys):
+        # A bad grid is a config error (exit 2), not a crash or a failed check.
+        code = run(["converge-test", "--seed", 1, "--out-dir", tmp_path,
+                    "--set", "c5_refine_coarse=0", "--set", "c5_samples=4",
+                    "--set", "c5_steps=4", "--set", "c5_refine_samples=4",
+                    "--set", 'criteria=["c5-limit-vs-finite"]'])
+        assert code == 2
+        assert "grid steps" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_write_csv_golden(tmp_path):

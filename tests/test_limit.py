@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +52,8 @@ class TestSimulatePaths:
 
     def test_drifted_recomputable(self, rng):
         grid = limit.simulate_paths(0.7, 3, 64, rng)
-        redone = limit.drifted_from_diag(grid.a, grid.times, grid.diag_paths)
+        rates = np.arange(1, 4) / 2.0 * grid.a
+        redone = np.sqrt(grid.a / 2.0) * grid.diag_paths - rates[:, None] * grid.times
         assert np.max(np.abs(redone - grid.drifted_paths)) < 1e-12
 
     def test_grid_is_readonly(self, rng):
@@ -220,6 +224,28 @@ class TestRefinementPair:
         with pytest.raises(InvalidParameter):
             limit.vbar_limit_refinement_pair(0.8, 2, 100, 150, 10, SEED)
 
+    @pytest.mark.parametrize(
+        "dim,coarse,fine",
+        [(2, 0, 64), (2, 1, 64), (limit.MAX_DIM + 8, 2, 4)],
+    )
+    def test_grid_checks_of_the_samplers(self, dim, coarse, fine):
+        # The pair runs the samplers' grid checks, not only its ratio checks.
+        with pytest.raises(InvalidParameter):
+            limit.vbar_limit_refinement_pair(0.8, dim, coarse, fine, 1, SEED)
+
+    @pytest.mark.parametrize("ratio", [8, 16])
+    def test_matches_standalone_coarsening(self, ratio):
+        # Ratios of 8 and more sum each group in numpy's unrolled order.
+        coarse, fine = limit.vbar_limit_refinement_pair(
+            0.6, 3, 8, 8 * ratio, 6, SEED, phase=13
+        )
+        for i in range(6):
+            grid = limit.simulate_paths(0.6, 3, 8 * ratio, montecarlo.stream_for(SEED, 13, i))
+            np.testing.assert_array_equal(fine[i], limit.vbar_limit_from_grid(grid))
+            np.testing.assert_array_equal(
+                coarse[i], limit.vbar_limit_from_grid(limit._coarsened(grid, 8))
+            )
+
 
 class TestPriorLimit:
     def test_zero_input(self):
@@ -268,3 +294,90 @@ class TestPriorLimit:
         for bad in (0.0, np.inf, np.nan):
             with pytest.raises(InvalidParameter):
                 limit.prior_limit_samples(np.eye(2), 0.5, 2, 2, bad, 16, 2, SEED)
+
+
+def digest(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:12]
+
+
+class TestWorkspaceDraws:
+    """Draws into pooled workspaces: the same bytes as fresh memory, any worker count."""
+
+    def test_pinned_bytes(self):
+        assert digest(limit.vbar_limit_samples(0.7, 3, 128, 32, 7, phase=2)) == "d68a8d3beb75"
+        x = np.array([[1.0, -0.5, 0.2], [0.4, 0.9, -1.1]])
+        for w in (1, 2, 3, 4):
+            assert digest(limit.vbar_limit_samples(0.7, 3, 128, 200, 7, 4, w)) == "8513cd54c790"
+            coarse, fine = limit.vbar_limit_refinement_pair(0.7, 2, 16, 64, 50, 7, 5, w)
+            assert digest(fine) == "e002d9627b3c"
+            assert digest(coarse) == "aae412258df3"
+            out = limit.prior_limit_samples(x, 0.7, 3, 2, 1.0, 32, 100, 7, 6, w)
+            assert digest(out) == "81539a2dc0d2"
+
+    @pytest.mark.parametrize("a,dim,steps", [(0.0, 3, 16), (0.7, 1, 16), (0.5, 24, 64)])
+    def test_matches_standalone_draws(self, a, dim, steps):
+        # One chunk reuses one workspace for every draw.
+        n = 5
+        out = limit.vbar_limit_samples(a, dim, steps, n, SEED, phase=14)
+        for i in range(n):
+            grid = limit.simulate_paths(a, dim, steps, montecarlo.stream_for(SEED, 14, i))
+            np.testing.assert_array_equal(out[i], limit.vbar_limit_from_grid(grid))
+        if a == 0.0:
+            assert np.array_equal(out, np.broadcast_to(np.eye(dim), out.shape))
+            assert not np.signbit(out).any()
+
+    def test_threads_match_serial(self):
+        serial = limit.vbar_limit_samples(0.7, 3, 32, 600, SEED, phase=15, workers=1)
+        pair_serial = limit.vbar_limit_refinement_pair(0.7, 2, 8, 32, 300, SEED, 16, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = limit.vbar_limit_samples(0.7, 3, 32, 600, SEED, phase=15, workers=4)
+            pair_threaded = limit.vbar_limit_refinement_pair(0.7, 2, 8, 32, 300, SEED, 16, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(threaded, serial)
+        for got, want in zip(pair_threaded, pair_serial):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_workspace_per_worker(self, monkeypatch, workers):
+        made = []
+
+        class Counted(limit.Workspace):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(limit, "Workspace", Counted)
+        limit.vbar_limit_samples(0.5, 2, 16, 3000, SEED, phase=17, workers=workers)
+        assert 1 <= len(made) <= workers
+
+    def test_scratch_memory_does_not_grow_with_samples(self):
+        def scratch(n):
+            tracemalloc.start()
+            try:
+                out = limit.vbar_limit_samples(0.5, 4, 1024, n, SEED, phase=18)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # The result and the chunk buffer (one chunk: n rows) scale with n.
+            return peak - 2 * out.nbytes
+
+        limit.vbar_limit_samples(0.5, 4, 1024, 2, SEED, phase=18)  # lazy imports
+        small, large = scratch(20), scratch(400)
+        workspace_bytes = 8 * (10 * 1024 + 3 * 4 * 1025 + 16 * 1025 + 2 * 3 * 1024)
+        assert large <= small + 16 * 1024
+        assert large <= 1.5 * workspace_bytes
+
+    def test_warm_draw_allocates_only_its_result(self, rng):
+        # A dim 6 / 4096-step draw in fresh memory touches about 5 MB.
+        workspace = limit.Workspace(0.5, 6, 4096)
+        limit.sample_vbar_limit(0.5, 6, 4096, rng, workspace)
+        tracemalloc.start()
+        try:
+            limit.sample_vbar_limit(0.5, 6, 4096, rng, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
