@@ -52,12 +52,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _create(path: Path):
+    """``path`` opened for writing as a new file, replacing any file there.
+
+    An existing file is unlinked, not truncated: on ext4, closing a file
+    truncated from a nonzero size starts a flush (``auto_da_alloc``), and
+    rewrites of ``report.json`` in place stalled for 11-13 ms now and then
+    in benchmark runs, against about 1 ms otherwise.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline="")
+
+
 def _write_csv(path: Path, header, lines) -> None:
     """Write the ``header`` row, then ``lines``: CSV text, one or more rows per item.
 
     ``lines`` may be lazy; it is consumed, and so formatted, here.
     """
-    with open(path, "w", newline="") as handle:
+    with _create(path) as handle:
         handle.write(",".join(header) + "\n")
         handle.writelines(lines)
 
@@ -70,7 +82,7 @@ def _table_text(rows) -> str:
 
 
 def _write_report(path: Path, report: dict) -> None:
-    with open(path, "w", newline="") as handle:
+    with _create(path) as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

@@ -15,8 +15,13 @@ recursion with left-endpoint (Ito) integrand evaluation:
 
 and the integral for path r = (r_0 < ... < r_h) is
 ``a^{h/2} * exp(Z_{r_h}(1)) * G_1[0]``.  The ``u+1`` shift keeps the inner
-integral strictly ahead of the outer integration time.  Discretization bias
-is O(M^{-1/2}); the grid size M is configurable (default 4096).
+integral strictly ahead of the outer integration time.  The scheme
+converges pathwise at the strong rate O(M^{-1/2}); the bias of moments
+(the weak rate) is O(1/M), e.g. ``E[V_10^2]_M = (a/M) sum_{u<M}
+exp(-a (1 - u/M))`` against ``1 - exp(-a)`` in the limit.  The c5
+criterion still fits its discretization allowance as C * M^{-1/2}, which
+overstates an O(1/M) bias.  The grid size M is configurable (default
+4096).
 
 Entry (r, c) sums this over all 2^(r-c-1) paths from c to r.  The sum is
 linear in the inner suffix, so it is built by a backward dynamic program
@@ -36,11 +41,12 @@ the reference the tests and the verify suite check it against.
 A draw fills all d(d+1)/2 x M increments with one ``standard_normal``
 call, then scales, sums and drifts them, and runs the program, in place
 in a :class:`Workspace`: the increments, the paths, the ``(d, d, M+1)``
-table and the row scratch of one grid shape, allocated once.  Each
-sampler call keeps a pool of workspaces and takes one per draw, so there
-is one per worker thread at most, and a draw allocates nothing but the
-matrix it returns.  Standalone calls of :func:`simulate_paths` and
-:func:`vbar_limit_from_grid` use a fresh workspace each.
+table and the row scratch of one grid shape.  The samplers run on
+:func:`montecarlo.sample_map`: a block makes one workspace and draws its
+samples one at a time, in sample order, from its one stream, so a draw
+allocates nothing but the matrix it returns.  Standalone calls of
+:func:`simulate_paths` and :func:`vbar_limit_from_grid` use a fresh
+workspace each.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import numpy as np
 from . import backend, montecarlo
 from .errors import InvalidParameter, ShapeMismatch
 from .linalg import as_matrix
-from .prior import mixture_outputs
+from .prior import FAMILY_Z, mixture_outputs
 
 # The path-sum program costs O(dim^3 M) per draw; refuse silly inputs.
 MAX_DIM = 32
@@ -86,7 +92,7 @@ class BrownianGrid:
         return self.diag_paths.shape[0]
 
 
-def _check_grid(a: float, dim: int, steps: int) -> None:
+def check_grid(a: float, dim: int, steps: int) -> None:
     """Reject a limit ratio, dimension or grid size no draw accepts."""
     if not 0 <= a < np.inf:
         raise InvalidParameter(f"limit ratio must be finite and >= 0, got {a}")
@@ -167,28 +173,6 @@ class Workspace:
         return self.grid
 
 
-def _pooled(make, draw):
-    """``draw(rng, workspace)`` as ``draw(rng)``, on workspaces from a pool.
-
-    Each call takes a workspace (``make()`` when the pool is empty) and puts
-    it back after the draw, so a pool holds one per draw in flight: one per
-    worker thread at most.  ``list.pop`` and ``append`` are atomic, so the
-    threads of ``montecarlo.sample_map`` can share the pool.
-    """
-    pool = []
-
-    def pooled(rng: np.random.Generator):
-        try:
-            workspace = pool.pop()
-        except IndexError:
-            workspace = make()
-        out = draw(rng, workspace)
-        pool.append(workspace)
-        return out
-
-    return pooled
-
-
 def simulate_paths(
     a: float, dim: int, steps: int, rng: np.random.Generator, workspace: Workspace | None = None
 ) -> BrownianGrid:
@@ -201,7 +185,7 @@ def simulate_paths(
     workspace must have been made for ``(a, dim, steps)``.
     """
     if workspace is None:
-        _check_grid(a, dim, steps)
+        check_grid(a, dim, steps)
         workspace = Workspace(a, dim, steps)
     rng.standard_normal(out=workspace.increments)
     np.multiply(workspace.increments, workspace.root_dt, out=workspace.increments)
@@ -305,17 +289,15 @@ def sample_vbar_limit(
     ``(a, dim, steps)``.
     """
     if workspace is None:
-        _check_grid(a, dim, steps)
+        check_grid(a, dim, steps)
         workspace = Workspace(a, dim, steps)
     return vbar_limit_from_grid(simulate_paths(a, dim, steps, rng, workspace), workspace)
 
 
-def _pooled_vbar_draw(a: float, dim: int, steps: int):
-    """``sample_vbar_limit`` as a one-argument draw on pooled workspaces."""
-    return _pooled(
-        lambda: Workspace(a, dim, steps),
-        lambda rng, workspace: sample_vbar_limit(a, dim, steps, rng, workspace),
-    )
+def _vbar_block(a: float, dim: int, steps: int, streams, m: int) -> np.ndarray:
+    """A block's ``m`` limit draws, one at a time from its stream, in one workspace."""
+    rng, workspace = streams(0), Workspace(a, dim, steps)
+    return np.stack([sample_vbar_limit(a, dim, steps, rng, workspace) for _ in range(m)])
 
 
 def vbar_limit_samples(
@@ -328,8 +310,11 @@ def vbar_limit_samples(
     workers: int | None = None,
 ) -> np.ndarray:
     """Stack of independent limit-matrix draws: (n, dim, dim)."""
-    _check_grid(a, dim, steps)
-    return montecarlo.sample_map(_pooled_vbar_draw(a, dim, steps), n_samples, seed, phase, workers)
+    check_grid(a, dim, steps)
+    return montecarlo.sample_map(
+        lambda streams, m: _vbar_block(a, dim, steps, streams, m),
+        n_samples, seed, phase, workers,
+    )
 
 
 def prior_limit_samples(
@@ -346,9 +331,10 @@ def prior_limit_samples(
 ) -> np.ndarray:
     """Stack of limit-prior output draws: (n, dim, P).
 
-    Each output is ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``: sample
-    ``i`` draws its grid and then an independent ``dim x n_in``
-    standard-normal ``Z``, and each chunk goes through the output map
+    Each output is ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``: a block
+    draws its limit matrices as :func:`vbar_limit_samples` does at this
+    phase, and a ``dim x n_in`` standard-normal ``Z`` per sample from the
+    ``prior.FAMILY_Z`` stream, and goes through the output map
     :func:`prior.mixture_outputs` the finite mixture route uses.  At a = 0
     the law is exactly the infinite-width Gaussian.
     """
@@ -357,16 +343,14 @@ def prior_limit_samples(
     x = as_matrix(x, "x")
     if x.shape[0] != n_in:
         raise ShapeMismatch(f"x has {x.shape[0]} rows, expected {n_in}")
-    _check_grid(a, dim, steps)
-    draw_vbar = _pooled_vbar_draw(a, dim, steps)
-    return montecarlo.sample_map(
-        lambda rng: (draw_vbar(rng), rng.standard_normal((dim, n_in))),
-        n_samples,
-        seed,
-        phase,
-        workers,
-        lambda vbar, z: mixture_outputs(vbar, z, x, lambda_star),
-    )
+    check_grid(a, dim, steps)
+
+    def draw_block(streams, m: int) -> np.ndarray:
+        vbar = _vbar_block(a, dim, steps, streams, m)
+        z = streams(FAMILY_Z).standard_normal((m, dim, n_in))
+        return mixture_outputs(vbar, z, x, lambda_star)
+
+    return montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)
 
 
 def _coarsened(
@@ -389,6 +373,17 @@ def _coarsened(
     return workspace.fill_paths()
 
 
+def check_refinement(a: float, dim: int, coarse_steps: int, fine_steps: int) -> None:
+    """Reject a coupled coarse/fine grid pair no refinement draw accepts."""
+    check_grid(a, dim, coarse_steps)
+    if fine_steps % coarse_steps != 0:
+        raise InvalidParameter(
+            f"fine_steps={fine_steps} must be a multiple of coarse_steps={coarse_steps}"
+        )
+    if fine_steps // coarse_steps < 2:
+        raise InvalidParameter("refinement requires fine_steps > coarse_steps")
+
+
 def vbar_limit_refinement_pair(
     a: float,
     dim: int,
@@ -404,28 +399,23 @@ def vbar_limit_refinement_pair(
     Each sample simulates increments at the fine resolution, then coarsens
     them (summing groups of ``fine/coarse`` increments) so the coarse draw
     rides the identical path.  The difference between the two isolates the
-    discretization error, giving a low-noise fit of the O(M^{-1/2})
-    refinement constant.  Returns ``(coarse, fine)`` stacks of shape
+    discretization error; c5 fits its refinement constant C * M^{-1/2}
+    from it.  A block draws its samples one at a time from its stream in
+    one pair of workspaces.  Returns ``(coarse, fine)`` stacks of shape
     (n, dim, dim).
     """
-    _check_grid(a, dim, coarse_steps)
-    if fine_steps % coarse_steps != 0:
-        raise InvalidParameter(
-            f"fine_steps={fine_steps} must be a multiple of coarse_steps={coarse_steps}"
-        )
-    if fine_steps // coarse_steps < 2:
-        raise InvalidParameter("refinement requires fine_steps > coarse_steps")
+    check_refinement(a, dim, coarse_steps, fine_steps)
 
-    def one(rng: np.random.Generator, pair) -> np.ndarray:
-        fine_ws, coarse_ws = pair
-        fine = simulate_paths(a, dim, fine_steps, rng, fine_ws)
-        coarse = _coarsened(fine, coarse_steps, coarse_ws)
-        return np.stack(
-            [vbar_limit_from_grid(coarse, coarse_ws), vbar_limit_from_grid(fine, fine_ws)]
-        )
+    def draw_block(streams, m: int) -> np.ndarray:
+        rng = streams(0)
+        fine_ws = Workspace(a, dim, fine_steps)
+        coarse_ws = Workspace(a, dim, coarse_steps, fine_steps)
+        both = np.empty((m, 2, dim, dim))
+        for j in range(m):
+            fine = simulate_paths(a, dim, fine_steps, rng, fine_ws)
+            both[j, 0] = vbar_limit_from_grid(_coarsened(fine, coarse_steps, coarse_ws), coarse_ws)
+            both[j, 1] = vbar_limit_from_grid(fine, fine_ws)
+        return both
 
-    def make():
-        return Workspace(a, dim, fine_steps), Workspace(a, dim, coarse_steps, fine_steps)
-
-    both = montecarlo.sample_map(_pooled(make, one), n_samples, seed, phase, workers)
+    both = montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)
     return both[:, 0], both[:, 1]

@@ -1,23 +1,35 @@
-"""Monte Carlo drivers: per-sample streams, one chunked pool, deterministic reductions.
+"""Monte Carlo drivers: block-keyed streams, one block map, deterministic reductions.
 
-Every sample index ``i`` of a run draws from its own stream keyed by
-``(seed, (phase << PHASE_SHIFT) | i)``, so the set of values produced is
-bit-identical no matter how indices are partitioned across workers.
-Inside :func:`sample_map` a chunk builds one Philox generator and rekeys
-it per index rather than building one per index: a counter-based
-generator's stream is a function of its key alone (Salmon et al., SC'11,
-"Parallel random numbers: as easy as 1, 2, 3").  The
-``phase`` namespaces independent stages of one run (routes, criteria,
-commands) inside a single master seed.
+Sample ``i`` of a run belongs to block ``i // BLOCK`` and sits at position
+``i % BLOCK`` inside it.  A block draws each of its variate families --
+Bartlett gammas, lower normals, ``Z``, or a limit sampler's whole
+sequence of draws -- from its own Philox stream, keyed by
+``(seed, phase, family, block)``, and draws it sample-major: the values of
+sample ``i`` come after those of every earlier sample of the block.  A
+counter-based generator's stream is a function of its key alone (Salmon
+et al., SC'11, "Parallel random numbers: as easy as 1, 2, 3"), so every
+value is a function of ``(seed, phase, index)`` only: not of the worker
+count, and not of ``n_samples`` either, since a partial last block draws
+a prefix of what the full block would.  The ``phase`` namespaces
+independent stages of one run (routes, criteria, commands) inside a
+single master seed.
+
+Key layout.  The Philox key is ``[seed mod 2**64, stream_id]`` with
+
+    stream_id = phase << PHASE_SHIFT | family << FAMILY_SHIFT | block
+
+so ``phase`` has 24 bits, ``family`` 6 and ``block`` 34 (``BLOCK`` times
+that many samples is 2**40, the largest run).  Distinct
+``(phase, family, block)`` never share a key; :func:`stream_for` rejects
+values outside their fields.
 
 :func:`sample_map` is the only sampler driver and the only partitioner:
-it cuts ``range(n)`` into contiguous chunks of
-``min(MAX_CHUNK, ceil(n / workers))`` indices, runs them serially (one
-worker) or on a thread pool, collects each chunk's raw draws into
-buffers and hands them to an optional batched ``finish``.  Moment
-reductions collect per-sample values into index-ordered arrays and
-reduce with numpy, which is deterministic for a fixed array; worker
-count therefore changes wall time only.
+it cuts ``range(n)`` into blocks of ``BLOCK`` and stacks the rows each
+block returns, in block order, whether the blocks run in the caller's
+thread (one worker) or on a thread pool.  Moment reductions collect
+per-sample values into index-ordered arrays and reduce with numpy, which
+is deterministic for a fixed array; worker count therefore changes wall
+time only.
 """
 
 from __future__ import annotations
@@ -31,9 +43,13 @@ from .errors import InvalidParameter
 from .sampling import make_stream
 
 WORKERS_ENV = "PROPLIMIT_WORKERS"
+# Samples per block: a constant, so the bytes never follow the worker
+# count, the run length or a memory budget.
+BLOCK = 64
 PHASE_SHIFT = 40
-MAX_CHUNK = 1024
-_MAX_INDEX = 1 << PHASE_SHIFT
+FAMILY_SHIFT = 34
+_MAX_BLOCK = 1 << FAMILY_SHIFT
+_MAX_FAMILY = 1 << (PHASE_SHIFT - FAMILY_SHIFT)
 _MAX_PHASE = 1 << (64 - PHASE_SHIFT)  # phase << PHASE_SHIFT fills the key half
 
 
@@ -52,87 +68,46 @@ def worker_count(workers: int | None = None) -> int:
     return int(workers)
 
 
-def stream_for(
-    seed: int, phase: int, index: int, rng: np.random.Generator | None = None
-) -> np.random.Generator:
-    """The stream owned by sample ``index`` of stage ``phase``.
+def stream_for(seed: int, phase: int, block: int, family: int = 0) -> np.random.Generator:
+    """A new generator over the stream of ``family`` in ``block`` of stage ``phase``.
 
-    Without ``rng`` this is a new, independent generator.  With ``rng``,
-    a generator from an earlier call, that generator is rekeyed in place
-    (``make_stream``) and returned: it then draws exactly what a new one
-    would, and whatever stream it held before is gone.
+    A stand-alone draw (one verify check, say) takes block 0 or a block
+    number of its own choosing.
     """
-    if not 0 <= index < _MAX_INDEX:
-        raise InvalidParameter(f"sample index {index} out of range")
+    if not 0 <= block < _MAX_BLOCK:
+        raise InvalidParameter(f"block {block} out of range")
+    if not 0 <= family < _MAX_FAMILY:
+        raise InvalidParameter(f"variate family {family} out of range")
     if not 0 <= phase < _MAX_PHASE:
         raise InvalidParameter(f"phase {phase} out of range")
-    return make_stream(seed, (phase << PHASE_SHIFT) | index, rng)
+    return make_stream(seed, (phase << PHASE_SHIFT) | (family << FAMILY_SHIFT) | block)
 
 
 def sample_map(
-    draw, n_samples: int, seed: int, phase: int, workers: int | None = None, finish=None
+    draw_block, n_samples: int, seed: int, phase: int, workers: int | None = None
 ) -> np.ndarray:
-    """Rows built from ``draw(stream_for(seed, phase, i))`` for ``i`` in range(n_samples).
+    """The rows of samples ``0 .. n_samples - 1``, drawn block by block.
 
-    ``range(n_samples)`` is cut into contiguous chunks of
-    ``min(MAX_CHUNK, ceil(n_samples / workers))`` indices, run serially
-    (one worker) or on a thread pool.  Each chunk owns one generator and
-    rekeys it for every index (``stream_for``), so ``draw`` must not keep
-    the generator past its return.  Within a chunk, each draw -- an
-    array or a tuple of arrays of fixed shapes -- is written into chunk
-    buffers shaped by the chunk's first draw; ``finish(*buffers)`` then
-    turns them into the chunk's rows (a batched kernel, say), or the
-    single buffer is the rows when ``finish`` is None.  Buffers are
-    reused by later chunks once the rows are copied out, so ``finish``
-    must not keep them.  The first chunk runs first to learn the row
-    shape.  Because each sample owns its stream and ``finish`` maps rows
-    to rows, results do not depend on the partitioning.
+    Block ``b`` holds the ``m <= BLOCK`` samples from ``b * BLOCK`` on;
+    ``draw_block(streams, m)`` returns their ``(m, ...)`` rows, where
+    ``streams(family)`` is a new generator for that family of the block.
+    It must draw sample-major (see the module docstring) and take each
+    family's generator once.  One worker runs the blocks in the caller's
+    thread; more run them on a thread pool, ``workers`` blocks at a time.
     """
     if n_samples < 1:
         raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
     workers = worker_count(workers)
-    size = min(MAX_CHUNK, -(-n_samples // workers))
-    rest = [(lo, min(lo + size, n_samples)) for lo in range(size, n_samples, size)]
-    out = None
-    # Buffer sets of finished chunks.  Reusing them matters: fresh
-    # chunk-sized buffers page-fault on every write of every chunk.
-    spare = []
 
-    def chunk(lo: int, hi: int) -> None:
-        nonlocal out
-        rng = stream_for(seed, phase, lo)
-        first = draw(rng)
-        single = not isinstance(first, tuple)
-        parts = (first,) if single else first
-        try:
-            full = spare.pop()
-        except IndexError:
-            full = [np.empty((size,) + np.shape(part)) for part in parts]
-        buffers = [buf[: hi - lo] for buf in full]
-        for buf, part in zip(buffers, parts):
-            buf[0] = part
-        for j in range(1, hi - lo):
-            parts = draw(stream_for(seed, phase, lo + j, rng))
-            if single:
-                buffers[0][j] = parts
-            else:
-                for buf, part in zip(buffers, parts):
-                    buf[j] = part
-        rows = buffers[0] if finish is None else finish(*buffers)
-        if out is None:
-            out = np.empty((n_samples,) + rows.shape[1:])
-        out[lo:hi] = rows
-        spare.append(full)
+    def block(b: int) -> np.ndarray:
+        m = min(BLOCK, n_samples - b * BLOCK)
+        return draw_block(lambda family: stream_for(seed, phase, b, family), m)
 
-    chunk(0, size)
+    blocks = range(-(-n_samples // BLOCK))
     if workers == 1:
-        for lo, hi in rest:
-            chunk(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(chunk, lo, hi) for lo, hi in rest]:
-                fut.result()
-    return out
+        return np.concatenate([block(b) for b in blocks])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(block, blocks)))
 
 
 def mean_and_se(values: np.ndarray):

@@ -9,9 +9,10 @@ have identical laws whenever every hidden width exceeds the output
 dimension.  Keeping both alive gives the test suite a pair of independent
 oracles for the same distribution.
 
-The mixture route runs on :func:`montecarlo.sample_map` with a batched
-``finish``: each sample only draws its Bartlett factors (and ``Z``) from
-its stream, and each chunk's chains are multiplied in one
+Both routes run on :func:`montecarlo.sample_map` a block of samples at a
+time.  A mixture block draws all its Bartlett gammas, all its lower
+normals and all its ``Z`` with one generator call per family, each from
+the family's own stream, and multiplies its chains in one
 :func:`backend.lt_chain_multiply` call.  :func:`mixture_outputs` is the
 ``Vbar @ Z @ X`` map it shares with the proportional-limit prior
 (``limit.prior_limit_samples``).
@@ -26,7 +27,14 @@ import numpy as np
 from . import backend, montecarlo
 from .errors import InvalidParameter, ShapeMismatch
 from .linalg import as_matrix, kron
-from .sampling import bartlett_chain_draws, sample_gaussian_matrix
+from .sampling import bartlett_chain_draws
+
+# Variate families of a block (``montecarlo.stream_for``): the finite
+# chains' gammas and lower normals, and the mixtures' ``Z``.
+FAMILY_GAMMA, FAMILY_LOW, FAMILY_Z = 0, 1, 2
+# Normals the direct route draws at a time: a block of wide networks is
+# drawn in sub-batches of samples, which leaves its values unchanged.
+DIRECT_BATCH_VALUES = 1 << 19
 
 
 def _is_whole(value) -> bool:
@@ -118,6 +126,29 @@ def _check_input(x, n_in: int) -> np.ndarray:
     return x
 
 
+def _direct_draws(x: np.ndarray, shape: NetworkShape, rng: np.random.Generator, m: int):
+    """``m`` direct-route draws (m, n_out, P), sample-major from ``rng``.
+
+    Sample ``j`` draws every weight matrix ``W_l`` in turn (input layer
+    first), row-major, scaled to N(0, 1/lambdas[l]); each layer is one
+    batched matmul with its ``1/sqrt(fan_in)`` scaling.  The samples are
+    drawn in sub-batches of at most ``DIRECT_BATCH_VALUES`` normals (one
+    sample at least).
+    """
+    dims = (shape.n_in,) + shape.layer_widths + (shape.n_out,)
+    sizes = [fan_in * fan_out for fan_in, fan_out in zip(dims, dims[1:])]
+    batch = max(1, DIRECT_BATCH_VALUES // sum(sizes))
+    out = []
+    for lo in range(0, m, batch):
+        g = rng.standard_normal((min(batch, m - lo), sum(sizes)))
+        h = x
+        for l, w in enumerate(np.split(g, np.cumsum(sizes)[:-1], axis=1)):
+            w = w.reshape(-1, dims[l + 1], dims[l])
+            h = (np.sqrt(1.0 / shape.lambdas[l]) * w @ h) / np.sqrt(dims[l])
+        out.append(h)
+    return np.concatenate(out)
+
+
 def forward_direct(x, shape: NetworkShape, rng: np.random.Generator) -> np.ndarray:
     """One prior draw of the network outputs via the weight product.
 
@@ -125,13 +156,7 @@ def forward_direct(x, shape: NetworkShape, rng: np.random.Generator) -> np.ndarr
     (input layer first) and returns the matrix product with the
     ``1/sqrt(fan_in)`` scalings applied layer by layer.
     """
-    x = _check_input(x, shape.n_in)
-    dims = (shape.n_in,) + shape.layer_widths + (shape.n_out,)
-    h = x
-    for l in range(shape.depth + 1):
-        w = sample_gaussian_matrix(dims[l + 1], dims[l], 1.0 / shape.lambdas[l], rng)
-        h = (w @ h) / np.sqrt(dims[l])
-    return h
+    return _direct_draws(_check_input(x, shape.n_in), shape, rng, 1)[0]
 
 
 def mixture_outputs(vbar: np.ndarray, z: np.ndarray, x: np.ndarray, lambda_star: float):
@@ -188,11 +213,19 @@ def forward_direct_samples(
     phase: int = 0,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Stack of direct-route draws, one per-sample stream each: (n, n_out, P)."""
+    """Stack of direct-route draws: (n, n_out, P), a block from one stream."""
     x = _check_input(x, shape.n_in)
     return montecarlo.sample_map(
-        lambda rng: forward_direct(x, shape, rng), n_samples, seed, phase, workers
+        lambda streams, m: _direct_draws(x, shape, streams(0), m), n_samples, seed, phase, workers
     )
+
+
+def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
+    """A block's ``m`` Bartlett-chain products: (m, dim, dim)."""
+    diag, low = bartlett_chain_draws(
+        width, dim, (m, depth), streams(FAMILY_GAMMA), streams(FAMILY_LOW)
+    )
+    return backend.lt_chain_multiply(diag, low)
 
 
 def prior_mixture_samples(
@@ -205,11 +238,11 @@ def prior_mixture_samples(
 ) -> np.ndarray:
     """Stack of mixture-route draws: (n, n_out, P).
 
-    Sample ``i`` draws its Bartlett chain and then an independent
-    ``n_out x n_in`` standard-normal ``Z`` from its stream; each chunk's
-    chains are multiplied in one batched kernel call and mapped through
-    :func:`mixture_outputs`.  Requires the common-width regime (no
-    per-layer ``widths`` override).
+    A block draws its Bartlett chains (the same as
+    :func:`vbar_finite_samples` at this phase) and an ``n_out x n_in``
+    standard-normal ``Z`` per sample from the ``FAMILY_Z`` stream, and
+    maps them through :func:`mixture_outputs`.  Requires the common-width
+    regime (no per-layer ``widths`` override).
     """
     if not shape.uniform_width:
         raise InvalidParameter("the mixture route requires a common hidden width")
@@ -220,14 +253,12 @@ def prior_mixture_samples(
     x = _check_input(x, shape.n_in)
     d = shape.n_out
 
-    def draw(rng: np.random.Generator):
-        diag, low = bartlett_chain_draws(shape.width, d, shape.depth, rng)
-        return diag, low, rng.standard_normal((d, shape.n_in))
+    def draw_block(streams, m: int) -> np.ndarray:
+        vbar = _chains(shape.width, d, shape.depth, streams, m)
+        z = streams(FAMILY_Z).standard_normal((m, d, shape.n_in))
+        return mixture_outputs(vbar, z, x, shape.lambda_star)
 
-    def finish(diag, low, z):
-        return mixture_outputs(backend.lt_chain_multiply(diag, low), z, x, shape.lambda_star)
-
-    return montecarlo.sample_map(draw, n_samples, seed, phase, workers, finish)
+    return montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)
 
 
 def vbar_finite_samples(
@@ -245,6 +276,6 @@ def vbar_finite_samples(
     is lower triangular with strictly positive diagonal.
     """
     return montecarlo.sample_map(
-        lambda rng: bartlett_chain_draws(width, dim, depth, rng),
-        n_samples, seed, phase, workers, backend.lt_chain_multiply,
+        lambda streams, m: _chains(width, dim, depth, streams, m),
+        n_samples, seed, phase, workers,
     )

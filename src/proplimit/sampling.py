@@ -5,8 +5,9 @@ Philox bit generator, keyed by ``(seed, stream_id)``: equal keys replay
 bit-identical sequences, distinct keys give statistically independent
 streams, and no stream is affected by draws from another.  This is what
 makes parallel Monte Carlo reproducible independent of how samples are
-partitioned across workers: every sample index owns its own stream.
-Streams are single-owner: do not share one generator across threads.
+partitioned across workers: every block of samples owns one stream per
+variate family (``montecarlo.stream_for``).  Streams are single-owner: do
+not share one generator across threads.
 """
 
 from __future__ import annotations
@@ -16,40 +17,18 @@ import numpy as np
 from .errors import InvalidParameter
 
 _MASK64 = (1 << 64) - 1
-# Philox counter and output buffer of a freshly keyed stream; the state
-# setter copies them, so one shared array serves every rekey.
-_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
-def make_stream(
-    seed: int, stream_id: int = 0, rng: np.random.Generator | None = None
-) -> np.random.Generator:
-    """The deterministic stream keyed by ``(seed, stream_id)``.
+def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """A new generator over the deterministic stream keyed by ``(seed, stream_id)``.
 
     Both halves of the Philox key are taken modulo 2**64, so ``seed=-1``
     keys the same stream as ``seed=2**64 - 1``.  The key is built as an
     explicit uint64 array: a plain list holding a half >= 2**63 would be
     inferred as float64 and rounded, making such seeds collide.
-
-    Without ``rng`` this builds a new generator.  With ``rng`` (a Philox
-    generator the caller owns) it rekeys that generator in place -- new
-    key, zero counter, empty output buffer, no pending 32-bit half -- which
-    is exactly the state a new generator starts in, and returns it; this
-    costs a fraction of building a generator.  Any stream previously drawn
-    from ``rng`` ends there.
     """
     key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
-    if rng is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": key},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_gamma(shape, rate, rng: np.random.Generator, size=None):
@@ -70,21 +49,6 @@ def sample_gamma(shape, rate, rng: np.random.Generator, size=None):
     return float(out) if size is None and np.ndim(shape) == 0 else out
 
 
-def sample_gaussian_matrix(
-    rows: int, cols: int, variance: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Matrix of i.i.d. N(0, variance) entries, drawn in row-major order.
-
-    Entries are generated as ``sqrt(variance) * standard_normal`` so that
-    rescaling the variance rescales a matched-seed draw pathwise.
-    """
-    if not variance > 0:
-        raise InvalidParameter(f"variance must be > 0, got {variance}")
-    if rows < 0 or cols < 0:
-        raise InvalidParameter("matrix dimensions must be nonnegative")
-    return np.sqrt(variance) * rng.standard_normal((rows, cols))
-
-
 def _bartlett_dof_check(dof: int, dim: int) -> None:
     if dim < 1:
         raise InvalidParameter(f"dimension must be >= 1, got {dim}")
@@ -94,27 +58,33 @@ def _bartlett_dof_check(dof: int, dim: int) -> None:
         )
 
 
-def bartlett_chain_draws(dof: int, dim: int, n_layers: int, rng: np.random.Generator):
-    """Raw randomness for ``n_layers`` independent Bartlett factors.
+def bartlett_chain_draws(
+    dof: int, dim: int, size, rng: np.random.Generator, low_rng: np.random.Generator | None = None
+):
+    """Raw randomness for independent Bartlett factors, ``size`` of them.
 
-    Returns ``(diag, low)`` where ``diag[l, i]`` is the (strictly positive)
-    diagonal entry of factor ``l`` -- the square root of a
-    Gamma((dof - i) / 2, dof / 2) draw for 0-based row ``i`` -- and
-    ``low[l, t]`` the strict lower-triangle entries, i.i.d. N(0, 1/dof),
-    in ``numpy.tril_indices`` (row-major) order.
+    ``size`` is an int or a tuple: ``n_layers`` factors of one chain, or
+    ``(n_samples, n_layers)`` for a block of chains.  Returns ``(diag,
+    low)`` of shapes ``size + (dim,)`` and ``size + (T,)``, T = dim*(dim-1)/2,
+    where ``diag[..., i]`` is the (strictly positive) diagonal entry of
+    0-based row ``i`` -- the square root of a Gamma((dof - i) / 2, dof / 2)
+    draw -- and ``low[..., t]`` the strict lower-triangle entries, i.i.d.
+    N(0, 1/dof), in ``numpy.tril_indices`` (row-major) order.
 
-    Draw order is canonical: all diagonal gammas first, then all lower
-    normals, each as a single generator call.
+    Each family is one generator call in C order, so a block's draws are
+    sample-major.  The gammas come from ``rng`` and the normals from
+    ``low_rng``; without ``low_rng`` both come from ``rng``, gammas first.
     """
     _bartlett_dof_check(dof, dim)
-    shapes = np.empty((n_layers, dim))
+    lead = (size,) if np.ndim(size) == 0 else tuple(size)
+    shapes = np.empty(lead + (dim,))
     shapes[:] = (dof - np.arange(dim)) / 2.0
     # Gamma(k, rate) is standard_gamma(k) / rate: numpy's own gamma(k,
     # scale) draws the same standard_gamma values and multiplies them.
     diag = rng.standard_gamma(shapes)
     diag *= 2.0 / dof
     np.sqrt(diag, out=diag)
-    low = rng.standard_normal((n_layers, dim * (dim - 1) // 2))
+    low = (rng if low_rng is None else low_rng).standard_normal(lead + (dim * (dim - 1) // 2,))
     low /= np.sqrt(dof)
     return diag, low
 

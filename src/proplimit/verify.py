@@ -256,6 +256,9 @@ def check_limit_vs_finite_bridge(cfg: VerifyConfig) -> list[CheckRow]:
     coarse/fine refinement pair riding identical Brownian paths.
     """
     dim, a = 3, 0.5
+    # Reject the grids before 20k draws are spent, not after.
+    limit.check_grid(a, dim, cfg.c5_steps)
+    limit.check_refinement(a, dim, cfg.c5_refine_coarse, cfg.c5_refine_fine)
     finite = prior.vbar_finite_samples(
         500, 1000, dim, cfg.c5_samples, cfg.seed, PH_C5_FINITE, cfg.workers
     )
@@ -764,13 +767,15 @@ def prop_iterated_integral_mean(cfg: VerifyConfig) -> list[CheckRow]:
     a, dim, steps = 0.5, 3, 256
     n = cfg.prop_grid_samples
 
-    def one(rng):
-        grid = limit.simulate_paths(a, dim, steps, rng)
-        return np.array(
-            [limit.iterated_integral(grid, (0, 2)), limit.iterated_integral(grid, (0, 1, 2))]
-        )
+    def draw_block(streams, m):
+        rng, workspace = streams(0), limit.Workspace(a, dim, steps)
+        vals = np.empty((m, 2))
+        for j in range(m):
+            grid = limit.simulate_paths(a, dim, steps, rng, workspace)
+            vals[j] = [limit.iterated_integral(grid, path) for path in ((0, 2), (0, 1, 2))]
+        return vals
 
-    vals = montecarlo.sample_map(one, n, cfg.seed, PH_ITERINT, cfg.workers)
+    vals = montecarlo.sample_map(draw_block, n, cfg.seed, PH_ITERINT, cfg.workers)
     mean, se = montecarlo.mean_and_se(vals)
     return [
         CheckRow(

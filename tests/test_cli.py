@@ -1,10 +1,11 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from proplimit import backend, cli, posterior
+from proplimit import backend, cli, posterior, prior
 
 SCALAR_CFG = {
     "seed": 13,
@@ -172,7 +173,7 @@ class TestSampleCommands:
                     "--set", "n_samples=40"])
         assert code == 0
         data = (tmp_path / "samples.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest()[:12] == "8a79d6164730"
+        assert hashlib.sha256(data).hexdigest()[:12] == "41e0b174e8c2"
 
     def test_sample_limit_vbar_lazy_identity(self, tmp_path):
         code = run(["sample-limit", "--seed", 3, "--out-dir", tmp_path,
@@ -260,6 +261,34 @@ class TestConvergeTest:
                     "--set", 'criteria=["c5-limit-vs-finite"]'])
         assert code == 2
         assert "grid steps" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize(
+        "knob", ["c5_steps=1", "c5_refine_coarse=0", "c5_refine_fine=1000"]
+    )
+    def test_bad_c5_grid_fails_before_any_draw(self, tmp_path, monkeypatch, knob):
+        # At the default sample counts the draws before a late check take ~10 s.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("c5 drew samples before checking its grids")
+
+        monkeypatch.setattr(prior, "vbar_finite_samples", no_draws)
+        code = run(["converge-test", "--seed", 1, "--out-dir", tmp_path, "--set", knob,
+                    "--set", 'criteria=["c5-limit-vs-finite"]'])
+        assert code == 2
+
+
+def test_outputs_are_replaced_not_truncated(tmp_path):
+    # A rewrite creates a new file: a hard link to the old one keeps its bytes.
+    report, table = tmp_path / "report.json", tmp_path / "table.csv"
+    cli._write_report(report, {"run": 1})
+    cli._write_csv(table, ["run"], ["1\n"])
+    os.link(report, tmp_path / "old.json")
+    os.link(table, tmp_path / "old.csv")
+    cli._write_report(report, {"run": 2})
+    cli._write_csv(table, ["run"], ["2\n"])
+    assert json.loads((tmp_path / "old.json").read_text()) == {"run": 1}
+    assert json.loads(report.read_text()) == {"run": 2}
+    assert (tmp_path / "old.csv").read_text() == "run\n1\n"
+    assert table.read_text() == "run\n2\n"
 
 
 def test_write_csv_golden(tmp_path):

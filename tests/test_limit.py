@@ -16,6 +16,15 @@ from proplimit.sampling import make_stream
 SEED = 99
 
 
+def per_draw(fn):
+    """A block function: ``fn(rng)`` per sample, in sample order, on the block's stream."""
+    def draw_block(streams, m):
+        rng = streams(0)
+        return np.stack([fn(rng) for _ in range(m)])
+
+    return draw_block
+
+
 class TestSimulatePaths:
     def test_paths_start_at_zero(self, rng):
         grid = limit.simulate_paths(0.5, 3, 128, rng)
@@ -24,7 +33,7 @@ class TestSimulatePaths:
     def test_increment_variance(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            lambda r: limit.simulate_paths(1.0, 2, 16, r).diag_paths[:, -1],
+            per_draw(lambda r: limit.simulate_paths(1.0, 2, 16, r).diag_paths[:, -1]),
             n, SEED, phase=1,
         )
         var = ends.var(axis=0, ddof=1)
@@ -34,7 +43,7 @@ class TestSimulatePaths:
     def test_cross_path_independence(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            lambda r: limit.simulate_paths(1.0, 3, 16, r).diag_paths[:, -1],
+            per_draw(lambda r: limit.simulate_paths(1.0, 3, 16, r).diag_paths[:, -1]),
             n, SEED, phase=2,
         )
         corr = np.corrcoef(ends, rowvar=False)
@@ -43,7 +52,7 @@ class TestSimulatePaths:
     def test_drift_endpoint_mean(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            lambda r: limit.simulate_paths(0.8, 2, 16, r).drifted_paths[:, -1],
+            per_draw(lambda r: limit.simulate_paths(0.8, 2, 16, r).drifted_paths[:, -1]),
             n, SEED, phase=3,
         )
         mean, se = montecarlo.mean_and_se(ends)
@@ -113,7 +122,7 @@ class TestIteratedIntegral:
                 [limit.iterated_integral(grid, p) for p in ((0, 1), (0, 2), (0, 1, 2))]
             )
 
-        vals = montecarlo.sample_map(one, n, SEED, phase=4)
+        vals = montecarlo.sample_map(per_draw(one), n, SEED, phase=4)
         mean, se = montecarlo.mean_and_se(vals)
         assert np.all(np.abs(mean) < 4 * se)
 
@@ -195,11 +204,13 @@ class TestPathSumMatchesEnumeration:
         out = limit.vbar_limit_from_grid(grid)
         ref = enumerated_vbar(grid)
         # Rounding in either order is bounded by the same sums taken over
-        # |dW|, where nothing cancels; zero entries must match exactly.
+        # |dW|, where nothing cancels.  In the subnormal range (a tiny
+        # ``a``) rounding is absolute instead: a few smallest subnormals.
         scale = enumerated_vbar(
             dataclasses.replace(grid, offdiag_increments=np.abs(grid.offdiag_increments))
         )
-        assert np.all(np.abs(out - ref) <= 1e-13 * scale)
+        floor = 4 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(out - ref) <= 1e-13 * scale + floor)
         np.testing.assert_array_equal(np.diag(out), np.diag(ref))
 
 
@@ -239,8 +250,9 @@ class TestRefinementPair:
         coarse, fine = limit.vbar_limit_refinement_pair(
             0.6, 3, 8, 8 * ratio, 6, SEED, phase=13
         )
+        rng = montecarlo.stream_for(SEED, 13, 0)
         for i in range(6):
-            grid = limit.simulate_paths(0.6, 3, 8 * ratio, montecarlo.stream_for(SEED, 13, i))
+            grid = limit.simulate_paths(0.6, 3, 8 * ratio, rng)
             np.testing.assert_array_equal(fine[i], limit.vbar_limit_from_grid(grid))
             np.testing.assert_array_equal(
                 coarse[i], limit.vbar_limit_from_grid(limit._coarsened(grid, 8))
@@ -253,13 +265,14 @@ class TestPriorLimit:
         np.testing.assert_array_equal(out, np.zeros((3, 2, 3)))
 
     def test_rows_match_single_draws(self):
-        # Sample i draws its grid, then Z, from stream i.
+        # Sample i draws its grid from the block's stream and Z from its Z stream.
         x = np.array([[1.0, -0.5, 0.2], [0.4, 0.9, -1.1]])
         out = limit.prior_limit_samples(x, 0.7, 3, 2, 2.0, 16, 4, SEED, phase=12)
+        rng = montecarlo.stream_for(SEED, 12, 0)
+        z_rng = montecarlo.stream_for(SEED, 12, 0, prior.FAMILY_Z)
         for i in range(4):
-            rng = montecarlo.stream_for(SEED, 12, i)
             vbar = limit.sample_vbar_limit(0.7, 3, 16, rng)
-            z = rng.standard_normal((3, 2))
+            z = z_rng.standard_normal((3, 2))
             np.testing.assert_allclose(out[i], vbar @ z @ x / 2.0, rtol=1e-13, atol=1e-15)
 
     def test_lazy_regime_gaussian_covariance(self):
@@ -301,26 +314,27 @@ def digest(arr) -> str:
 
 
 class TestWorkspaceDraws:
-    """Draws into pooled workspaces: the same bytes as fresh memory, any worker count."""
+    """Draws into per-block workspaces: the same bytes as fresh memory, any worker count."""
 
     def test_pinned_bytes(self):
-        assert digest(limit.vbar_limit_samples(0.7, 3, 128, 32, 7, phase=2)) == "d68a8d3beb75"
+        assert digest(limit.vbar_limit_samples(0.7, 3, 128, 32, 7, phase=2)) == "8127425e9d78"
         x = np.array([[1.0, -0.5, 0.2], [0.4, 0.9, -1.1]])
         for w in (1, 2, 3, 4):
-            assert digest(limit.vbar_limit_samples(0.7, 3, 128, 200, 7, 4, w)) == "8513cd54c790"
+            assert digest(limit.vbar_limit_samples(0.7, 3, 128, 200, 7, 4, w)) == "658223914b4e"
             coarse, fine = limit.vbar_limit_refinement_pair(0.7, 2, 16, 64, 50, 7, 5, w)
-            assert digest(fine) == "e002d9627b3c"
-            assert digest(coarse) == "aae412258df3"
+            assert digest(fine) == "ddc0c194b695"
+            assert digest(coarse) == "f44a4a0759d2"
             out = limit.prior_limit_samples(x, 0.7, 3, 2, 1.0, 32, 100, 7, 6, w)
-            assert digest(out) == "81539a2dc0d2"
+            assert digest(out) == "3f06f5870bad"
 
     @pytest.mark.parametrize("a,dim,steps", [(0.0, 3, 16), (0.7, 1, 16), (0.5, 24, 64)])
     def test_matches_standalone_draws(self, a, dim, steps):
-        # One chunk reuses one workspace for every draw.
+        # One block reuses one workspace for every draw.
         n = 5
         out = limit.vbar_limit_samples(a, dim, steps, n, SEED, phase=14)
+        rng = montecarlo.stream_for(SEED, 14, 0)
         for i in range(n):
-            grid = limit.simulate_paths(a, dim, steps, montecarlo.stream_for(SEED, 14, i))
+            grid = limit.simulate_paths(a, dim, steps, rng)
             np.testing.assert_array_equal(out[i], limit.vbar_limit_from_grid(grid))
         if a == 0.0:
             assert np.array_equal(out, np.broadcast_to(np.eye(dim), out.shape))
@@ -341,7 +355,7 @@ class TestWorkspaceDraws:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_one_workspace_per_worker(self, monkeypatch, workers):
+    def test_one_workspace_per_block(self, monkeypatch, workers):
         made = []
 
         class Counted(limit.Workspace):
@@ -351,7 +365,7 @@ class TestWorkspaceDraws:
 
         monkeypatch.setattr(limit, "Workspace", Counted)
         limit.vbar_limit_samples(0.5, 2, 16, 3000, SEED, phase=17, workers=workers)
-        assert 1 <= len(made) <= workers
+        assert len(made) == -(-3000 // montecarlo.BLOCK)
 
     def test_scratch_memory_does_not_grow_with_samples(self):
         def scratch(n):
@@ -361,7 +375,7 @@ class TestWorkspaceDraws:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # The result and the chunk buffer (one chunk: n rows) scale with n.
+            # The result and the block rows it joins scale with n.
             return peak - 2 * out.nbytes
 
         limit.vbar_limit_samples(0.5, 4, 1024, 2, SEED, phase=18)  # lazy imports

@@ -9,161 +9,165 @@ from proplimit.errors import InvalidParameter
 from proplimit.sampling import bartlett_chain_draws, make_stream
 
 
-def draw3(rng):
-    return rng.standard_normal(3)
+BLOCK = montecarlo.BLOCK
+
+
+def draw3(streams, m):
+    return streams(0).standard_normal((m, 3))
+
+
+def block_rows(seed, phase, block, cols=3):
+    """The rows of a full block of ``draw3``, drawn directly from its stream."""
+    return montecarlo.stream_for(seed, phase, block).standard_normal((BLOCK, cols))
 
 
 class TestSampleMap:
     def test_partition_invariance(self):
-        base = montecarlo.sample_map(draw3, 101, seed=5, phase=2, workers=1)
+        base = montecarlo.sample_map(draw3, 5 * BLOCK + 3, seed=5, phase=2, workers=1)
         for workers in (2, 3, 7):
-            out = montecarlo.sample_map(draw3, 101, seed=5, phase=2, workers=workers)
+            out = montecarlo.sample_map(draw3, 5 * BLOCK + 3, seed=5, phase=2, workers=workers)
             np.testing.assert_array_equal(base, out)
 
-    def test_rows_keyed_by_index(self):
-        out = montecarlo.sample_map(draw3, 8, seed=5, phase=2, workers=1)
-        row3 = draw3(montecarlo.stream_for(5, 2, 3))
-        np.testing.assert_array_equal(out[3], row3)
+    def test_rows_keyed_by_block_and_position(self):
+        # Sample i is row i % BLOCK of block i // BLOCK's stream.
+        out = montecarlo.sample_map(draw3, BLOCK + 10, seed=5, phase=2, workers=1)
+        np.testing.assert_array_equal(out[3], block_rows(5, 2, 0)[3])
+        np.testing.assert_array_equal(out[BLOCK + 6], block_rows(5, 2, 1)[6])
 
     def test_phases_are_disjoint_streams(self):
         a = montecarlo.sample_map(draw3, 4, seed=5, phase=1, workers=1)
         b = montecarlo.sample_map(draw3, 4, seed=5, phase=2, workers=1)
         assert not np.array_equal(a, b)
 
-    def test_reused_buffers_under_thread_switching(self):
-        # 20 chunks on 4 threads share the spare chunk buffers; frequent
-        # thread switches would expose two chunks writing one buffer set.
-        def draw(rng):
-            return rng.standard_normal(3), rng.standard_normal((2, 2))
+    def test_families_are_disjoint_streams(self):
+        def draw(streams, m):
+            return np.stack([streams(0).standard_normal(m), streams(1).standard_normal(m)], 1)
 
-        def finish(a, b):
-            return np.concatenate([a, b.reshape(len(b), -1)], axis=1)
+        out = montecarlo.sample_map(draw, 8, seed=5, phase=2, workers=1)
+        assert not np.array_equal(out[:, 0], out[:, 1])
 
-        n = 20 * montecarlo.MAX_CHUNK
-        base = montecarlo.sample_map(draw, n, seed=5, phase=3, workers=1, finish=finish)
+    def test_threads_under_thread_switching(self):
+        # 21 blocks of two families on 2-4 threads; frequent thread switches
+        # would expose blocks sharing a generator or landing out of order.
+        def draw(streams, m):
+            return np.concatenate(
+                [streams(0).standard_normal((m, 3)), streams(2).standard_gamma(0.5, (m, 4))],
+                axis=1,
+            )
+
+        n = 20 * BLOCK + 5
+        base = montecarlo.sample_map(draw, n, seed=5, phase=3, workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = montecarlo.sample_map(draw, n, seed=5, phase=3, workers=4, finish=finish)
+            outs = [montecarlo.sample_map(draw, n, 5, 3, workers=w) for w in (2, 3, 4)]
         finally:
             sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(out, base)
+        for out in outs:
+            np.testing.assert_array_equal(out, base)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameter):
             montecarlo.sample_map(draw3, 0, seed=1, phase=0)
 
 
-class TestChunkedMap:
+class TestBlocks:
     @staticmethod
     def _run(n, workers):
-        bounds = []
+        calls = []
 
-        def draw(rng):
-            # Sample index: the low PHASE_SHIFT bits of the stream's key.
-            key = int(rng.bit_generator.state["state"]["key"][1])
-            return draw3(rng), key & ((1 << montecarlo.PHASE_SHIFT) - 1)
+        def draw(streams, m):
+            normals, gammas = streams(0), streams(1)
+            # Block number: the low FAMILY_SHIFT bits of the stream's key.
+            key = int(normals.bit_generator.state["state"]["key"][1])
+            calls.append((key & ((1 << montecarlo.FAMILY_SHIFT) - 1), m))
+            return np.concatenate(
+                [normals.standard_normal((m, 3)), gammas.standard_gamma([0.5, 2.0], (m, 2))],
+                axis=1,
+            )
 
-        def finish(rows, index):
-            lo, hi = int(index[0]), int(index[-1]) + 1
-            np.testing.assert_array_equal(index, np.arange(lo, hi))
-            bounds.append((lo, hi))
-            return rows
+        out = montecarlo.sample_map(draw, n, 9, 4, workers=workers)
+        return out, sorted(calls)
 
-        out = montecarlo.sample_map(draw, n, 9, 4, workers=workers, finish=finish)
-        return out, sorted(bounds)
+    def test_blocks_tile_the_run(self):
+        for n, workers in ((50, 1), (50, 4), (3 * BLOCK, 2), (3000, 1), (3000, 3)):
+            _, calls = self._run(n, workers)
+            full, last = divmod(n, BLOCK)
+            sizes = [BLOCK] * full + ([last] if last else [])
+            assert calls == list(enumerate(sizes))
 
-    @staticmethod
-    def _assert_tiles(bounds, n):
-        assert bounds[0][0] == 0 and bounds[-1][1] == n
-        assert all(lo < hi for lo, hi in bounds)
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-
-    def test_chunk_size_invariance(self):
-        a, bounds_a = self._run(50, workers=1)
-        b, bounds_b = self._run(50, workers=4)
-        np.testing.assert_array_equal(a, b)
-        self._assert_tiles(bounds_a, 50)
-        self._assert_tiles(bounds_b, 50)
-        assert len(bounds_b) == 4
-        big, bounds_big = self._run(3000, workers=1)
-        self._assert_tiles(bounds_big, 3000)
-        assert max(hi - lo for lo, hi in bounds_big) <= montecarlo.MAX_CHUNK
-        np.testing.assert_array_equal(big[:50], a)
-        np.testing.assert_array_equal(a[7], draw3(montecarlo.stream_for(9, 4, 7)))
+    def test_prefix_across_a_partial_last_block(self):
+        # Sample-major draws: a run of 50 (one partial block) is the first
+        # 50 rows of a run of 3000, for both families.
+        short, _ = self._run(50, workers=1)
+        wide, _ = self._run(50, workers=4)
+        long, _ = self._run(3000, workers=1)
+        np.testing.assert_array_equal(short, wide)
+        np.testing.assert_array_equal(long[:50], short)
+        np.testing.assert_array_equal(short[:, :3], block_rows(9, 4, 0)[:50])
 
 
-def used_generator():
-    """A generator left mid-stream: a half-used Philox buffer and a pending uint32."""
-    rng = montecarlo.stream_for(3, 1, 0)
-    rng.integers(0, 2**32, dtype=np.uint32)
-    rng.bit_generator.random_raw(1)
-    state = rng.bit_generator.state
-    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
-    return rng
-
-
-def plain(state):
-    """A bit generator state with its arrays as lists, comparable with ==."""
-    return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
-            for k, v in state.items()}
-
-
-def mixed_draws(rng):
-    return (
-        rng.integers(0, 2**32, size=3, dtype=np.uint32),
-        rng.standard_normal(5),
-        rng.standard_gamma(np.array([0.5, 3.0, 31.5])),
-        rng.bit_generator.random_raw(6),
-    )
-
-
-class TestRekeyedStreams:
-    @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63 + 1, 2**64 - 1, -1])
-    @pytest.mark.parametrize(
-        "phase, index", [(0, 0), (2, 7), (2**23 + 5, 1), (2**24 - 1, 2**40 - 1)]
-    )
-    def test_rekey_draws_what_a_new_stream_draws(self, seed, phase, index):
-        rng = used_generator()
-        rekeyed = montecarlo.stream_for(seed, phase, index, rng)
-        assert rekeyed is rng
-        fresh = make_stream(seed, (phase << montecarlo.PHASE_SHIFT) | index)
-        assert plain(rekeyed.bit_generator.state) == plain(fresh.bit_generator.state)
-        for got, want in zip(mixed_draws(rekeyed), mixed_draws(fresh)):
-            np.testing.assert_array_equal(got, want)
-
+class TestStreamKeys:
     def test_plain_calls_do_not_alias(self):
         a = montecarlo.stream_for(5, 2, 0)
         b = montecarlo.stream_for(5, 2, 1)
         assert a is not b and a.bit_generator is not b.bit_generator
-        a_ref = mixed_draws(montecarlo.stream_for(5, 2, 0))
-        b_ref = mixed_draws(montecarlo.stream_for(5, 2, 1))
+        a_ref = montecarlo.stream_for(5, 2, 0).standard_normal(7)
+        b_ref = montecarlo.stream_for(5, 2, 1).standard_normal(7)
         # Interleaved use: drawing from one never moves the other.
-        for got, want in zip(mixed_draws(b), b_ref):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(mixed_draws(a), a_ref):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(b.standard_normal(7), b_ref)
+        np.testing.assert_array_equal(a.standard_normal(7), a_ref)
 
-    def test_phase_beyond_key_rejected(self):
-        # phase << PHASE_SHIFT must fit the 64-bit key half, or phases would collide.
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63 + 1, 2**64 - 1, -1])
+    @pytest.mark.parametrize(
+        "phase, block, family",
+        [(0, 0, 0), (2, 7, 1), (2**23 + 5, 1, 2), (2**24 - 1, 2**34 - 1, 2**6 - 1)],
+    )
+    def test_key_layout(self, seed, phase, block, family):
+        stream_id = (
+            (phase << montecarlo.PHASE_SHIFT) | (family << montecarlo.FAMILY_SHIFT) | block
+        )
+        np.testing.assert_array_equal(
+            montecarlo.stream_for(seed, phase, block, family).standard_normal(6),
+            make_stream(seed, stream_id).standard_normal(6),
+        )
+
+    def test_extreme_keys_do_not_collide(self):
+        top_phase, top_family, top_block = 2**24 - 1, 2**6 - 1, 2**34 - 1
+        fields = [(p, f, b) for p in (0, 1, top_phase) for f in (0, 1, top_family)
+                  for b in (0, 1, top_block)]
+        keys = {
+            int(montecarlo.stream_for(1, p, b, f).bit_generator.state["state"]["key"][1])
+            for p, f, b in fields
+        }
+        assert len(keys) == len(fields)
+
+    @pytest.mark.parametrize(
+        "phase, block, family",
+        [(2**24, 0, 0), (-1, 0, 0), (0, 2**34, 0), (0, -1, 0), (0, 0, 2**6), (0, 0, -1)],
+    )
+    def test_out_of_range_rejected(self, phase, block, family):
+        # Each field must fit its bits of the key half, or keys would collide.
         with pytest.raises(InvalidParameter):
-            montecarlo.stream_for(1, 1 << (64 - montecarlo.PHASE_SHIFT), 0)
+            montecarlo.stream_for(1, phase, block, family)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_raw_chain_draw_digest(self, workers):
-        # Pinned bytes of Bartlett draws through rekeyed streams: the
-        # diagonals alone, then diagonals and lower entries side by side.
-        def draw(rng):
-            return bartlett_chain_draws(64, 3, 200, rng)
+        # Pinned bytes of a block's Bartlett draws, gammas and lower
+        # normals from their own streams: the diagonals alone, then
+        # diagonals and lower entries side by side.
+        def draw(streams, m):
+            diag, low = bartlett_chain_draws(
+                64, 3, (m, 200), streams(prior.FAMILY_GAMMA), streams(prior.FAMILY_LOW)
+            )
+            return np.concatenate([diag, low], axis=2)
 
         def digest(out):
-            return hashlib.sha256(out.tobytes()).hexdigest()[:12]
+            return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:12]
 
-        diag = montecarlo.sample_map(draw, 2500, 674797529, 2, workers=workers)
-        assert digest(diag) == "dbe568592a37"
-        both = montecarlo.sample_map(draw, 2500, 674797529, 2, workers=workers,
-                                     finish=lambda d, low: np.concatenate([d, low], axis=2))
-        assert digest(both) == "06f445915a1f"
+        both = montecarlo.sample_map(draw, 2500, 674797529, 2, workers=workers)
+        assert digest(both[:, :, :3]) == "852349e64ca0"
+        assert digest(both) == "c6afdbc13a0a"
 
 
 def test_verify_phase_ids_distinct():

@@ -79,17 +79,37 @@ class TestForwardDirect:
         f = prior.forward_direct(np.eye(3), shape, rng)
         assert f.shape == (2, 3)
 
+    def test_samples_match_single_draws(self, monkeypatch):
+        # A block draws sample-major from one stream: the same values in
+        # one draw as in sub-batches of one sample, or one sample at a time.
+        x = np.array([[1.0, -0.5], [0.3, 0.8], [2.0, 0.1]])
+        shape = make_shape(widths=(4, 9, 5))
+        batch = prior.forward_direct_samples(x, shape, 5, SEED, phase=8)
+        rng = montecarlo.stream_for(SEED, 8, 0)
+        for i in range(5):
+            np.testing.assert_array_equal(batch[i], prior.forward_direct(x, shape, rng))
+        monkeypatch.setattr(prior, "DIRECT_BATCH_VALUES", 1)
+        np.testing.assert_array_equal(prior.forward_direct_samples(x, shape, 5, SEED, 8), batch)
 
-def chain_from_stream(depth, width, dim, rng):
-    """One Bartlett-chain product, drawn and multiplied on its own."""
-    diag, low = sampling.bartlett_chain_draws(width, dim, depth, rng)
+
+def chain_streams(seed, phase):
+    """The gamma and lower-normal streams of block 0, as the finite samplers key them."""
+    return (montecarlo.stream_for(seed, phase, 0, prior.FAMILY_GAMMA),
+            montecarlo.stream_for(seed, phase, 0, prior.FAMILY_LOW))
+
+
+def chain_from_streams(depth, width, dim, streams):
+    """The next Bartlett-chain product of a block, drawn and multiplied on its own."""
+    diag, low = sampling.bartlett_chain_draws(width, dim, depth, *streams)
     return backend.lt_chain_multiply(diag[None], low[None])[0]
 
 
 class TestVbarFinite:
     def test_single_layer_equals_bartlett_factor(self):
         chain = prior.vbar_finite_samples(1, 10, 3, 1, 7)[0]
-        factor = sampling.sample_bartlett(10, 3, montecarlo.stream_for(7, 0, 0))
+        diag, low = sampling.bartlett_chain_draws(10, 3, 1, *chain_streams(7, 0))
+        factor = np.diag(diag[0])
+        factor[np.tril_indices(3, -1)] = low[0]
         np.testing.assert_array_equal(chain, factor)
 
     def test_triangular_with_positive_diagonal(self):
@@ -118,10 +138,11 @@ class TestVbarFinite:
             assert abs(sq.mean() - target) < 4 * se
 
     def test_batch_matches_single_draws(self):
+        # A block draws sample-major: one chain after another from each stream.
         batch = prior.vbar_finite_samples(5, 8, 3, 4, SEED, phase=4)
+        streams = chain_streams(SEED, 4)
         for i in range(4):
-            single = chain_from_stream(5, 8, 3, montecarlo.stream_for(SEED, 4, i))
-            np.testing.assert_array_equal(batch[i], single)
+            np.testing.assert_array_equal(batch[i], chain_from_streams(5, 8, 3, streams))
 
 
 class TestPriorMixture:
@@ -130,13 +151,14 @@ class TestPriorMixture:
         np.testing.assert_array_equal(f, np.zeros((3, 2, 2)))
 
     def test_batch_matches_single_draws(self):
-        # Sample i draws its chain, then Z, from stream i.
+        # Sample i draws its chain from the chain streams and Z from the Z stream.
         x = np.array([[1.0, 0.2], [0.0, -1.0], [0.5, 0.3]])
         batch = prior.prior_mixture_samples(x, make_shape(), 5, SEED, phase=5)
+        streams = chain_streams(SEED, 5)
+        z_rng = montecarlo.stream_for(SEED, 5, 0, prior.FAMILY_Z)
         for i in range(5):
-            rng = montecarlo.stream_for(SEED, 5, i)
-            vbar = chain_from_stream(3, 8, 2, rng)
-            z = rng.standard_normal((2, 3))
+            vbar = chain_from_streams(3, 8, 2, streams)
+            z = z_rng.standard_normal((2, 3))
             np.testing.assert_allclose(batch[i], vbar @ z @ x / np.sqrt(3.0), rtol=1e-13)
 
     def test_covariance_against_direct_route(self):

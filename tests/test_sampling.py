@@ -67,28 +67,6 @@ class TestGamma:
         assert isinstance(sampling.sample_gamma(2.0, 3.0, rng), float)
 
 
-class TestGaussianMatrix:
-    def test_moments(self, rng):
-        draws = sampling.sample_gaussian_matrix(1000, 1000, 1.0, rng)
-        assert abs(draws.mean()) < 0.004
-        assert abs(draws.var() - 1.0) < 0.006
-
-    def test_std_scaling(self, rng):
-        n = 500_000
-        draws = sampling.sample_gaussian_matrix(n, 1, 4.0, rng).ravel()
-        se = draws.std(ddof=1) / np.sqrt(2 * n)  # SE of the std estimate
-        assert abs(draws.std(ddof=1) - 2.0) < 3 * se
-
-    def test_invalid_variance(self, rng):
-        with pytest.raises(InvalidParameter):
-            sampling.sample_gaussian_matrix(2, 2, 0.0, rng)
-
-    def test_pathwise_variance_scaling(self):
-        a = sampling.sample_gaussian_matrix(5, 5, 1.0, sampling.make_stream(3, 3))
-        b = sampling.sample_gaussian_matrix(5, 5, 4.0, sampling.make_stream(3, 3))
-        np.testing.assert_array_equal(b, 2.0 * a)
-
-
 class TestBartlett:
     def test_d1_second_moment(self, rng):
         n = 100_000
