@@ -27,18 +27,10 @@ class TestReport:
     statistic: float
     threshold: float
     n: int
-    passed: bool
-    description: str = ""
 
-    def __post_init__(self):
-        if self.passed != (self.statistic <= self.threshold):
-            raise InvalidParameter("pass flag inconsistent with statistic/threshold")
-
-    @classmethod
-    def evaluate(cls, statistic, threshold, n, description=""):
-        statistic = float(statistic)
-        threshold = float(threshold)
-        return cls(statistic, threshold, int(n), statistic <= threshold, description)
+    @property
+    def passed(self) -> bool:
+        return self.statistic <= self.threshold
 
 
 def exact_log_mgf_finite(width: int, r: int, depth: int, s: float) -> float:
@@ -137,7 +129,7 @@ def ks_threshold(n: int, alpha: float) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / (2.0 * n))
 
 
-def ks_statistic(samples, cdf, alpha: float = DEFAULT_KS_ALPHA, description: str = "") -> TestReport:
+def ks_statistic(samples, cdf, alpha: float = DEFAULT_KS_ALPHA) -> TestReport:
     """Two-sided Kolmogorov-Smirnov test of ``samples`` against ``cdf``.
 
     The statistic is sup |F_n - F| over both one-sided gaps; the threshold
@@ -150,7 +142,7 @@ def ks_statistic(samples, cdf, alpha: float = DEFAULT_KS_ALPHA, description: str
     values = np.asarray(cdf(samples), dtype=np.float64)
     grid = np.arange(n + 1) / n
     stat = float(max(np.max(values - grid[:-1]), np.max(grid[1:] - values)))
-    return TestReport.evaluate(stat, ks_threshold(n, alpha), n, description)
+    return TestReport(stat, ks_threshold(n, alpha), n)
 
 
 def quadrature_predictive_1d(

@@ -40,56 +40,26 @@ the reference the tests and the verify suite check it against.
 
 A draw fills all d(d+1)/2 x M increments with one ``standard_normal``
 call, then scales, sums and drifts them, and runs the program, in place
-in a :class:`Workspace`: the increments, the paths, the ``(d, d, M+1)``
-table and the row scratch of one grid shape.  The samplers run on
-:func:`montecarlo.sample_map`: a block makes one workspace and draws its
-samples one at a time, in sample order, from its one stream, so a draw
-allocates nothing but the matrix it returns.  Standalone calls of
-:func:`simulate_paths` and :func:`vbar_limit_from_grid` use a fresh
-workspace each.
+in a :class:`Grid`: the increments, the paths, the ``(d, d, M+1)`` table
+and the row scratch of one grid shape, reused by the next draw.  The
+samplers run on :func:`montecarlo.sample_map`: a block makes one grid and
+draws its samples one at a time, in sample order, from its one stream, so
+a draw allocates nothing but the matrix it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from . import backend, montecarlo
+from . import backend, montecarlo, prior
 from .errors import InvalidParameter, ShapeMismatch
-from .linalg import as_matrix
-from .prior import FAMILY_Z, mixture_outputs
 
 # The path-sum program costs O(dim^3 M) per draw; refuse silly inputs.
 MAX_DIM = 32
 
 DEFAULT_STEPS = 4096
-
-
-@dataclass(frozen=True)
-class BrownianGrid:
-    """Driving Brownian paths of one limit draw, on a uniform grid.
-
-    ``diag_paths[k]`` holds W_k at the M+1 grid times (one path per matrix
-    row, starting at 0); ``offdiag_increments[t]`` holds the M increments of
-    the Brownian motion attached to strict-lower position ``t`` in
-    ``numpy.tril_indices`` order; ``drifted_paths[k]`` caches
-    ``Z_k(t) = sqrt(a/2) W_k(t) - ((k+1)/2) a t`` for 0-based row k.
-    Arrays are read-only views of a :class:`Workspace`'s memory, so a grid
-    changes with the next draw into the same workspace.
-    """
-
-    a: float
-    steps: int
-    times: np.ndarray
-    diag_paths: np.ndarray
-    offdiag_increments: np.ndarray
-    drifted_paths: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.diag_paths.shape[0]
 
 
 def check_grid(a: float, dim: int, steps: int) -> None:
@@ -107,43 +77,34 @@ def check_grid(a: float, dim: int, steps: int) -> None:
         raise InvalidParameter(f"need at least 2 grid steps, got {steps}")
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.setflags(write=False)
-    return view
+class Grid:
+    """Driving Brownian paths of one limit draw on a uniform grid, and its memory.
 
-
-class Workspace:
-    """Memory of one limit draw at a fixed ``(a, dim, steps)``, reused by the next.
-
-    Holds the Brownian increments (diagonal rows first, then the strict
-    lower positions in ``numpy.tril_indices`` order), the plain and the
-    drifted paths, the path-sum table ``table[r, k] = F_k^{(r)}`` and the
-    row scratch of the program.  ``grid`` is the :class:`BrownianGrid` over
-    this memory.  ``fine_steps`` sizes the scratch for coarsening a grid of
-    that many steps into this one.  Entries of the table with r < k are
-    never written and stay 0.
+    ``increments`` holds the M Brownian increments of each diagonal path
+    (one per matrix row) followed by those of each strict-lower position
+    in ``numpy.tril_indices`` order; ``offdiag_increments`` is a view of
+    the latter.  ``diag_paths[k]`` holds W_k at the M+1 grid ``times``
+    (starting at 0) and ``drifted_paths[k]`` holds
+    ``Z_k(t) = sqrt(a/2) W_k(t) - ((k+1)/2) a t`` for 0-based row k.  The
+    path-sum table ``table[r, k] = F_k^{(r)}`` and the row scratch of the
+    program complete the memory a draw needs; entries of the table with
+    r < k are never written and stay 0.  The next draw into the same grid
+    overwrites all of it.
     """
 
-    def __init__(self, a: float, dim: int, steps: int, fine_steps: int | None = None):
+    def __init__(self, a: float, dim: int, steps: int):
+        check_grid(a, dim, steps)
+        self.a, self.dim, self.steps = float(a), dim, steps
         n_off = dim * (dim - 1) // 2
         self.root_dt = 1.0 / np.sqrt(steps)
         self.root_half_a = np.sqrt(a / 2.0)
         self.root_a = np.sqrt(a)
         self.increments = np.empty((dim + n_off, steps))
-        times = np.arange(steps + 1) / steps
-        self.drift = ((np.arange(1, dim + 1) / 2.0) * a)[:, None] * times[None, :]
+        self.offdiag_increments = self.increments[dim:]
+        self.times = np.arange(steps + 1) / steps
+        self.drift = ((np.arange(1, dim + 1) / 2.0) * a)[:, None] * self.times[None, :]
         self.diag_paths = np.zeros((dim, steps + 1))
-        self.drifted = np.empty((dim, steps + 1))
-        self.fine_diff = None if fine_steps is None else np.empty((dim, fine_steps))
-        self.grid = BrownianGrid(
-            a=float(a),
-            steps=steps,
-            times=_read_only(times),
-            diag_paths=_read_only(self.diag_paths),
-            offdiag_increments=_read_only(self.increments[dim:]),
-            drifted_paths=_read_only(self.drifted),
-        )
+        self.drifted_paths = np.empty((dim, steps + 1))
         self.table = np.zeros((dim, dim, steps + 1))
         self.table_diag = self.table.reshape(dim * dim, steps + 1)[:: dim + 1]
         self.ends = np.empty(dim)
@@ -164,32 +125,24 @@ class Workspace:
             for k in range(dim - 2, -1, -1)
         ]
 
-    def fill_paths(self) -> BrownianGrid:
-        """Sum the increments into the paths and drift them; returns ``grid``."""
-        dim = self.diag_paths.shape[0]
-        np.cumsum(self.increments[:dim], axis=1, out=self.diag_paths[:, 1:])
-        np.multiply(self.root_half_a, self.diag_paths, out=self.drifted)
-        np.subtract(self.drifted, self.drift, out=self.drifted)
-        return self.grid
+    def fill_paths(self) -> Grid:
+        """Sum the diagonal increments into the paths and drift them."""
+        np.cumsum(self.increments[: self.dim], axis=1, out=self.diag_paths[:, 1:])
+        np.multiply(self.root_half_a, self.diag_paths, out=self.drifted_paths)
+        np.subtract(self.drifted_paths, self.drift, out=self.drifted_paths)
+        return self
 
 
-def simulate_paths(
-    a: float, dim: int, steps: int, rng: np.random.Generator, workspace: Workspace | None = None
-) -> BrownianGrid:
-    """Simulate all driving paths for one draw.
+def simulate_paths(rng: np.random.Generator, grid: Grid) -> Grid:
+    """Simulate all driving paths of one draw into ``grid``; returns ``grid``.
 
     Increments are exact Gaussians with variance 1/steps, all drawn by one
     call: the diagonal-path rows first, then the off-diagonal rows, so the
-    stream consumption order is canonical.  Without ``workspace`` the
-    arguments are checked and a fresh workspace holds the grid; a given
-    workspace must have been made for ``(a, dim, steps)``.
+    stream consumption order is canonical.
     """
-    if workspace is None:
-        check_grid(a, dim, steps)
-        workspace = Workspace(a, dim, steps)
-    rng.standard_normal(out=workspace.increments)
-    np.multiply(workspace.increments, workspace.root_dt, out=workspace.increments)
-    return workspace.fill_paths()
+    rng.standard_normal(out=grid.increments)
+    np.multiply(grid.increments, grid.root_dt, out=grid.increments)
+    return grid.fill_paths()
 
 
 def tril_position(row: int, col: int) -> int:
@@ -225,7 +178,7 @@ def validate_path(path, dim: int) -> tuple:
     return path
 
 
-def iterated_integral(grid: BrownianGrid, path) -> float:
+def iterated_integral(grid: Grid, path) -> float:
     """Discretized iterated Ito integral H(path) on the given grid.
 
     ``path`` is a strictly increasing tuple of 0-based row indices.  The
@@ -248,7 +201,7 @@ def iterated_integral(grid: BrownianGrid, path) -> float:
     return float(grid.a ** (hops / 2.0) * np.exp(z[path[-1], -1]) * suffix[0])
 
 
-def vbar_limit_from_grid(grid: BrownianGrid, workspace: Workspace | None = None) -> np.ndarray:
+def vbar_limit_from_grid(grid: Grid) -> np.ndarray:
     """Assemble the limit matrix from one simulated grid.
 
     Diagonal entries come from the grid's own endpoint values ``Z_k(1)``
@@ -256,48 +209,38 @@ def vbar_limit_from_grid(grid: BrownianGrid, workspace: Workspace | None = None)
     driving paths.  Below-diagonal entries sum the iterated integrals over
     every admissible path, through the backward program of the module
     docstring: one :func:`backend.suffix_mac` call per intermediate row,
-    computed in ``workspace`` (made for the grid's ``a``, ``dim`` and
-    ``steps``; a fresh one when None).  Only the returned matrix is new.
+    computed in the grid's own table.  Only the returned matrix is new.
     """
-    if workspace is None:
-        workspace = Workspace(grid.a, grid.dim, grid.steps)
     z = grid.drifted_paths
     left = z[:, :-1]  # Z at the left endpoints t_0 .. t_{M-1}
     # table[r, k] = F_k^{(r)} on the grid, so table[:, :, 0] is the matrix.
-    np.exp(z[:, -1], out=workspace.ends)
-    workspace.table_diag[...] = workspace.ends[:, None]
-    for k, w, dw, below, g, out in workspace.rows:
+    np.exp(z[:, -1], out=grid.ends)
+    grid.table_diag[...] = grid.ends[:, None]
+    for k, w, dw, below, g, out in grid.rows:
         np.subtract(left[k], left[k + 1:], out=w)
         np.exp(w, out=w)
         np.take(grid.offdiag_increments, below, axis=0, out=dw, mode="clip")
         np.multiply(w, dw, out=w)
         backend.suffix_mac(w, g, out)
-        np.multiply(workspace.root_a, out, out=out)
+        np.multiply(grid.root_a, out, out=out)
     # + 0.0 turns the -0.0 that root_a = 0 leaves below the diagonal into 0.0.
-    return workspace.table[:, :, 0] + 0.0
+    return grid.table[:, :, 0] + 0.0
 
 
-def sample_vbar_limit(
-    a: float, dim: int, steps: int, rng: np.random.Generator, workspace: Workspace | None = None
-) -> np.ndarray:
-    """One draw of the proportional-limit lower-triangular matrix.
+def sample_vbar_limit(a: float, dim: int, steps: int, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the proportional-limit lower-triangular matrix, in a new grid.
 
     At a = 0 this returns the identity bit-exactly.  ``dim`` is capped at
     ``MAX_DIM=32``: each draw costs O(dim^3 steps) time and O(dim^2 steps)
-    memory.  Without ``workspace`` the arguments are checked and the draw
-    runs in a fresh workspace; a given one must have been made for
-    ``(a, dim, steps)``.
+    memory.
     """
-    if workspace is None:
-        check_grid(a, dim, steps)
-        workspace = Workspace(a, dim, steps)
-    return vbar_limit_from_grid(simulate_paths(a, dim, steps, rng, workspace), workspace)
+    return vbar_limit_from_grid(simulate_paths(rng, Grid(a, dim, steps)))
 
 
 def _vbar_block(a: float, dim: int, steps: int, streams, m: int) -> np.ndarray:
-    """A block's ``m`` limit draws, one at a time from its stream, in one workspace."""
-    rng, workspace = streams(0), Workspace(a, dim, steps)
-    return np.stack([sample_vbar_limit(a, dim, steps, rng, workspace) for _ in range(m)])
+    """A block's ``m`` limit draws, one at a time from its stream, in one grid."""
+    rng, grid = streams(0), Grid(a, dim, steps)
+    return np.stack([vbar_limit_from_grid(simulate_paths(rng, grid)) for _ in range(m)])
 
 
 def vbar_limit_samples(
@@ -331,46 +274,28 @@ def prior_limit_samples(
 ) -> np.ndarray:
     """Stack of limit-prior output draws: (n, dim, P).
 
-    Each output is ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``: a block
-    draws its limit matrices as :func:`vbar_limit_samples` does at this
-    phase, and a ``dim x n_in`` standard-normal ``Z`` per sample from the
-    ``prior.FAMILY_Z`` stream, and goes through the output map
-    :func:`prior.mixture_outputs` the finite mixture route uses.  At a = 0
-    the law is exactly the infinite-width Gaussian.
+    Each output is ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``, drawn
+    by :func:`prior.mixture_samples` with the limit matrices of
+    :func:`vbar_limit_samples` at this phase.  At a = 0 the law is exactly
+    the infinite-width Gaussian.
     """
-    if not 0 < lambda_star < np.inf:
-        raise InvalidParameter(f"lambda_star must be finite and > 0, got {lambda_star}")
-    x = as_matrix(x, "x")
-    if x.shape[0] != n_in:
-        raise ShapeMismatch(f"x has {x.shape[0]} rows, expected {n_in}")
     check_grid(a, dim, steps)
-
-    def draw_block(streams, m: int) -> np.ndarray:
-        vbar = _vbar_block(a, dim, steps, streams, m)
-        z = streams(FAMILY_Z).standard_normal((m, dim, n_in))
-        return mixture_outputs(vbar, z, x, lambda_star)
-
-    return montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)
+    return prior.mixture_samples(
+        lambda streams, m: _vbar_block(a, dim, steps, streams, m),
+        x, n_in, lambda_star, n_samples, seed, phase, workers,
+    )
 
 
-def _coarsened(
-    fine: BrownianGrid, coarse_steps: int, workspace: Workspace | None = None
-) -> BrownianGrid:
-    """The same driving paths on ``coarse_steps`` steps, a divisor of ``fine.steps``.
+def _coarsened(fine: Grid, coarse: Grid) -> Grid:
+    """The paths of ``fine`` on the fewer steps of ``coarse``; returns ``coarse``.
 
-    Each coarse increment sums ``fine.steps // coarse_steps`` consecutive
-    fine increments, the diagonal ones recovered from the fine paths.  The
-    grid is built in ``workspace``, made for ``coarse_steps`` with
-    ``fine_steps=fine.steps`` (a fresh one when None).
+    Each coarse increment sums ``fine.steps // coarse.steps`` consecutive
+    fine increments, all d(d+1)/2 rows at once.
     """
-    dim, ratio = fine.dim, fine.steps // coarse_steps
-    if workspace is None:
-        workspace = Workspace(fine.a, dim, coarse_steps, fine.steps)
-    diff, incr = workspace.fine_diff, workspace.increments
-    np.subtract(fine.diag_paths[:, 1:], fine.diag_paths[:, :-1], out=diff)
-    np.sum(diff.reshape(dim, coarse_steps, ratio), axis=2, out=incr[:dim])
-    np.sum(fine.offdiag_increments.reshape(-1, coarse_steps, ratio), axis=2, out=incr[dim:])
-    return workspace.fill_paths()
+    ratio = fine.steps // coarse.steps
+    groups = fine.increments.reshape(len(fine.increments), coarse.steps, ratio)
+    np.sum(groups, axis=2, out=coarse.increments)
+    return coarse.fill_paths()
 
 
 def check_refinement(a: float, dim: int, coarse_steps: int, fine_steps: int) -> None:
@@ -401,20 +326,19 @@ def vbar_limit_refinement_pair(
     rides the identical path.  The difference between the two isolates the
     discretization error; c5 fits its refinement constant C * M^{-1/2}
     from it.  A block draws its samples one at a time from its stream in
-    one pair of workspaces.  Returns ``(coarse, fine)`` stacks of shape
+    one pair of grids.  Returns ``(coarse, fine)`` stacks of shape
     (n, dim, dim).
     """
     check_refinement(a, dim, coarse_steps, fine_steps)
 
     def draw_block(streams, m: int) -> np.ndarray:
         rng = streams(0)
-        fine_ws = Workspace(a, dim, fine_steps)
-        coarse_ws = Workspace(a, dim, coarse_steps, fine_steps)
+        fine, coarse = Grid(a, dim, fine_steps), Grid(a, dim, coarse_steps)
         both = np.empty((m, 2, dim, dim))
         for j in range(m):
-            fine = simulate_paths(a, dim, fine_steps, rng, fine_ws)
-            both[j, 0] = vbar_limit_from_grid(_coarsened(fine, coarse_steps, coarse_ws), coarse_ws)
-            both[j, 1] = vbar_limit_from_grid(fine, fine_ws)
+            simulate_paths(rng, fine)
+            both[j, 0] = vbar_limit_from_grid(_coarsened(fine, coarse))
+            both[j, 1] = vbar_limit_from_grid(fine)
         return both
 
     both = montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)

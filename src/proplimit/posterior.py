@@ -19,10 +19,10 @@ inverse of s11 becomes a mask on the products lam mu with the cutoff
 ``linalg.pinv`` applies, so singular Gram matrices (repeated or collinear
 inputs) need no separate code path.
 
-The per-Q functions (``sigma_star``, ``m_star``, ``psi`` and the
-``*_invertible`` simplifications) form the dense Kronecker blocks and
-invert them directly.  They are reference oracles for the tests and the
-property suites, not a production path.
+The dense per-Q oracles (:func:`starred` and its simplification
+:func:`starred_invertible`) form the Kronecker blocks and invert them
+directly.  They are references for the tests and the property suites,
+not a production path.
 """
 
 from __future__ import annotations
@@ -186,8 +186,18 @@ def _resolvent(s11: np.ndarray, beta: float):
     return cholesky(a)
 
 
-def _starred(q, data: Dataset):
-    """Dense per-Q oracle: starred blocks, posterior mean, weight exponent."""
+def starred(q, data: Dataset):
+    """Dense per-Q oracle: ``(SigmaBlocks, mean, psi)`` of the posterior component.
+
+    Starred blocks, with s11^- the Moore-Penrose inverse:
+    s11* = s11 (I + beta s11)^-1;
+    s01* = s01 s11^- s11*;
+    s00* = s00 - s01 s11^- (I - s11* s11^-) s01.T.
+    Mean [beta s01 s11^- s11* y; beta s11* y].  Weight exponent
+    Psi = beta y.(I+beta s11)^-1 y + logdet(I + beta s11), through one
+    Cholesky factor with the log-determinant in log space.  At beta = 0
+    the blocks are unshrunk and the mean and Psi are zero.
+    """
     blocks = sigma_of_q(q, data)
     beta = data.beta
     s00, s01, s11 = blocks.s00, blocks.s01, blocks.s11
@@ -215,68 +225,26 @@ def _starred(q, data: Dataset):
     return SigmaBlocks(s00_star, s01_star, s11_star), mean, psi_value
 
 
-def sigma_star(q, data: Dataset) -> SigmaBlocks:
-    """Starred covariance blocks of the posterior components.
+def starred_invertible(q, data: Dataset):
+    """Simplified ``(SigmaBlocks, mean)`` of :func:`starred`, valid when s11 is invertible.
 
-    s11* = s11 (I + beta s11)^-1;
-    s01* = s01 s11^- s11*;
-    s00* = s00 - s01 s11^- (I - s11* s11^-) s01.T,
-    with s11^- the Moore-Penrose inverse.  At beta = 0 this returns the
-    unshrunk blocks.
-    """
-    starred, _, _ = _starred(q, data)
-    return starred
-
-
-def m_star(q, data: Dataset) -> np.ndarray:
-    """Posterior component mean: [beta s01 s11^- s11* y; beta s11* y]."""
-    _, mean, _ = _starred(q, data)
-    return mean
-
-
-def psi(q, data: Dataset) -> float:
-    """Weight exponent: beta y.(I+beta s11)^-1 y + logdet(I + beta s11).
-
-    Evaluated through one Cholesky factor, log-determinant in log space.
-    Identically zero at beta = 0.
-    """
-    q = _check_q(q, data.n_out)
-    s11 = kron(data._g11, q)
-    chol = _resolvent(s11, data.beta)
-    solve_y = cho_solve((chol, True), data.y_vec, check_finite=False)
-    return float(
-        data.beta * (data.y_vec @ solve_y) + 2.0 * np.sum(np.log(np.diag(chol)))
-    )
-
-
-def sigma_star_invertible(q, data: Dataset) -> SigmaBlocks:
-    """Simplified starred blocks valid when s11 is invertible.
-
-    s01* = s01 (I + beta s11)^-1 and
-    s00* = s00 - beta s01 (I + beta s11)^-1 s01.T.  Used as an independent
-    cross-check of :func:`sigma_star`; the beta factor in s00* is required
-    for consistency with the Moore-Penrose form (both reduce to the
-    unshrunk blocks at beta = 0).
+    s01* = s01 (I + beta s11)^-1,
+    s00* = s00 - beta s01 (I + beta s11)^-1 s01.T and the mean's top block
+    beta s01 (I + beta s11)^-1 y.  An independent cross-check of
+    :func:`starred`; the beta factor in s00* is required for consistency
+    with the Moore-Penrose form (both reduce to the unshrunk blocks at
+    beta = 0).
     """
     blocks = sigma_of_q(q, data)
     beta = data.beta
     chol = _resolvent(blocks.s11, beta)
-    s11_star = cho_solve((chol, True), blocks.s11, check_finite=False).T
-    s11_star = (s11_star + s11_star.T) / 2.0
+    shrunk = cho_solve((chol, True), blocks.s11, check_finite=False).T
+    s11_star = (shrunk + shrunk.T) / 2.0
     s01_star = cho_solve((chol, True), blocks.s01.T, check_finite=False).T
     s00_star = blocks.s00 - beta * (s01_star @ blocks.s01.T)
-    return SigmaBlocks((s00_star + s00_star.T) / 2.0, s01_star, s11_star)
-
-
-def m_star_invertible(q, data: Dataset) -> np.ndarray:
-    """Simplified mean: top block beta s01 (I + beta s11)^-1 y."""
-    blocks = sigma_of_q(q, data)
-    chol = _resolvent(blocks.s11, data.beta)
     solve_y = cho_solve((chol, True), data.y_vec, check_finite=False)
-    s11_star = cho_solve((chol, True), blocks.s11, check_finite=False).T
-    return np.concatenate(
-        [data.beta * (blocks.s01 @ solve_y), data.beta * (s11_star @ data.y_vec)]
-    )
+    mean = np.concatenate([beta * (blocks.s01 @ solve_y), beta * (shrunk @ data.y_vec)])
+    return SigmaBlocks((s00_star + s00_star.T) / 2.0, s01_star, s11_star), mean
 
 
 def _mixing_stack(mixing) -> np.ndarray:
@@ -410,8 +378,8 @@ def joint_moments(mixing, data: Dataset):
     """Starred moments of the full joint outputs, one row per Q draw.
 
     Returns ``(means, covariances)`` of shapes (n, k) and (n, k, k) with
-    k = n_out (P + 1), test block leading: the batched counterpart of
-    :func:`m_star` and ``sigma_star(q).full()``, from the same spectral
+    k = n_out (P + 1), test block leading: the batched counterpart of the
+    mean and ``blocks.full()`` of :func:`starred`, from the same spectral
     core as :func:`posterior_mixture`.
     """
     qs = _mixing_stack(mixing)

@@ -13,9 +13,10 @@ Both routes run on :func:`montecarlo.sample_map` a block of samples at a
 time.  A mixture block draws all its Bartlett gammas, all its lower
 normals and all its ``Z`` with one generator call per family, each from
 the family's own stream, and multiplies its chains in one
-:func:`backend.lt_chain_multiply` call.  :func:`mixture_outputs` is the
-``Vbar @ Z @ X`` map it shares with the proportional-limit prior
-(``limit.prior_limit_samples``).
+:func:`backend.lt_chain_multiply` call.  :func:`mixture_samples` is the
+one ``Vbar @ Z @ X`` route: the proportional-limit prior
+(``limit.prior_limit_samples``) passes it limit matrices instead of
+Bartlett chains.
 """
 
 from __future__ import annotations
@@ -159,18 +160,6 @@ def forward_direct(x, shape: NetworkShape, rng: np.random.Generator) -> np.ndarr
     return _direct_draws(_check_input(x, shape.n_in), shape, rng, 1)[0]
 
 
-def mixture_outputs(vbar: np.ndarray, z: np.ndarray, x: np.ndarray, lambda_star: float):
-    """Outputs ``Vbar @ Z @ x / sqrt(n_in * lambda_star)`` of a batch of mixing draws.
-
-    ``vbar`` is (n, d, d), ``z`` is (n, d, n_in) standard normal and ``x``
-    is (n_in, P); returns (n, d, P).  The finite mixture route and the
-    proportional-limit prior differ only in the law of ``vbar``.
-    """
-    scale = 1.0 / np.sqrt(x.shape[0] * lambda_star)
-    zx = np.einsum("nij,jk->nik", z, x)
-    return np.einsum("nij,njk->nik", vbar, zx) * scale
-
-
 def prior_covariance_exact(x, n_in: int, lambda_star: float, n_out: int) -> np.ndarray:
     """Closed-form covariance of ``vec(f)`` under the prior.
 
@@ -228,6 +217,39 @@ def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
     return backend.lt_chain_multiply(diag, low)
 
 
+def mixture_samples(
+    vbar_block,
+    x,
+    n_in: int,
+    lambda_star: float,
+    n_samples: int,
+    seed: int,
+    phase: int = 0,
+    workers: int | None = None,
+) -> np.ndarray:
+    """Stack of mixture draws ``Vbar @ Z @ x / sqrt(n_in * lambda_star)``: (n, d, P).
+
+    ``vbar_block(streams, m)`` draws a block's ``m`` mixing matrices
+    (m, d, d); the block adds a ``d x n_in`` standard-normal ``Z`` per
+    sample from the ``FAMILY_Z`` stream.  The finite mixture route and the
+    proportional-limit prior differ only in ``vbar_block``.
+    """
+    if not 0 < lambda_star < np.inf:
+        # Finite precisions can still multiply out to 0 or inf.
+        raise InvalidParameter(f"lambda_star, the product of the precisions, must be "
+                               f"finite and > 0, got {lambda_star}")
+    x = _check_input(x, n_in)
+    scale = 1.0 / np.sqrt(n_in * lambda_star)
+
+    def draw_block(streams, m: int) -> np.ndarray:
+        vbar = vbar_block(streams, m)
+        z = streams(FAMILY_Z).standard_normal((m, vbar.shape[-1], n_in))
+        zx = np.einsum("nij,jk->nik", z, x)
+        return np.einsum("nij,njk->nik", vbar, zx) * scale
+
+    return montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)
+
+
 def prior_mixture_samples(
     x,
     shape: NetworkShape,
@@ -238,27 +260,16 @@ def prior_mixture_samples(
 ) -> np.ndarray:
     """Stack of mixture-route draws: (n, n_out, P).
 
-    A block draws its Bartlett chains (the same as
-    :func:`vbar_finite_samples` at this phase) and an ``n_out x n_in``
-    standard-normal ``Z`` per sample from the ``FAMILY_Z`` stream, and
-    maps them through :func:`mixture_outputs`.  Requires the common-width
+    :func:`mixture_samples` with the Bartlett chains of
+    :func:`vbar_finite_samples` at this phase.  Requires the common-width
     regime (no per-layer ``widths`` override).
     """
     if not shape.uniform_width:
         raise InvalidParameter("the mixture route requires a common hidden width")
-    if not 0 < shape.lambda_star < np.inf:
-        # Finite precisions can still multiply out to 0 or inf.
-        raise InvalidParameter(f"the product of the precisions must be finite and > 0, "
-                               f"got {shape.lambda_star}")
-    x = _check_input(x, shape.n_in)
-    d = shape.n_out
-
-    def draw_block(streams, m: int) -> np.ndarray:
-        vbar = _chains(shape.width, d, shape.depth, streams, m)
-        z = streams(FAMILY_Z).standard_normal((m, d, shape.n_in))
-        return mixture_outputs(vbar, z, x, shape.lambda_star)
-
-    return montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)
+    return mixture_samples(
+        lambda streams, m: _chains(shape.width, shape.n_out, shape.depth, streams, m),
+        x, shape.n_in, shape.lambda_star, n_samples, seed, phase, workers,
+    )
 
 
 def vbar_finite_samples(

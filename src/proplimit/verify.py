@@ -768,10 +768,10 @@ def prop_iterated_integral_mean(cfg: VerifyConfig) -> list[CheckRow]:
     n = cfg.prop_grid_samples
 
     def draw_block(streams, m):
-        rng, workspace = streams(0), limit.Workspace(a, dim, steps)
+        rng, grid = streams(0), limit.Grid(a, dim, steps)
         vals = np.empty((m, 2))
         for j in range(m):
-            grid = limit.simulate_paths(a, dim, steps, rng, workspace)
+            limit.simulate_paths(rng, grid)
             vals[j] = [limit.iterated_integral(grid, path) for path in ((0, 2), (0, 1, 2))]
         return vals
 
@@ -804,8 +804,7 @@ def prop_posterior_psd(cfg: VerifyConfig) -> list[CheckRow]:
         data = _random_dataset(rng, n_in, p, d)
         m = rng.standard_normal((d, d))
         q = m @ m.T + 0.3 * np.eye(d)
-        starred = posterior.sigma_star(q, data)
-        full = starred.full()
+        full = posterior.starred(q, data)[0].full()
         try:
             linalg.cholesky(full + 1e-10 * np.eye(full.shape[0]))
         except linalg.NotPositiveDefinite:  # pragma: no cover
@@ -828,10 +827,8 @@ def prop_posterior_remark(cfg: VerifyConfig) -> list[CheckRow]:
         data = _random_dataset(rng, n_in, p, d)
         m = rng.standard_normal((d, d))
         q = m @ m.T + 0.3 * np.eye(d)
-        general = posterior.sigma_star(q, data)
-        simple = posterior.sigma_star_invertible(q, data)
-        mean_general = posterior.m_star(q, data)
-        mean_simple = posterior.m_star_invertible(q, data)
+        general, mean_general, _ = posterior.starred(q, data)
+        simple, mean_simple = posterior.starred_invertible(q, data)
         scale = max(1.0, float(np.max(np.abs(general.full()))))
         worst = max(
             worst,

@@ -8,6 +8,8 @@ bounds); the master seed pins every draw, so outcomes are reproducible.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import csv
+import io
 import json
 
 import pytest
@@ -79,12 +81,6 @@ SMOKE_SCALE = [
 ]
 
 
-# Checks that fail at smoke scale and pass at full scale.
-# posterior-mean-vs-quadrature reads 0.020015 against its 0.02 threshold
-# with c7_mixing=3000.  A check failing outside this list fails the test.
-SMOKE_SCALE_FAILURES = ["posterior-mean-vs-quadrature"]
-
-
 def _verify_all(out_dir, seed=ACCEPTANCE_SEED):
     args = ["verify-all", "--seed", str(seed), "--out-dir", str(out_dir)]
     for item in SMOKE_SCALE:
@@ -96,12 +92,14 @@ def test_c10_cli_byte_identical_and_worker_invariant(tmp_path, monkeypatch, caps
     monkeypatch.delenv("PROPLIMIT_WORKERS", raising=False)
     code_a = _verify_all(tmp_path / "a")
     code_b = _verify_all(tmp_path / "b")
-    assert code_a == code_b
+    assert code_a == code_b == 0
     report_a = json.loads((tmp_path / "a" / "report.json").read_text())
-    assert set(report_a["results"]["failed_tests"]) <= set(SMOKE_SCALE_FAILURES)
+    assert report_a["results"]["failed_tests"] == []
     csv_a = (tmp_path / "a" / "verify_all.csv").read_bytes()
     csv_b = (tmp_path / "b" / "verify_all.csv").read_bytes()
     assert csv_a == csv_b
+    rows = list(csv.DictReader(io.StringIO(csv_a.decode())))
+    assert {row["pass"] for row in rows} <= {"true", "false"}
 
     monkeypatch.setenv("PROPLIMIT_WORKERS", "3")
     code_c = _verify_all(tmp_path / "c")

@@ -121,10 +121,6 @@ class TestKsStatistic:
         with pytest.raises(EmptySample):
             analysis.ks_statistic([], ndtr)
 
-    def test_report_invariant(self):
-        with pytest.raises(InvalidParameter):
-            analysis.TestReport(statistic=1.0, threshold=0.5, n=10, passed=True)
-
 
 class TestQuadraturePredictive:
     def test_zero_labels_zero_mean(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import sys
 import tracemalloc
@@ -27,13 +26,13 @@ def per_draw(fn):
 
 class TestSimulatePaths:
     def test_paths_start_at_zero(self, rng):
-        grid = limit.simulate_paths(0.5, 3, 128, rng)
+        grid = limit.simulate_paths(rng, limit.Grid(0.5, 3, 128))
         np.testing.assert_array_equal(grid.diag_paths[:, 0], np.zeros(3))
 
     def test_increment_variance(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            per_draw(lambda r: limit.simulate_paths(1.0, 2, 16, r).diag_paths[:, -1]),
+            per_draw(lambda r: limit.simulate_paths(r, limit.Grid(1.0, 2, 16)).diag_paths[:, -1]),
             n, SEED, phase=1,
         )
         var = ends.var(axis=0, ddof=1)
@@ -43,7 +42,7 @@ class TestSimulatePaths:
     def test_cross_path_independence(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            per_draw(lambda r: limit.simulate_paths(1.0, 3, 16, r).diag_paths[:, -1]),
+            per_draw(lambda r: limit.simulate_paths(r, limit.Grid(1.0, 3, 16)).diag_paths[:, -1]),
             n, SEED, phase=2,
         )
         corr = np.corrcoef(ends, rowvar=False)
@@ -52,7 +51,9 @@ class TestSimulatePaths:
     def test_drift_endpoint_mean(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            per_draw(lambda r: limit.simulate_paths(0.8, 2, 16, r).drifted_paths[:, -1]),
+            per_draw(
+                lambda r: limit.simulate_paths(r, limit.Grid(0.8, 2, 16)).drifted_paths[:, -1]
+            ),
             n, SEED, phase=3,
         )
         mean, se = montecarlo.mean_and_se(ends)
@@ -60,23 +61,18 @@ class TestSimulatePaths:
         assert np.all(np.abs(mean - target) < 4 * se)
 
     def test_drifted_recomputable(self, rng):
-        grid = limit.simulate_paths(0.7, 3, 64, rng)
+        grid = limit.simulate_paths(rng, limit.Grid(0.7, 3, 64))
         rates = np.arange(1, 4) / 2.0 * grid.a
         redone = np.sqrt(grid.a / 2.0) * grid.diag_paths - rates[:, None] * grid.times
         assert np.max(np.abs(redone - grid.drifted_paths)) < 1e-12
-
-    def test_grid_is_readonly(self, rng):
-        grid = limit.simulate_paths(0.5, 2, 16, rng)
-        with pytest.raises(ValueError):
-            grid.diag_paths[0, 0] = 1.0
 
     @pytest.mark.parametrize(
         "a,dim,steps",
         [(-0.1, 2, 16), (0.5, 0, 16), (0.5, 2, 1), (np.nan, 2, 16), (np.inf, 2, 16)],
     )
-    def test_invalid_parameters(self, rng, a, dim, steps):
+    def test_invalid_parameters(self, a, dim, steps):
         with pytest.raises(InvalidParameter):
-            limit.simulate_paths(a, dim, steps, rng)
+            limit.Grid(a, dim, steps)
 
 
 class TestPathEnumeration:
@@ -102,22 +98,20 @@ class TestPathEnumeration:
 
 class TestIteratedIntegral:
     def test_zero_ratio_gives_zero(self, rng):
-        grid = limit.simulate_paths(0.0, 3, 64, rng)
+        grid = limit.simulate_paths(rng, limit.Grid(0.0, 3, 64))
         assert limit.iterated_integral(grid, (0, 1, 2)) == 0.0
 
     def test_zeroed_increments_give_zero(self, rng):
-        grid = limit.simulate_paths(1.0, 3, 64, rng)
-        hollow = dataclasses.replace(
-            grid, offdiag_increments=np.zeros_like(grid.offdiag_increments)
-        )
-        assert limit.iterated_integral(hollow, (0, 2)) == 0.0
-        assert limit.iterated_integral(hollow, (0, 1, 2)) == 0.0
+        grid = limit.simulate_paths(rng, limit.Grid(1.0, 3, 64))
+        grid.offdiag_increments[...] = 0.0
+        assert limit.iterated_integral(grid, (0, 2)) == 0.0
+        assert limit.iterated_integral(grid, (0, 1, 2)) == 0.0
 
     def test_zero_mean(self):
         n = 20_000
 
         def one(r):
-            grid = limit.simulate_paths(0.5, 3, 64, r)
+            grid = limit.simulate_paths(r, limit.Grid(0.5, 3, 64))
             return np.array(
                 [limit.iterated_integral(grid, p) for p in ((0, 1), (0, 2), (0, 1, 2))]
             )
@@ -127,7 +121,7 @@ class TestIteratedIntegral:
         assert np.all(np.abs(mean) < 4 * se)
 
     def test_dimension_check(self, rng):
-        grid = limit.simulate_paths(0.5, 2, 16, rng)
+        grid = limit.simulate_paths(rng, limit.Grid(0.5, 2, 16))
         with pytest.raises(ShapeMismatch):
             limit.iterated_integral(grid, (0, 3))
 
@@ -187,14 +181,13 @@ def limit_grids(draw):
     steps = draw(st.integers(2, 64))
     ratio = draw(st.sampled_from((1, 2, 4)))
     rng = make_stream(draw(st.integers(0, 2**32 - 1)), 0)
-    grid = limit.simulate_paths(a, dim, steps * ratio, rng)
+    grid = limit.simulate_paths(rng, limit.Grid(a, dim, steps * ratio))
     if ratio > 1:
-        grid = limit._coarsened(grid, steps)
+        grid = limit._coarsened(grid, limit.Grid(a, dim, steps))
     zeroed = draw(st.lists(st.booleans(), min_size=dim * (dim - 1) // 2,
                            max_size=dim * (dim - 1) // 2))
-    increments = grid.offdiag_increments.copy()
-    increments[np.array(zeroed, dtype=bool)] = 0.0
-    return dataclasses.replace(grid, offdiag_increments=increments)
+    grid.offdiag_increments[np.array(zeroed, dtype=bool)] = 0.0
+    return grid
 
 
 class TestPathSumMatchesEnumeration:
@@ -206,9 +199,8 @@ class TestPathSumMatchesEnumeration:
         # Rounding in either order is bounded by the same sums taken over
         # |dW|, where nothing cancels.  In the subnormal range (a tiny
         # ``a``) rounding is absolute instead: a few smallest subnormals.
-        scale = enumerated_vbar(
-            dataclasses.replace(grid, offdiag_increments=np.abs(grid.offdiag_increments))
-        )
+        np.abs(grid.offdiag_increments, out=grid.offdiag_increments)
+        scale = enumerated_vbar(grid)
         floor = 4 * np.finfo(float).smallest_subnormal
         assert np.all(np.abs(out - ref) <= 1e-13 * scale + floor)
         np.testing.assert_array_equal(np.diag(out), np.diag(ref))
@@ -252,11 +244,10 @@ class TestRefinementPair:
         )
         rng = montecarlo.stream_for(SEED, 13, 0)
         for i in range(6):
-            grid = limit.simulate_paths(0.6, 3, 8 * ratio, rng)
+            grid = limit.simulate_paths(rng, limit.Grid(0.6, 3, 8 * ratio))
             np.testing.assert_array_equal(fine[i], limit.vbar_limit_from_grid(grid))
-            np.testing.assert_array_equal(
-                coarse[i], limit.vbar_limit_from_grid(limit._coarsened(grid, 8))
-            )
+            coarsened = limit._coarsened(grid, limit.Grid(0.6, 3, 8))
+            np.testing.assert_array_equal(coarse[i], limit.vbar_limit_from_grid(coarsened))
 
 
 class TestPriorLimit:
@@ -314,7 +305,7 @@ def digest(arr) -> str:
 
 
 class TestWorkspaceDraws:
-    """Draws into per-block workspaces: the same bytes as fresh memory, any worker count."""
+    """Draws into per-block grids: the same bytes as fresh grids, any worker count."""
 
     def test_pinned_bytes(self):
         assert digest(limit.vbar_limit_samples(0.7, 3, 128, 32, 7, phase=2)) == "8127425e9d78"
@@ -323,18 +314,18 @@ class TestWorkspaceDraws:
             assert digest(limit.vbar_limit_samples(0.7, 3, 128, 200, 7, 4, w)) == "658223914b4e"
             coarse, fine = limit.vbar_limit_refinement_pair(0.7, 2, 16, 64, 50, 7, 5, w)
             assert digest(fine) == "ddc0c194b695"
-            assert digest(coarse) == "f44a4a0759d2"
+            assert digest(coarse) == "bdda4d3177bd"
             out = limit.prior_limit_samples(x, 0.7, 3, 2, 1.0, 32, 100, 7, 6, w)
             assert digest(out) == "3f06f5870bad"
 
     @pytest.mark.parametrize("a,dim,steps", [(0.0, 3, 16), (0.7, 1, 16), (0.5, 24, 64)])
     def test_matches_standalone_draws(self, a, dim, steps):
-        # One block reuses one workspace for every draw.
+        # One block reuses one grid for every draw.
         n = 5
         out = limit.vbar_limit_samples(a, dim, steps, n, SEED, phase=14)
         rng = montecarlo.stream_for(SEED, 14, 0)
         for i in range(n):
-            grid = limit.simulate_paths(a, dim, steps, rng)
+            grid = limit.simulate_paths(rng, limit.Grid(a, dim, steps))
             np.testing.assert_array_equal(out[i], limit.vbar_limit_from_grid(grid))
         if a == 0.0:
             assert np.array_equal(out, np.broadcast_to(np.eye(dim), out.shape))
@@ -358,12 +349,12 @@ class TestWorkspaceDraws:
     def test_one_workspace_per_block(self, monkeypatch, workers):
         made = []
 
-        class Counted(limit.Workspace):
+        class Counted(limit.Grid):
             def __init__(self, *args):
                 made.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(limit, "Workspace", Counted)
+        monkeypatch.setattr(limit, "Grid", Counted)
         limit.vbar_limit_samples(0.5, 2, 16, 3000, SEED, phase=17, workers=workers)
         assert len(made) == -(-3000 // montecarlo.BLOCK)
 
@@ -380,17 +371,17 @@ class TestWorkspaceDraws:
 
         limit.vbar_limit_samples(0.5, 4, 1024, 2, SEED, phase=18)  # lazy imports
         small, large = scratch(20), scratch(400)
-        workspace_bytes = 8 * (10 * 1024 + 3 * 4 * 1025 + 16 * 1025 + 2 * 3 * 1024)
+        grid_bytes = 8 * (10 * 1024 + 3 * 4 * 1025 + 16 * 1025 + 2 * 3 * 1024)
         assert large <= small + 16 * 1024
-        assert large <= 1.5 * workspace_bytes
+        assert large <= 1.5 * grid_bytes
 
     def test_warm_draw_allocates_only_its_result(self, rng):
         # A dim 6 / 4096-step draw in fresh memory touches about 5 MB.
-        workspace = limit.Workspace(0.5, 6, 4096)
-        limit.sample_vbar_limit(0.5, 6, 4096, rng, workspace)
+        grid = limit.Grid(0.5, 6, 4096)
+        limit.vbar_limit_from_grid(limit.simulate_paths(rng, grid))
         tracemalloc.start()
         try:
-            limit.sample_vbar_limit(0.5, 6, 4096, rng, workspace)
+            limit.vbar_limit_from_grid(limit.simulate_paths(rng, grid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

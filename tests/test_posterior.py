@@ -75,11 +75,11 @@ class TestSigmaStar:
     def test_beta_zero_no_shrinkage(self):
         data = scalar_data(beta=0.0)
         plain = posterior.sigma_of_q([[1.7]], data)
-        starred = posterior.sigma_star([[1.7]], data)
+        starred, _, _ = posterior.starred([[1.7]], data)
         np.testing.assert_allclose(starred.full(), plain.full(), atol=1e-14)
 
     def test_scalar_shrinkage(self):
-        starred = posterior.sigma_star([[1.0]], scalar_data())
+        starred, _, _ = posterior.starred([[1.0]], scalar_data())
         np.testing.assert_allclose(starred.s11, [[0.5]], rtol=1e-12)
         np.testing.assert_allclose(starred.s00, [[0.5]], rtol=1e-12)
 
@@ -96,8 +96,8 @@ class TestSigmaStar:
             )
             m = np_rng.standard_normal((d, d))
             q = m @ m.T + 0.3 * np.eye(d)
-            general = posterior.sigma_star(q, data).full()
-            simple = posterior.sigma_star_invertible(q, data).full()
+            general = posterior.starred(q, data)[0].full()
+            simple = posterior.starred_invertible(q, data)[0].full()
             assert np.max(np.abs(general - simple)) < 1e-8 * max(
                 1.0, np.max(np.abs(general))
             )
@@ -105,15 +105,15 @@ class TestSigmaStar:
 
 class TestMStar:
     def test_zero_labels(self):
-        out = posterior.m_star([[1.0]], scalar_data(y=[[0.0]]))
+        out = posterior.starred([[1.0]], scalar_data(y=[[0.0]]))[1]
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_scalar_value(self):
-        out = posterior.m_star([[1.0]], scalar_data())
+        out = posterior.starred([[1.0]], scalar_data())[1]
         np.testing.assert_allclose(out, [1.0, 1.0], rtol=1e-12)
 
     def test_beta_zero(self):
-        out = posterior.m_star([[1.0]], scalar_data(beta=0.0))
+        out = posterior.starred([[1.0]], scalar_data(beta=0.0))[1]
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_matches_invertible_route(self, np_rng):
@@ -126,24 +126,24 @@ class TestMStar:
             )
             m = np_rng.standard_normal((2, 2))
             q = m @ m.T + 0.3 * np.eye(2)
-            a = posterior.m_star(q, data)
-            b = posterior.m_star_invertible(q, data)
+            a = posterior.starred(q, data)[1]
+            b = posterior.starred_invertible(q, data)[1]
             assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(a)))
 
 
 class TestPsi:
     def test_beta_zero(self):
-        assert posterior.psi([[1.0]], scalar_data(beta=0.0)) == 0.0
+        assert posterior.starred([[1.0]], scalar_data(beta=0.0))[2] == 0.0
 
     def test_scalar_value(self):
-        assert posterior.psi([[1.0]], scalar_data()) == pytest.approx(
+        assert posterior.starred([[1.0]], scalar_data())[2] == pytest.approx(
             2.0 + np.log(2.0), rel=1e-12
         )
 
     def test_zero_labels_logdet_only(self):
         x = np.sqrt(3.0) * np.eye(3)
         data = posterior.Dataset(x=x, y=np.zeros((1, 3)), x0=np.zeros(3), beta=1.0)
-        assert posterior.psi([[1.0]], data) == pytest.approx(3 * np.log(2.0), rel=1e-12)
+        assert posterior.starred([[1.0]], data)[2] == pytest.approx(3 * np.log(2.0), rel=1e-12)
 
 
 class TestPosteriorMixture:
@@ -280,7 +280,7 @@ class TestSpectralCoreMatchesOracle:
         assert means.shape == (len(qs), d * (data.n_train + 1))
         assert mix.means.shape == (len(qs), d)
         for i, q in enumerate(qs):
-            blocks, mean, psi_value = posterior._starred(q, data)
+            blocks, mean, psi_value = posterior.starred(q, data)
             full = blocks.full()
             # 1e-13 per unit of condition: double-precision round-off in the
             # oracle's pseudoinverse, with a margin for the problem sizes here.
@@ -290,9 +290,7 @@ class TestSpectralCoreMatchesOracle:
             assert np.abs(means[i] - mean).max() <= tol * scale
             assert np.abs(mix.covariances[i] - full[:d, :d]).max() <= tol * scale
             assert np.abs(mix.means[i] - mean[:d]).max() <= tol * scale
-            oracle_psi = posterior.psi(q, data)
-            assert oracle_psi == psi_value
-            assert abs(mix.psi[i] - oracle_psi) <= tol * max(1.0, abs(oracle_psi))
+            assert abs(mix.psi[i] - psi_value) <= tol * max(1.0, abs(psi_value))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -315,7 +313,7 @@ class TestSpectralCoreMatchesOracle:
             qs[i] = np.eye(d + 1)
         with pytest.raises(ProplimitError) as oracle:
             for q in qs:
-                posterior.psi(q, data)
+                posterior.starred(q, data)
         for batched in (posterior.posterior_mixture, posterior.joint_moments):
             with pytest.raises(ProplimitError) as caught:
                 batched(qs, data)
@@ -337,7 +335,7 @@ class TestMixtureDiagnostics:
             mix = posterior.posterior_mixture(
                 [np.eye(1), 2 * np.eye(1), 1e306 * np.eye(1)], data
             )
-        assert mix.psi_range[0] == pytest.approx(posterior.psi(np.eye(1), data))
+        assert mix.psi_range[0] == pytest.approx(posterior.starred(np.eye(1), data)[2])
         assert mix.n_nonfinite == 1
         assert mix.weights[2] == 0.0
         assert mix.max_weight == pytest.approx(mix.weights[:2].max())

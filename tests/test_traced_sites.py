@@ -27,6 +27,13 @@ ROUTES = {
         ["a=0.5", "dim=3", "steps=16", "n_samples=70"],
         {"limit.simulate_paths", "limit.vbar_limit_from_grid", "backend.suffix_mac"},
     ),
+    "posterior-predict": (
+        ["mixing=limit", "a=1.0", "steps=16", "n_mixing=70", "beta=1.0",
+         "x=[[1.0, 0.5], [0.2, -1.0]]", "y=[[1.0, -0.5], [0.3, 2.0]]", "x0=[0.4, 1.0]"],
+        {"limit.vbar_limit_samples", "limit.simulate_paths", "limit.vbar_limit_from_grid",
+         "backend.suffix_mac", "posterior.posterior_mixture", "posterior.predictive_moments",
+         "linalg.cholesky"},
+    ),
 }
 
 
