@@ -14,7 +14,7 @@ from .errors import (
     ProplimitError,
     ShapeMismatch,
 )
-from .sampling import make_stream
+from .montecarlo import make_stream
 
 __version__ = "0.1.0"
 

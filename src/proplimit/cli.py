@@ -103,6 +103,8 @@ def _coerce(value, key: str, kind):
                 raise ValueError
             return int(value)
         if kind == "float":
+            if isinstance(value, bool):
+                raise ValueError
             return float(value)
         if kind == "str":
             if not isinstance(value, str):
@@ -118,23 +120,23 @@ def _coerce(value, key: str, kind):
             if arr.ndim != 2:
                 raise ValueError
             return arr
-        if kind == "str_list":
-            if not isinstance(value, (list, tuple)) or not all(
-                isinstance(v, str) for v in value
-            ):
+        if kind in ("str_list", "int_list", "num_list"):
+            # A JSON array only: a string would split into its characters.
+            if not isinstance(value, (list, tuple)):
                 raise ValueError
-            return list(value)
-        if kind == "int_list":
-            return [_coerce(v, key, "int") for v in value]
-        if kind == "num_list":
-            arr = [float(v) for v in value]
-            return arr
+            item = {"str_list": "str", "int_list": "int", "num_list": "float"}[kind]
+            return [_coerce(v, key, item) for v in value]
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"config key '{key}' is not a valid {kind}: {value!r}")
 
 
-def _common(cfg: dict, command: str):
+def _common(cfg: dict, command: str, keys):
+    """Seed, output directory and worker count, after rejecting every key of
+    ``cfg`` but these three and ``keys``, those ``command`` reads in any mode."""
+    unknown = sorted(set(cfg) - {"seed", "out_dir", "workers"} - set(keys))
+    if unknown:
+        raise ConfigError(f"{command}: unknown config key '{unknown[0]}'")
     seed = _require(cfg, "seed", "int", command)
     # Streams key on the seed mod 2**64; outside that range two seeds would
     # draw the same numbers under different provenance.
@@ -177,7 +179,9 @@ def _sample_rows(draws: np.ndarray, route: str):
 
 def cmd_sample_prior(cfg: dict) -> int:
     command = "sample-prior"
-    seed, out_dir, workers = _common(cfg, command)
+    seed, out_dir, workers = _common(
+        cfg, command, {"x", "n_out", "depth", "width", "lambdas", "widths", "routes", "n_samples"}
+    )
     x = _require(cfg, "x", "matrix", command)
     n_out = _require(cfg, "n_out", "int", command)
     depth = _require(cfg, "depth", "int", command)
@@ -228,7 +232,9 @@ def cmd_sample_prior(cfg: dict) -> int:
 
 def cmd_sample_limit(cfg: dict) -> int:
     command = "sample-limit"
-    seed, out_dir, workers = _common(cfg, command)
+    seed, out_dir, workers = _common(
+        cfg, command, {"a", "dim", "steps", "n_samples", "emit", "x", "lambda_star"}
+    )
     a = _require(cfg, "a", "float", command)
     dim = _require(cfg, "dim", "int", command)
     steps = _coerce(cfg.get("steps", limit.DEFAULT_STEPS), "steps", "int")
@@ -292,7 +298,10 @@ def _mixing_draws(cfg: dict, seed: int, workers, n_out: int) -> np.ndarray:
 
 def cmd_posterior_predict(cfg: dict) -> int:
     command = "posterior-predict"
-    seed, out_dir, workers = _common(cfg, command)
+    seed, out_dir, workers = _common(
+        cfg, command,
+        {"x", "y", "x0", "beta", "mixing", "n_mixing", "depth", "width", "a", "steps"},
+    )
     x = _require(cfg, "x", "matrix", command)
     y = _require(cfg, "y", "matrix", command)
     x0 = _require(cfg, "x0", "vector", command)
@@ -326,25 +335,18 @@ def cmd_posterior_predict(cfg: dict) -> int:
     return 0
 
 
-def _verify_config(cfg: dict, seed: int, workers) -> verify.VerifyConfig:
-    knobs = {"seed": seed, "workers": workers}
-    known = {f.name for f in fields(verify.VerifyConfig)}
-    for key, value in cfg.items():
-        if key in ("seed", "workers", "out_dir", "checks", "criteria"):
-            continue
-        if key not in known:
-            raise ConfigError(f"unknown verify config key '{key}'")
-        kind = "float" if key == "ks_alpha" else "int"
-        knobs[key] = _coerce(value, key, kind)
-    return verify.VerifyConfig(**knobs)
-
-
 def _run_verify(cfg: dict, command: str, include_properties: bool, csv_name: str) -> int:
-    seed, out_dir, workers = _common(cfg, command)
-    vcfg = _verify_config(cfg, seed, workers)
-    names = cfg.get("criteria") if command == "converge-test" else cfg.get("checks")
+    names_key = "criteria" if command == "converge-test" else "checks"
+    knobs = {f.name for f in fields(verify.VerifyConfig)}
+    seed, out_dir, workers = _common(cfg, command, knobs | {names_key})
+    vcfg = verify.VerifyConfig(
+        seed=seed, workers=workers,
+        **{key: _coerce(value, key, "float" if key == "ks_alpha" else "int")
+           for key, value in cfg.items() if key in knobs - {"seed", "workers"}},
+    )
+    names = cfg.get(names_key)
     if names is not None:
-        names = _coerce(names, "criteria", "str_list")
+        names = _coerce(names, names_key, "str_list")
 
     start = time.perf_counter()
     names, rows = verify.run_checks(vcfg, names, include_properties=include_properties)

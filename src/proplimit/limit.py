@@ -227,16 +227,6 @@ def vbar_limit_from_grid(grid: Grid) -> np.ndarray:
     return grid.table[:, :, 0] + 0.0
 
 
-def sample_vbar_limit(a: float, dim: int, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the proportional-limit lower-triangular matrix, in a new grid.
-
-    At a = 0 this returns the identity bit-exactly.  ``dim`` is capped at
-    ``MAX_DIM=32``: each draw costs O(dim^3 steps) time and O(dim^2 steps)
-    memory.
-    """
-    return vbar_limit_from_grid(simulate_paths(rng, Grid(a, dim, steps)))
-
-
 def _vbar_block(a: float, dim: int, steps: int, streams, m: int) -> np.ndarray:
     """A block's ``m`` limit draws, one at a time from its stream, in one grid."""
     rng, grid = streams(0), Grid(a, dim, steps)

@@ -14,14 +14,19 @@ a prefix of what the full block would.  The ``phase`` namespaces
 independent stages of one run (routes, criteria, commands) inside a
 single master seed.
 
-Key layout.  The Philox key is ``[seed mod 2**64, stream_id]`` with
+Key layout.  A stream is a plain ``numpy.random.Generator`` over the
+Philox bit generator, keyed by ``[seed mod 2**64, stream_id]``
+(:func:`make_stream`): equal keys replay bit-identical sequences and
+draws from one stream never move another.  :func:`stream_for` lays out
+the stream id as
 
     stream_id = phase << PHASE_SHIFT | family << FAMILY_SHIFT | block
 
 so ``phase`` has 24 bits, ``family`` 6 and ``block`` 34 (``BLOCK`` times
 that many samples is 2**40, the largest run).  Distinct
 ``(phase, family, block)`` never share a key; :func:`stream_for` rejects
-values outside their fields.
+values outside their fields.  Streams are single-owner: a block's
+generators never cross threads.
 
 :func:`sample_map` is the only sampler driver and the only partitioner:
 it cuts ``range(n)`` into blocks of ``BLOCK`` and stacks the rows each
@@ -40,7 +45,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import InvalidParameter
-from .sampling import make_stream
 
 WORKERS_ENV = "PROPLIMIT_WORKERS"
 # Samples per block: a constant, so the bytes never follow the worker
@@ -51,6 +55,7 @@ FAMILY_SHIFT = 34
 _MAX_BLOCK = 1 << FAMILY_SHIFT
 _MAX_FAMILY = 1 << (PHASE_SHIFT - FAMILY_SHIFT)
 _MAX_PHASE = 1 << (64 - PHASE_SHIFT)  # phase << PHASE_SHIFT fills the key half
+_MASK64 = (1 << 64) - 1
 
 
 def worker_count(workers: int | None = None) -> int:
@@ -66,6 +71,18 @@ def worker_count(workers: int | None = None) -> int:
     if workers < 1:
         raise InvalidParameter(f"worker count must be >= 1, got {workers}")
     return int(workers)
+
+
+def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """A new generator over the deterministic stream keyed by ``(seed, stream_id)``.
+
+    Both halves of the Philox key are taken modulo 2**64, so ``seed=-1``
+    keys the same stream as ``seed=2**64 - 1``.  The key is built as an
+    explicit uint64 array: a plain list holding a half >= 2**63 would be
+    inferred as float64 and rounded, making such seeds collide.
+    """
+    key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def stream_for(seed: int, phase: int, block: int, family: int = 0) -> np.random.Generator:

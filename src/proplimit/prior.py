@@ -10,9 +10,10 @@ dimension.  Keeping both alive gives the test suite a pair of independent
 oracles for the same distribution.
 
 Both routes run on :func:`montecarlo.sample_map` a block of samples at a
-time.  A mixture block draws all its Bartlett gammas, all its lower
-normals and all its ``Z`` with one generator call per family, each from
-the family's own stream, and multiplies its chains in one
+time; neither has a one-draw entry point.  A mixture block draws all its
+Bartlett gammas and all its lower normals in one
+:func:`bartlett_chain_draws` call and all its ``Z`` in one more, each
+family from its own stream, and multiplies its chains in one
 :func:`backend.lt_chain_multiply` call.  :func:`mixture_samples` is the
 one ``Vbar @ Z @ X`` route: the proportional-limit prior
 (``limit.prior_limit_samples``) passes it limit matrices instead of
@@ -28,7 +29,6 @@ import numpy as np
 from . import backend, montecarlo
 from .errors import InvalidParameter, ShapeMismatch
 from .linalg import as_matrix, kron
-from .sampling import bartlett_chain_draws
 
 # Variate families of a block (``montecarlo.stream_for``): the finite
 # chains' gammas and lower normals, and the mixtures' ``Z``.
@@ -150,16 +150,6 @@ def _direct_draws(x: np.ndarray, shape: NetworkShape, rng: np.random.Generator, 
     return np.concatenate(out)
 
 
-def forward_direct(x, shape: NetworkShape, rng: np.random.Generator) -> np.ndarray:
-    """One prior draw of the network outputs via the weight product.
-
-    Draws every weight matrix ``W_l`` with i.i.d. N(0, 1/lambdas[l]) entries
-    (input layer first) and returns the matrix product with the
-    ``1/sqrt(fan_in)`` scalings applied layer by layer.
-    """
-    return _direct_draws(_check_input(x, shape.n_in), shape, rng, 1)[0]
-
-
 def prior_covariance_exact(x, n_in: int, lambda_star: float, n_out: int) -> np.ndarray:
     """Closed-form covariance of ``vec(f)`` under the prior.
 
@@ -207,6 +197,45 @@ def forward_direct_samples(
     return montecarlo.sample_map(
         lambda streams, m: _direct_draws(x, shape, streams(0), m), n_samples, seed, phase, workers
     )
+
+
+def bartlett_chain_draws(
+    dof: int, dim: int, size, gamma_rng: np.random.Generator, low_rng: np.random.Generator
+):
+    """Raw randomness for independent Bartlett factors, ``size`` of them.
+
+    A Bartlett factor ``V`` is lower triangular with ``V @ V.T`` distributed
+    Wishart(dof, I/dof).  ``size`` is an int or a tuple: ``n_layers``
+    factors of one chain, or ``(n_samples, n_layers)`` for a block of
+    chains.  Returns ``(diag, low)`` of shapes ``size + (dim,)`` and
+    ``size + (T,)``, T = dim*(dim-1)/2, where ``diag[..., i]`` is the
+    (strictly positive) diagonal entry of 0-based row ``i`` -- the square
+    root of a Gamma((dof - i) / 2, dof / 2) draw -- and ``low[..., t]`` the
+    strict lower-triangle entries, i.i.d. N(0, 1/dof), in
+    ``numpy.tril_indices`` (row-major) order.
+
+    Each family is one generator call in C order, so a block's draws are
+    sample-major: the gammas from ``gamma_rng``, then the normals from
+    ``low_rng``.  Passing one generator twice draws both from it, gammas
+    first.  Requires ``dof > dim``.
+    """
+    if dim < 1:
+        raise InvalidParameter(f"dimension must be >= 1, got {dim}")
+    if not dof > dim:
+        raise InvalidParameter(
+            f"degrees of freedom must exceed the dimension: dof={dof}, dim={dim}"
+        )
+    lead = (size,) if np.ndim(size) == 0 else tuple(size)
+    shapes = np.empty(lead + (dim,))
+    shapes[:] = (dof - np.arange(dim)) / 2.0
+    # Gamma(k, rate) is standard_gamma(k) / rate: numpy's own gamma(k,
+    # scale) draws the same standard_gamma values and multiplies them.
+    diag = gamma_rng.standard_gamma(shapes)
+    diag *= 2.0 / dof
+    np.sqrt(diag, out=diag)
+    low = low_rng.standard_normal(lead + (dim * (dim - 1) // 2,))
+    low /= np.sqrt(dof)
+    return diag, low
 
 
 def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:

@@ -10,6 +10,13 @@ Checks are keyed by stable names; ``ACCEPTANCE`` holds the desk-scale
 criteria, ``PROPERTIES`` the per-module distributional invariants.  Sample
 counts live in :class:`VerifyConfig` so quick runs can shrink them without
 touching the checks.
+
+Every check draws through the production block samplers
+(``prior.bartlett_chain_draws``, ``prior.vbar_finite_samples``,
+``limit.vbar_limit_samples``, ...) or through the numpy primitive they
+call (``standard_gamma``); independent routes such as the outer-product
+Wishart draw live inside the check that compares against them.  A check
+that needs one generator for several families passes it twice.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr
 
-from . import analysis, limit, linalg, montecarlo, posterior, prior, sampling
+from . import analysis, limit, linalg, montecarlo, posterior, prior
 
 # Stream phase ids: one per independent sampling stage.
 PH_C1_DIRECT, PH_C1_MIX = 10, 11
@@ -314,8 +321,7 @@ def _gp_closed_form(data: posterior.Dataset, q: np.ndarray):
 def check_nngp_degeneracy(cfg: VerifyConfig) -> list[CheckRow]:
     """a=0 collapses to the infinite-width regime, exactly."""
     rows = []
-    rng = montecarlo.stream_for(cfg.seed, PH_C6, 0)
-    vbar = limit.sample_vbar_limit(0.0, 3, 64, rng)
+    vbar = limit.vbar_limit_samples(0.0, 3, 64, 1, cfg.seed, PH_C6)[0]
     rows.append(
         CheckRow(
             "lazy-identity", float(np.max(np.abs(vbar - np.eye(3)))), 0.0,
@@ -533,7 +539,8 @@ def prop_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
     rows = []
     for idx, (shape_p, rate_p) in enumerate([(0.5, 1.0), (1.0, 1.0), (4.5, 5.0), (50.0, 50.0)]):
         rng = montecarlo.stream_for(cfg.seed, PH_GAMMA_KS, idx)
-        draws = sampling.sample_gamma(shape_p, rate_p, rng, size=cfg.prop_samples)
+        # The primitive the Bartlett diagonals draw, scaled to rate ``rate_p``.
+        draws = rng.standard_gamma(shape_p, cfg.prop_samples) * (1.0 / rate_p)
         report = analysis.ks_statistic(
             draws, lambda x, s=shape_p, r=rate_p: gammainc(s, r * x), alpha=cfg.ks_alpha
         )
@@ -548,7 +555,7 @@ def prop_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
 
 def prop_bartlett_independence(cfg: VerifyConfig) -> list[CheckRow]:
     rng = montecarlo.stream_for(cfg.seed, PH_BARTLETT_IND, 0)
-    diag, low = sampling.bartlett_chain_draws(10, 3, cfg.prop_samples, rng)
+    diag, low = prior.bartlett_chain_draws(10, 3, cfg.prop_samples, rng, rng)
     entries = np.column_stack([diag, low])
     corr = np.corrcoef(entries, rowvar=False)
     off = corr[np.triu_indices(entries.shape[1], 1)]
@@ -564,7 +571,7 @@ def prop_bartlett_independence(cfg: VerifyConfig) -> list[CheckRow]:
 def prop_bartlett_wishart_moments(cfg: VerifyConfig) -> list[CheckRow]:
     n, dof, dim = cfg.prop_samples, 10, 2
     rng_b = montecarlo.stream_for(cfg.seed, PH_WISHART_BART, 0)
-    diag, low = sampling.bartlett_chain_draws(dof, dim, n, rng_b)
+    diag, low = prior.bartlett_chain_draws(dof, dim, n, rng_b, rng_b)
     factors = np.zeros((n, dim, dim))
     factors[:, np.arange(dim), np.arange(dim)] = diag
     factors[:, 1, 0] = low[:, 0]
@@ -602,9 +609,8 @@ def prop_bartlett_wishart_moments(cfg: VerifyConfig) -> list[CheckRow]:
 
 def prop_wishart_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
     rng = montecarlo.stream_for(cfg.seed, PH_WISHART_KS, 0)
-    draws = np.array(
-        [sampling.sample_wishart(8, 1, rng)[0, 0] for _ in range(cfg.prop_samples // 2)]
-    )
+    # At dim 1 the Wishart draw V @ V.T is the squared Bartlett diagonal.
+    draws = prior.bartlett_chain_draws(8, 1, cfg.prop_samples // 2, rng, rng)[0][:, 0] ** 2
     report = analysis.ks_statistic(
         draws, lambda x: gammainc(4.0, 4.0 * x), alpha=0.01
     )

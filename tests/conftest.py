@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proplimit.sampling import make_stream
+from proplimit.montecarlo import make_stream
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import csv
+import hashlib
 import io
 import json
 
@@ -100,6 +101,8 @@ def test_c10_cli_byte_identical_and_worker_invariant(tmp_path, monkeypatch, caps
     assert csv_a == csv_b
     rows = list(csv.DictReader(io.StringIO(csv_a.decode())))
     assert {row["pass"] for row in rows} <= {"true", "false"}
+    # The 59 smoke-scale rows, pinned byte for byte.
+    assert hashlib.sha256(csv_a).hexdigest()[:12] == "030142bceb5b"
 
     monkeypatch.setenv("PROPLIMIT_WORKERS", "3")
     code_c = _verify_all(tmp_path / "c")

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from proplimit import backend, cli, posterior, prior
+from proplimit import backend, cli, posterior, prior, verify
 
 SCALAR_CFG = {
     "seed": 13,
@@ -19,6 +19,23 @@ SCALAR_CFG = {
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+PRIOR_ARGS = ["x=[[1.0]]", "n_out=1", "depth=2", "width=4", "n_samples=2"]
+LIMIT_ARGS = ["a=0.5", "dim=2", "steps=4"]
+POSTERIOR_ARGS = [f"{k}={json.dumps(v)}" for k, v in SCALAR_CFG.items() if k != "seed"]
+
+# (command, --set items, the key the error must name): keys no mode of the
+# command reads, and values that only a lax coercion would accept.
+BAD_CONFIGS = [
+    ("sample-limit", LIMIT_ARGS + ["n_sampels=3"], "n_sampels"),
+    ("posterior-predict", POSTERIOR_ARGS + ["stpes=16"], "stpes"),
+    ("converge-test", ['checks=["c6-nngp-degeneracy"]'], "checks"),
+    ("verify-all", ["checks=5"], "checks"),
+    ("sample-prior", PRIOR_ARGS + ['widths="44"'], "widths"),
+    ("sample-prior", PRIOR_ARGS + ['lambdas="123"'], "lambdas"),
+    ("posterior-predict", POSTERIOR_ARGS + ["beta=true"], "beta"),
+]
 
 
 class TestConfigHandling:
@@ -110,6 +127,25 @@ class TestConfigHandling:
         assert code == 2
         assert "bogus_knob" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize(
+        "command, settings, key", BAD_CONFIGS, ids=[f"{c}:{s[-1]}" for c, s, _ in BAD_CONFIGS]
+    )
+    def test_bad_key_exits_2_before_any_output(
+        self, tmp_path, capsys, monkeypatch, command, settings, key
+    ):
+        # A misspelt or misread key must not fall back to a default.
+        def no_checks(*args, **kwargs):
+            raise AssertionError("checks ran despite a bad config key")
+
+        monkeypatch.setattr(verify, "run_checks", no_checks)
+        args = [command, "--seed", 1, "--out-dir", tmp_path]
+        for item in settings:
+            args += ["--set", item]
+        assert run(args) == 2
+        assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestParser:
     def test_built_once(self):
@@ -118,12 +154,12 @@ class TestParser:
     def test_overrides_do_not_leak_between_calls(self, tmp_path):
         base = ["sample-limit", "--seed", 1, "--set", "a=0.5", "--set", "dim=2",
                 "--set", "steps=4", "--set", "n_samples=2"]
-        assert run(base + ["--out-dir", tmp_path / "a", "--set", "note=\"first\""]) == 0
+        assert run(base + ["--out-dir", tmp_path / "a", "--set", "workers=1"]) == 0
         assert run(base + ["--out-dir", tmp_path / "b", "--set", "n_samples=3"]) == 0
         first = json.loads((tmp_path / "a" / "report.json").read_text())["config"]
         second = json.loads((tmp_path / "b" / "report.json").read_text())["config"]
-        assert first["note"] == "first" and first["n_samples"] == 2
-        assert "note" not in second and second["n_samples"] == 3
+        assert first["workers"] == 1 and first["n_samples"] == 2
+        assert "workers" not in second and second["n_samples"] == 3
 
 
 class TestSampleCommands:

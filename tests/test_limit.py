@@ -10,7 +10,6 @@ from scipy.special import ndtr
 
 from proplimit import analysis, limit, montecarlo, prior
 from proplimit.errors import InvalidParameter, ShapeMismatch
-from proplimit.sampling import make_stream
 
 SEED = 99
 
@@ -22,6 +21,11 @@ def per_draw(fn):
         return np.stack([fn(rng) for _ in range(m)])
 
     return draw_block
+
+
+def grid_draw(rng, a, dim, steps):
+    """The next limit draw of ``rng``, simulated into a new grid."""
+    return limit.vbar_limit_from_grid(limit.simulate_paths(rng, limit.Grid(a, dim, steps)))
 
 
 class TestSimulatePaths:
@@ -128,12 +132,12 @@ class TestIteratedIntegral:
 
 class TestVbarLimit:
     def test_lazy_regime_identity_bit_exact(self, rng):
-        out = limit.sample_vbar_limit(0.0, 3, 16, rng)
+        out = grid_draw(rng, 0.0, 3, 16)
         assert np.array_equal(out, np.eye(3))
         assert not np.signbit(out).any()
 
     def test_structure(self, rng):
-        out = limit.sample_vbar_limit(1.0, 4, 128, rng)
+        out = grid_draw(rng, 1.0, 4, 128)
         assert np.allclose(np.triu(out, 1), 0.0)
         assert (np.diag(out) > 0).all()
 
@@ -149,12 +153,12 @@ class TestVbarLimit:
         draws = limit.vbar_limit_samples(1.0, 3, 64, 500, SEED, phase=7)
         assert (np.linalg.det(draws) > 0).all()
 
-    def test_dim_cap(self, rng):
+    def test_dim_cap(self):
         with pytest.raises(InvalidParameter):
-            limit.sample_vbar_limit(0.5, limit.MAX_DIM + 1, 16, rng)
+            limit.vbar_limit_samples(0.5, limit.MAX_DIM + 1, 16, 1, SEED)
 
     def test_dim_24_draw(self, rng):
-        out = limit.sample_vbar_limit(0.5, 24, 256, rng)
+        out = grid_draw(rng, 0.5, 24, 256)
         assert np.isfinite(out).all()
         assert np.array_equal(np.triu(out, 1), np.zeros((24, 24)))
         assert (np.diag(out) > 0).all()
@@ -180,7 +184,7 @@ def limit_grids(draw):
     a = draw(st.floats(0.0, 4.0))
     steps = draw(st.integers(2, 64))
     ratio = draw(st.sampled_from((1, 2, 4)))
-    rng = make_stream(draw(st.integers(0, 2**32 - 1)), 0)
+    rng = montecarlo.make_stream(draw(st.integers(0, 2**32 - 1)), 0)
     grid = limit.simulate_paths(rng, limit.Grid(a, dim, steps * ratio))
     if ratio > 1:
         grid = limit._coarsened(grid, limit.Grid(a, dim, steps))
@@ -262,7 +266,7 @@ class TestPriorLimit:
         rng = montecarlo.stream_for(SEED, 12, 0)
         z_rng = montecarlo.stream_for(SEED, 12, 0, prior.FAMILY_Z)
         for i in range(4):
-            vbar = limit.sample_vbar_limit(0.7, 3, 16, rng)
+            vbar = grid_draw(rng, 0.7, 3, 16)
             z = z_rng.standard_normal((3, 2))
             np.testing.assert_allclose(out[i], vbar @ z @ x / 2.0, rtol=1e-13, atol=1e-15)
 
@@ -325,8 +329,7 @@ class TestWorkspaceDraws:
         out = limit.vbar_limit_samples(a, dim, steps, n, SEED, phase=14)
         rng = montecarlo.stream_for(SEED, 14, 0)
         for i in range(n):
-            grid = limit.simulate_paths(rng, limit.Grid(a, dim, steps))
-            np.testing.assert_array_equal(out[i], limit.vbar_limit_from_grid(grid))
+            np.testing.assert_array_equal(out[i], grid_draw(rng, a, dim, steps))
         if a == 0.0:
             assert np.array_equal(out, np.broadcast_to(np.eye(dim), out.shape))
             assert not np.signbit(out).any()

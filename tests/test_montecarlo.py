@@ -6,7 +6,6 @@ import pytest
 
 from proplimit import montecarlo, prior, verify
 from proplimit.errors import InvalidParameter
-from proplimit.sampling import bartlett_chain_draws, make_stream
 
 
 BLOCK = montecarlo.BLOCK
@@ -129,7 +128,7 @@ class TestStreamKeys:
         )
         np.testing.assert_array_equal(
             montecarlo.stream_for(seed, phase, block, family).standard_normal(6),
-            make_stream(seed, stream_id).standard_normal(6),
+            montecarlo.make_stream(seed, stream_id).standard_normal(6),
         )
 
     def test_extreme_keys_do_not_collide(self):
@@ -157,7 +156,7 @@ class TestStreamKeys:
         # normals from their own streams: the diagonals alone, then
         # diagonals and lower entries side by side.
         def draw(streams, m):
-            diag, low = bartlett_chain_draws(
+            diag, low = prior.bartlett_chain_draws(
                 64, 3, (m, 200), streams(prior.FAMILY_GAMMA), streams(prior.FAMILY_LOW)
             )
             return np.concatenate([diag, low], axis=2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proplimit import backend, montecarlo, prior, sampling
+from proplimit import backend, montecarlo, prior
 from proplimit.errors import InvalidParameter, ShapeMismatch
 
 SEED = 424242
@@ -46,13 +46,13 @@ class TestNetworkShape:
 
 
 class TestForwardDirect:
-    def test_zero_input(self, rng):
-        f = prior.forward_direct(np.zeros((3, 4)), make_shape(), rng)
-        np.testing.assert_array_equal(f, np.zeros((2, 4)))
+    def test_zero_input(self):
+        f = prior.forward_direct_samples(np.zeros((3, 4)), make_shape(), 2, SEED)
+        np.testing.assert_array_equal(f, np.zeros((2, 2, 4)))
 
-    def test_shape_mismatch(self, rng):
+    def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            prior.forward_direct(np.zeros((5, 4)), make_shape(), rng)
+            prior.forward_direct_samples(np.zeros((5, 4)), make_shape(), 1, SEED)
 
     def test_precision_scaling_pathwise(self):
         # Quadrupling every precision scales each draw by 2^-(depth+1),
@@ -60,8 +60,8 @@ class TestForwardDirect:
         x = np.array([[1.0, -0.5], [0.3, 0.8], [2.0, 0.1]])
         shape_a = make_shape()
         shape_b = make_shape(lambdas=(4.0,) * 4)
-        f_a = prior.forward_direct(x, shape_a, sampling.make_stream(11, 0))
-        f_b = prior.forward_direct(x, shape_b, sampling.make_stream(11, 0))
+        f_a = prior.forward_direct_samples(x, shape_a, 3, 11)
+        f_b = prior.forward_direct_samples(x, shape_b, 3, 11)
         np.testing.assert_array_equal(f_b, f_a * 0.5 ** 4)
 
     def test_unit_variance_scalar_network(self):
@@ -74,20 +74,17 @@ class TestForwardDirect:
         se = sq.std(ddof=1) / np.sqrt(n)
         assert abs(sq.mean() - 1.0) < 4 * se
 
-    def test_unequal_widths_supported(self, rng):
+    def test_unequal_widths_supported(self):
         shape = make_shape(widths=(4, 9, 5))
-        f = prior.forward_direct(np.eye(3), shape, rng)
-        assert f.shape == (2, 3)
+        f = prior.forward_direct_samples(np.eye(3), shape, 1, SEED)
+        assert f.shape == (1, 2, 3)
 
     def test_samples_match_single_draws(self, monkeypatch):
         # A block draws sample-major from one stream: the same values in
-        # one draw as in sub-batches of one sample, or one sample at a time.
+        # one draw as in sub-batches of one sample each.
         x = np.array([[1.0, -0.5], [0.3, 0.8], [2.0, 0.1]])
         shape = make_shape(widths=(4, 9, 5))
         batch = prior.forward_direct_samples(x, shape, 5, SEED, phase=8)
-        rng = montecarlo.stream_for(SEED, 8, 0)
-        for i in range(5):
-            np.testing.assert_array_equal(batch[i], prior.forward_direct(x, shape, rng))
         monkeypatch.setattr(prior, "DIRECT_BATCH_VALUES", 1)
         np.testing.assert_array_equal(prior.forward_direct_samples(x, shape, 5, SEED, 8), batch)
 
@@ -100,14 +97,14 @@ def chain_streams(seed, phase):
 
 def chain_from_streams(depth, width, dim, streams):
     """The next Bartlett-chain product of a block, drawn and multiplied on its own."""
-    diag, low = sampling.bartlett_chain_draws(width, dim, depth, *streams)
+    diag, low = prior.bartlett_chain_draws(width, dim, depth, *streams)
     return backend.lt_chain_multiply(diag[None], low[None])[0]
 
 
 class TestVbarFinite:
     def test_single_layer_equals_bartlett_factor(self):
         chain = prior.vbar_finite_samples(1, 10, 3, 1, 7)[0]
-        diag, low = sampling.bartlett_chain_draws(10, 3, 1, *chain_streams(7, 0))
+        diag, low = prior.bartlett_chain_draws(10, 3, 1, *chain_streams(7, 0))
         factor = np.diag(diag[0])
         factor[np.tril_indices(3, -1)] = low[0]
         np.testing.assert_array_equal(chain, factor)

@@ -1,33 +1,59 @@
+"""Random-generation primitives: the Philox stream key and the Bartlett draws.
+
+Streams come from ``montecarlo.make_stream``; Bartlett factors, and the
+Wishart matrices ``V @ V.T`` they make, from ``prior.bartlett_chain_draws``,
+drawn a block at a time.  Draws passed one generator twice take the
+gammas first, then the lower normals.
+"""
+
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from proplimit import analysis, sampling
+import proplimit
+from proplimit import analysis, montecarlo, prior
 from proplimit.errors import InvalidParameter
+
+
+def bartlett_factors(dof, dim, n, rng):
+    """``n`` lower-triangular Bartlett factors (n, dim, dim), both families from ``rng``."""
+    diag, low = prior.bartlett_chain_draws(dof, dim, n, rng, rng)
+    factors = np.zeros((n, dim, dim))
+    factors[:, np.arange(dim), np.arange(dim)] = diag
+    rows, cols = np.tril_indices(dim, -1)
+    factors[:, rows, cols] = low
+    return factors
+
+
+def wisharts(dof, dim, n, rng):
+    factors = bartlett_factors(dof, dim, n, rng)
+    return np.einsum("nij,nkj->nik", factors, factors)
 
 
 class TestStreams:
     def test_same_key_identical(self):
-        a = sampling.make_stream(42, 0)
-        b = sampling.make_stream(42, 0)
+        a = montecarlo.make_stream(42, 0)
+        b = montecarlo.make_stream(42, 0)
         np.testing.assert_array_equal(
             a.standard_normal(100), b.standard_normal(100)
         )
 
     def test_distinct_stream_ids_differ(self):
-        a = sampling.make_stream(42, 0).standard_normal(100)
-        b = sampling.make_stream(42, 1).standard_normal(100)
+        a = montecarlo.make_stream(42, 0).standard_normal(100)
+        b = montecarlo.make_stream(42, 1).standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_distinct_seeds_differ(self):
-        a = sampling.make_stream(42, 0).standard_normal(100)
-        b = sampling.make_stream(43, 0).standard_normal(100)
+        a = montecarlo.make_stream(42, 0).standard_normal(100)
+        b = montecarlo.make_stream(43, 0).standard_normal(100)
         assert not np.array_equal(a, b)
 
     def test_advancing_one_stream_leaves_another_untouched(self):
-        a = sampling.make_stream(7, 0)
-        b = sampling.make_stream(7, 1)
-        b_ref = sampling.make_stream(7, 1).standard_normal(10)
+        a = montecarlo.make_stream(7, 0)
+        b = montecarlo.make_stream(7, 1)
+        b_ref = montecarlo.make_stream(7, 1).standard_normal(10)
         a.standard_normal(1000)
         np.testing.assert_array_equal(b.standard_normal(10), b_ref)
 
@@ -36,90 +62,89 @@ class TestStreams:
         key = np.array([2**64 - 1, 0], dtype=np.uint64)
         ref = np.random.Generator(np.random.Philox(key=key))
         np.testing.assert_array_equal(
-            sampling.make_stream(-1, 0).standard_normal(16), ref.standard_normal(16)
+            montecarlo.make_stream(-1, 0).standard_normal(16), ref.standard_normal(16)
         )
 
     @pytest.mark.parametrize("seed, neighbour", [(-1, 0), (2**63 + 1, 2**63)])
     def test_high_seeds_do_not_collide(self, seed, neighbour):
         # Rounding the key through float64 would map each seed onto its neighbour.
-        a = sampling.make_stream(seed, 0).standard_normal(8)
-        b = sampling.make_stream(neighbour, 0).standard_normal(8)
+        a = montecarlo.make_stream(seed, 0).standard_normal(8)
+        b = montecarlo.make_stream(neighbour, 0).standard_normal(8)
         assert not np.array_equal(a, b)
+
+    def test_exported_from_package(self):
+        assert proplimit.make_stream is montecarlo.make_stream
 
 
 class TestGamma:
+    """The squared Bartlett diagonal of row i is Gamma((dof - i) / 2, rate dof / 2)."""
+
     def test_exponential_mean(self, rng):
-        draws = sampling.sample_gamma(1.0, 1.0, rng, size=1_000_000)
+        # dof 2, dim 1: Gamma(1, rate 1), the unit exponential.
+        draws = prior.bartlett_chain_draws(2, 1, 1_000_000, rng, rng)[0][:, 0] ** 2
         assert abs(draws.mean() - 1.0) < 0.004
 
     def test_shape_rate_mean(self, rng):
+        # dof 10, row 3: Gamma(3.5, rate 5), mean 0.7.
         n = 200_000
-        draws = sampling.sample_gamma(5.0, 2.0, rng, size=n)
+        draws = prior.bartlett_chain_draws(10, 4, n, rng, rng)[0][:, 3] ** 2
         se = draws.std(ddof=1) / np.sqrt(n)
-        assert abs(draws.mean() - 2.5) < 3 * se
-
-    @pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
-    def test_invalid_parameters(self, rng, shape, rate):
-        with pytest.raises(InvalidParameter):
-            sampling.sample_gamma(shape, rate, rng)
-
-    def test_scalar_default(self, rng):
-        assert isinstance(sampling.sample_gamma(2.0, 3.0, rng), float)
+        assert abs(draws.mean() - 0.7) < 3 * se
 
 
 class TestBartlett:
     def test_d1_second_moment(self, rng):
         n = 100_000
-        draws = sampling.bartlett_chain_draws(12, 1, n, rng)[0][:, 0] ** 2
+        draws = prior.bartlett_chain_draws(12, 1, n, rng, rng)[0][:, 0] ** 2
         se = draws.std(ddof=1) / np.sqrt(n)
         assert abs(draws.mean() - 1.0) < 4 * se
 
     def test_d2_last_diagonal_moment(self, rng):
         n = 100_000
-        diag, _ = sampling.bartlett_chain_draws(10, 2, n, rng)
+        diag, _ = prior.bartlett_chain_draws(10, 2, n, rng, rng)
         sq = diag[:, 1] ** 2
         se = sq.std(ddof=1) / np.sqrt(n)
         assert abs(sq.mean() - 0.9) < 4 * se
 
     def test_dof_not_exceeding_dim_rejected(self, rng):
         with pytest.raises(InvalidParameter):
-            sampling.sample_bartlett(2, 2, rng)
+            prior.bartlett_chain_draws(2, 2, 1, rng, rng)
 
     def test_structure(self, rng):
-        v = sampling.sample_bartlett(10, 4, rng)
-        assert np.allclose(np.triu(v, 1), 0.0)
-        assert (np.diag(v) > 0).all()
+        for v in bartlett_factors(10, 4, 5, rng):
+            assert np.allclose(np.triu(v, 1), 0.0)
+            assert (np.diag(v) > 0).all()
+
+    def test_same_generator_order_pinned(self):
+        # One generator passed twice: all gammas, then all lower normals.
+        r = montecarlo.make_stream(7, 0)
+        diag, low = prior.bartlett_chain_draws(10, 3, (4, 5), r, r)
+        digest = hashlib.sha256(diag.tobytes() + low.tobytes()).hexdigest()[:12]
+        assert digest == "6a2f79e1017c"
 
 
 class TestWishart:
     def test_mean_identity(self, rng):
         n = 50_000
         dim = 3
-        total = np.zeros((dim, dim))
-        sq_total = np.zeros((dim, dim))
-        for _ in range(n):
-            q = sampling.sample_wishart(8, dim, rng)
-            total += q
-            sq_total += q * q
-        mean = total / n
-        se = np.sqrt((sq_total / n - mean**2) / n)
+        q = wisharts(8, dim, n, rng)
+        mean = q.mean(axis=0)
+        se = np.sqrt(((q * q).mean(axis=0) - mean**2) / n)
         assert np.all(np.abs(mean - np.eye(dim)) < 4 * se)
 
     def test_d1_is_gamma(self, rng):
-        draws = np.array(
-            [sampling.sample_wishart(8, 1, rng)[0, 0] for _ in range(50_000)]
-        )
+        draws = wisharts(8, 1, 50_000, rng)[:, 0, 0]
         report = analysis.ks_statistic(
             draws, lambda x: gammainc(4.0, 4.0 * x), alpha=0.01
         )
         assert report.passed, report
 
     def test_outer_route_matches_bartlett_moments(self, rng):
+        # The outer-product route: a sum of dof outer products of N(0, I/dof) vectors.
         n = 40_000
-        bart = np.array([sampling.sample_wishart(10, 2, rng) for _ in range(n)])
-        outer = np.array(
-            [sampling.sample_wishart(10, 2, rng, method="outer") for _ in range(n)]
-        )
+        bart = wisharts(10, 2, n, rng)
+        g = rng.standard_normal((n, 2, 10)) / np.sqrt(10)
+        outer = np.einsum("nij,nkj->nik", g, g)
         for stat in (np.mean, np.var):
             a = stat(bart, axis=0)
             b = stat(outer, axis=0)
@@ -127,7 +152,3 @@ class TestWishart:
                 np.var(bart, axis=0) / n + np.var(outer, axis=0) / n
             )  # crude but adequate scale for both statistics
             assert np.all(np.abs(a - b) < 5 * np.maximum(se, 1e-4))
-
-    def test_unknown_method(self, rng):
-        with pytest.raises(InvalidParameter):
-            sampling.sample_wishart(8, 2, rng, method="spectral")
