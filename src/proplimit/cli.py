@@ -2,9 +2,12 @@
 
 Subcommands: sample-prior, sample-limit, posterior-predict, converge-test,
 verify-all.  Each reads a JSON config file (``--config``), applies CLI
-overrides (``--seed``, ``--out-dir``, ``--set key=value``), validates the
-merged config against the command schema, and writes CSV data plus one
-JSON run report echoing the fully resolved config.
+overrides (``--seed``, ``--out-dir``, ``--set key=value``) and resolves the
+merged config against the command's schema in ``SCHEMAS``: a key the
+command never reads is an error, every key given must be a JSON value of
+its kind in every mode, and unset keys take their defaults.  The command
+reads only the resolved config, and writes CSV data plus one JSON run
+report whose ``config`` echoes that resolved config, defaults included.
 
 Determinism contract: CSV bodies are byte-identical across reruns of the
 same config and across worker counts (only the report's timing field may
@@ -87,79 +90,131 @@ def _write_report(path: Path, report: dict) -> None:
         handle.write("\n")
 
 
-def _require(cfg: dict, key: str, kind, command: str):
-    if key not in cfg or cfg[key] is None:
-        raise ConfigError(f"{command}: missing required config key '{key}'")
-    return _coerce(cfg[key], key, kind)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _coerce(value, key: str, kind):
+def _numbers(value, depth: int) -> bool:
+    """Whether ``value`` is JSON numbers nested in ``depth`` levels of arrays."""
+    if depth == 0:
+        return _is_number(value)
+    return isinstance(value, list) and all(_numbers(v, depth - 1) for v in value)
+
+
+_ARRAY_DEPTH = {"vector": 1, "matrix": 2}
+_LIST_ITEM = {"str_list": "str", "int_list": "int", "num_list": "float"}
+
+
+def _coerce(value, key: str, kind: str):
+    """``value`` as ``kind``: a JSON value of that kind, or a config error."""
     try:
         if kind == "int":
-            if isinstance(value, bool):
-                raise ValueError
-            # Integers compare exactly: float() would round those above 2**53.
-            if not isinstance(value, (int, np.integer)) and int(value) != float(value):
-                raise ValueError
-            return int(value)
-        if kind == "float":
-            if isinstance(value, bool):
-                raise ValueError
-            return float(value)
-        if kind == "str":
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-        if kind == "vector":
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError
-            return arr
-        if kind == "matrix":
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim != 2:
-                raise ValueError
-            return arr
-        if kind in ("str_list", "int_list", "num_list"):
-            # A JSON array only: a string would split into its characters.
-            if not isinstance(value, (list, tuple)):
-                raise ValueError
-            item = {"str_list": "str", "int_list": "int", "num_list": "float"}[kind]
-            return [_coerce(v, key, item) for v in value]
-    except (TypeError, ValueError):
+            # A JSON integer as is (float() would round those above 2**53),
+            # or an integral float.
+            if _is_number(value) and (isinstance(value, int) or value.is_integer()):
+                return int(value)
+        elif kind == "float":
+            if _is_number(value):
+                return float(value)
+        elif kind == "str":
+            if isinstance(value, str):
+                return value
+        elif kind in _ARRAY_DEPTH:
+            # Leaf by leaf first: np.asarray turns strings, booleans and
+            # None into floats or ints.  A ragged array raises ValueError.
+            depth = _ARRAY_DEPTH[kind]
+            if _numbers(value, depth):
+                arr = np.asarray(value, dtype=float)
+                if arr.ndim == depth:
+                    return arr
+        elif isinstance(value, list):
+            return [_coerce(v, key, _LIST_ITEM[kind]) for v in value]
+    except (OverflowError, ValueError):
         pass
     raise ConfigError(f"config key '{key}' is not a valid {kind}: {value!r}")
 
 
-def _common(cfg: dict, command: str, keys):
-    """Seed, output directory and worker count, after rejecting every key of
-    ``cfg`` but these three and ``keys``, those ``command`` reads in any mode."""
-    unknown = sorted(set(cfg) - {"seed", "out_dir", "workers"} - set(keys))
+# Each command's config keys: key -> (kind, default).  A key without a
+# default is required; one whose default is None stays unset until given.
+_BASE = {"seed": ("int",), "out_dir": ("str", "."), "workers": ("int", None)}
+
+
+def _verify_schema(names_key: str) -> dict:
+    # Every VerifyConfig field is an integer; seed and workers are as in _BASE.
+    knobs = {f.name: ("int", f.default) for f in fields(verify.VerifyConfig)}
+    return {**knobs, **_BASE, names_key: ("str_list", None)}
+
+
+SCHEMAS = {
+    "sample-prior": {
+        **_BASE, "x": ("matrix",), "n_out": ("int",), "depth": ("int",), "width": ("int",),
+        "lambdas": ("num_list", None), "widths": ("int_list", None),
+        "routes": ("str_list", ("direct", "mixture")), "n_samples": ("int", 1000),
+    },
+    "sample-limit": {
+        **_BASE, "a": ("float",), "dim": ("int",), "steps": ("int", limit.DEFAULT_STEPS),
+        "n_samples": ("int", 1000), "emit": ("str", "vbar"),
+        # Read with emit=prior only.
+        "x": ("matrix", None), "lambda_star": ("float", 1.0),
+    },
+    "posterior-predict": {
+        **_BASE, "x": ("matrix",), "y": ("matrix",), "x0": ("vector",), "beta": ("float",),
+        "mixing": ("str", "nngp"),
+        # Read with mixing=finite (n_mixing, depth, width) or limit (n_mixing, a, steps).
+        "n_mixing": ("int", None), "depth": ("int", None), "width": ("int", None),
+        "a": ("float", None), "steps": ("int", limit.DEFAULT_STEPS),
+    },
+    "converge-test": _verify_schema("criteria"),
+    "verify-all": _verify_schema("checks"),
+}
+
+
+def _need(cfg: dict, command: str, *keys) -> None:
+    """Reject ``cfg`` unless it sets every one of ``keys`` to a value other than null."""
+    for key in keys:
+        if cfg.get(key) is None:
+            raise ConfigError(f"{command}: missing required config key '{key}'")
+
+
+def _resolve(cfg: dict, command: str) -> dict:
+    """``cfg`` checked against the schema of ``command``, defaults filled in.
+
+    Every key given is coerced by its kind, whichever mode reads it; an
+    unset key whose default is None stays out.  Creates the output directory.
+    """
+    schema = SCHEMAS[command]
+    unknown = sorted(set(cfg) - set(schema))
     if unknown:
         raise ConfigError(f"{command}: unknown config key '{unknown[0]}'")
-    seed = _require(cfg, "seed", "int", command)
+    _need(cfg, command, *[key for key, spec in schema.items() if len(spec) == 1])
+    resolved = {}
+    for key, (kind, *default) in schema.items():
+        if key in cfg:
+            resolved[key] = _coerce(cfg[key], key, kind)
+        elif default[0] is not None:
+            resolved[key] = default[0]
     # Streams key on the seed mod 2**64; outside that range two seeds would
     # draw the same numbers under different provenance.
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-    out_dir = Path(_coerce(cfg.get("out_dir", "."), "out_dir", "str"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    workers = cfg.get("workers")
-    if workers is not None:
-        workers = _coerce(workers, "workers", "int")
-    return seed, out_dir, workers
+    if not 0 <= resolved["seed"] < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {resolved['seed']}")
+    Path(resolved["out_dir"]).mkdir(parents=True, exist_ok=True)
+    return resolved
 
 
-def _base_report(command: str, cfg: dict, seed: int) -> dict:
-    return {
+def _report(cfg: dict, command: str, start: float, results: dict, outputs=(),
+            warnings=()) -> None:
+    """Write ``report.json``: the resolved ``cfg`` as the command read it,
+    its ``results``, the data files written and the seconds since ``start``."""
+    _write_report(Path(cfg["out_dir"]) / "report.json", {
         "command": command,
         "version": __version__,
-        "rng": {"algorithm": "Philox", "seed": seed},
-        "config": {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in cfg.items()
-        },
-        "warnings": [],
-    }
+        "rng": {"algorithm": "Philox", "seed": cfg["seed"]},
+        "config": {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in cfg.items()},
+        "results": results,
+        "outputs": list(outputs),
+        "warnings": list(warnings),
+        "timing_seconds": time.perf_counter() - start,
+    })
 
 
 def _sample_rows(draws: np.ndarray, route: str):
@@ -178,36 +233,15 @@ def _sample_rows(draws: np.ndarray, route: str):
 
 
 def cmd_sample_prior(cfg: dict) -> int:
-    command = "sample-prior"
-    seed, out_dir, workers = _common(
-        cfg, command, {"x", "n_out", "depth", "width", "lambdas", "widths", "routes", "n_samples"}
-    )
-    x = _require(cfg, "x", "matrix", command)
-    n_out = _require(cfg, "n_out", "int", command)
-    depth = _require(cfg, "depth", "int", command)
-    width = _require(cfg, "width", "int", command)
-    lambdas = cfg.get("lambdas")
-    if lambdas is not None:
-        lambdas = tuple(_coerce(lambdas, "lambdas", "num_list"))
-    widths = cfg.get("widths")
-    if widths is not None:
-        widths = tuple(_coerce(widths, "widths", "int_list"))
-    routes = _coerce(cfg.get("routes", ["direct", "mixture"]), "routes", "str_list")
-    bad = set(routes) - {"direct", "mixture"}
-    if bad or not routes:
+    routes = cfg["routes"]
+    if not routes or set(routes) - {"direct", "mixture"}:
         raise ConfigError(f"routes must be a nonempty subset of direct/mixture: {routes}")
-    n_samples = _coerce(cfg.get("n_samples", 1000), "n_samples", "int")
-
+    x, n_samples, seed, workers = cfg["x"], cfg["n_samples"], cfg["seed"], cfg.get("workers")
     shape = prior.NetworkShape(
-        n_in=x.shape[0], n_out=n_out, depth=depth, width=width,
-        lambdas=lambdas, widths=widths,
+        n_in=x.shape[0], n_out=cfg["n_out"], depth=cfg["depth"], width=cfg["width"],
+        lambdas=cfg.get("lambdas"), widths=cfg.get("widths"),
     )
-    resolved = dict(
-        cfg,
-        x=x, n_out=n_out, depth=depth, width=width,
-        lambdas=list(shape.lambdas), widths=list(shape.layer_widths),
-        routes=routes, n_samples=n_samples, out_dir=str(out_dir),
-    )
+    cfg.update(lambdas=list(shape.lambdas), widths=list(shape.layer_widths))
     start = time.perf_counter()
     drawn = []
     for route in routes:
@@ -217,79 +251,53 @@ def cmd_sample_prior(cfg: dict) -> int:
             draws = prior.prior_mixture_samples(x, shape, n_samples, seed, PH_MIXTURE, workers)
         drawn.append((draws, route))
 
-    csv_path = out_dir / "samples.csv"
     _write_csv(
-        csv_path, ["sample_id", "route", "row", "col", "value"],
+        Path(cfg["out_dir"]) / "samples.csv", ["sample_id", "route", "row", "col", "value"],
         itertools.chain.from_iterable(_sample_rows(*pair) for pair in drawn),
     )
-    report = _base_report(command, resolved, seed)
-    report["results"] = {"n_samples": n_samples, "routes": routes}
-    report["outputs"] = [csv_path.name]
-    report["timing_seconds"] = time.perf_counter() - start
-    _write_report(out_dir / "report.json", report)
+    _report(cfg, "sample-prior", start, {"n_samples": n_samples, "routes": routes},
+            ["samples.csv"])
     return 0
 
 
 def cmd_sample_limit(cfg: dict) -> int:
-    command = "sample-limit"
-    seed, out_dir, workers = _common(
-        cfg, command, {"a", "dim", "steps", "n_samples", "emit", "x", "lambda_star"}
-    )
-    a = _require(cfg, "a", "float", command)
-    dim = _require(cfg, "dim", "int", command)
-    steps = _coerce(cfg.get("steps", limit.DEFAULT_STEPS), "steps", "int")
-    n_samples = _coerce(cfg.get("n_samples", 1000), "n_samples", "int")
-    emit = _coerce(cfg.get("emit", "vbar"), "emit", "str")
+    emit = cfg["emit"]
     if emit not in ("vbar", "prior"):
         raise ConfigError(f"emit must be 'vbar' or 'prior', got {emit!r}")
-
-    resolved = dict(
-        cfg, a=a, dim=dim, steps=steps, n_samples=n_samples, emit=emit,
-        out_dir=str(out_dir),
-    )
+    a, dim, steps, n_samples = cfg["a"], cfg["dim"], cfg["steps"], cfg["n_samples"]
+    seed, workers = cfg["seed"], cfg.get("workers")
     start = time.perf_counter()
     if emit == "vbar":
         draws = limit.vbar_limit_samples(a, dim, steps, n_samples, seed, PH_LIMIT_VBAR, workers)
-        route = "limit-vbar"
     else:
-        x = _require(cfg, "x", "matrix", command)
-        lambda_star = _coerce(cfg.get("lambda_star", 1.0), "lambda_star", "float")
-        resolved.update(x=x, lambda_star=lambda_star)
+        _need(cfg, "sample-limit", "x")
         draws = limit.prior_limit_samples(
-            x, a, dim, x.shape[0], lambda_star, steps, n_samples, seed,
+            cfg["x"], a, dim, cfg["lambda_star"], steps, n_samples, seed,
             PH_LIMIT_PRIOR, workers,
         )
-        route = "limit-prior"
 
-    csv_path = out_dir / "samples.csv"
     _write_csv(
-        csv_path, ["sample_id", "route", "row", "col", "value"],
-        _sample_rows(draws, route),
+        Path(cfg["out_dir"]) / "samples.csv", ["sample_id", "route", "row", "col", "value"],
+        _sample_rows(draws, f"limit-{emit}"),
     )
-    report = _base_report(command, resolved, seed)
-    report["results"] = {"n_samples": n_samples, "emit": emit}
-    report["outputs"] = [csv_path.name]
-    report["timing_seconds"] = time.perf_counter() - start
-    _write_report(out_dir / "report.json", report)
+    _report(cfg, "sample-limit", start, {"n_samples": n_samples, "emit": emit},
+            ["samples.csv"])
     return 0
 
 
-def _mixing_draws(cfg: dict, seed: int, workers, n_out: int) -> np.ndarray:
-    source = _coerce(cfg.get("mixing", "nngp"), "mixing", "str")
+def _mixing_draws(cfg: dict, n_out: int) -> np.ndarray:
+    source, seed, workers = cfg["mixing"], cfg["seed"], cfg.get("workers")
     if source == "nngp":
         return posterior.nngp_mixing(n_out)
-    n_mixing = _require(cfg, "n_mixing", "int", "posterior-predict")
     if source == "finite":
-        depth = _require(cfg, "depth", "int", "posterior-predict")
-        width = _require(cfg, "width", "int", "posterior-predict")
+        _need(cfg, "posterior-predict", "n_mixing", "depth", "width")
         vbars = prior.vbar_finite_samples(
-            depth, width, n_out, n_mixing, seed, PH_MIXING, workers
+            cfg["depth"], cfg["width"], n_out, cfg["n_mixing"], seed, PH_MIXING, workers
         )
     elif source == "limit":
-        a = _require(cfg, "a", "float", "posterior-predict")
-        steps = _coerce(cfg.get("steps", limit.DEFAULT_STEPS), "steps", "int")
+        _need(cfg, "posterior-predict", "n_mixing", "a")
         vbars = limit.vbar_limit_samples(
-            a, n_out, steps, n_mixing, seed, PH_MIXING, workers
+            cfg["a"], n_out, cfg["steps"], cfg["n_mixing"], seed, PH_MIXING, workers
         )
     else:
         raise ConfigError(f"mixing must be finite/limit/nngp, got {source!r}")
@@ -297,28 +305,12 @@ def _mixing_draws(cfg: dict, seed: int, workers, n_out: int) -> np.ndarray:
 
 
 def cmd_posterior_predict(cfg: dict) -> int:
-    command = "posterior-predict"
-    seed, out_dir, workers = _common(
-        cfg, command,
-        {"x", "y", "x0", "beta", "mixing", "n_mixing", "depth", "width", "a", "steps"},
-    )
-    x = _require(cfg, "x", "matrix", command)
-    y = _require(cfg, "y", "matrix", command)
-    x0 = _require(cfg, "x0", "vector", command)
-    beta = _require(cfg, "beta", "float", command)
-    data = posterior.Dataset(x=x, y=y, x0=x0, beta=beta)
-    resolved = dict(
-        cfg, x=x, y=y, x0=x0, beta=beta,
-        mixing=cfg.get("mixing", "nngp"), out_dir=str(out_dir),
-    )
-
+    data = posterior.Dataset(x=cfg["x"], y=cfg["y"], x0=cfg["x0"], beta=cfg["beta"])
     start = time.perf_counter()
-    qs = _mixing_draws(cfg, seed, workers, data.n_out)
+    qs = _mixing_draws(cfg, data.n_out)
     mix = posterior.posterior_mixture(qs, data)
     mean, cov = posterior.predictive_moments(mix)
-
-    report = _base_report(command, resolved, seed)
-    report["results"] = {
+    results = {
         "predictive_mean": mean.tolist(),
         "predictive_covariance": cov.tolist(),
         "ess": mix.ess,
@@ -328,31 +320,19 @@ def cmd_posterior_predict(cfg: dict) -> int:
         "psi_max": mix.psi_range[1],
         "n_nonfinite": mix.n_nonfinite,
     }
-    report["warnings"] = list(mix.warnings)
-    report["outputs"] = []
-    report["timing_seconds"] = time.perf_counter() - start
-    _write_report(out_dir / "report.json", report)
+    _report(cfg, "posterior-predict", start, results, warnings=mix.warnings)
     return 0
 
 
 def _run_verify(cfg: dict, command: str, include_properties: bool, csv_name: str) -> int:
-    names_key = "criteria" if command == "converge-test" else "checks"
     knobs = {f.name for f in fields(verify.VerifyConfig)}
-    seed, out_dir, workers = _common(cfg, command, knobs | {names_key})
-    vcfg = verify.VerifyConfig(
-        seed=seed, workers=workers,
-        **{key: _coerce(value, key, "float" if key == "ks_alpha" else "int")
-           for key, value in cfg.items() if key in knobs - {"seed", "workers"}},
-    )
-    names = cfg.get(names_key)
-    if names is not None:
-        names = _coerce(names, names_key, "str_list")
+    vcfg = verify.VerifyConfig(**{k: v for k, v in cfg.items() if k in knobs})
+    names = cfg.get("criteria" if command == "converge-test" else "checks")
 
     start = time.perf_counter()
     names, rows = verify.run_checks(vcfg, names, include_properties=include_properties)
-    csv_path = out_dir / csv_name
     _write_csv(
-        csv_path,
+        Path(cfg["out_dir"]) / csv_name,
         ["test", "N", "L", "a", "statistic", "threshold", "reference", "pass"],
         [_table_text(
             (r.test, r.width, r.depth, r.a, r.statistic, r.threshold, r.reference, r.passed)
@@ -360,19 +340,14 @@ def _run_verify(cfg: dict, command: str, include_properties: bool, csv_name: str
         )],
     )
     n_failed = sum(0 if r.passed else 1 for r in rows)
-    resolved = dict(cfg, out_dir=str(out_dir))
-    resolved.update({f.name: getattr(vcfg, f.name) for f in fields(verify.VerifyConfig)})
-    report = _base_report(command, resolved, seed)
-    report["results"] = {
+    results = {
         "checks_run": names,
         "rows": len(rows),
         "failed": n_failed,
         "failed_tests": [r.test for r in rows if not r.passed],
-        "workers": worker_count(workers),
+        "workers": worker_count(vcfg.workers),
     }
-    report["outputs"] = [csv_path.name]
-    report["timing_seconds"] = time.perf_counter() - start
-    _write_report(out_dir / "report.json", report)
+    _report(cfg, command, start, results, [csv_name])
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
         print(f"{status} {row.test}: statistic={row.statistic:.6g} "
@@ -450,7 +425,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.out_dir is not None:
             cfg["out_dir"] = args.out_dir
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command](_resolve(cfg, args.command))
     except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         error = {"error": str(exc), "command": args.command}
         print(json.dumps(error), file=sys.stderr)

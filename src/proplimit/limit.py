@@ -254,7 +254,6 @@ def prior_limit_samples(
     x,
     a: float,
     dim: int,
-    n_in: int,
     lambda_star: float,
     steps: int,
     n_samples: int,
@@ -264,15 +263,15 @@ def prior_limit_samples(
 ) -> np.ndarray:
     """Stack of limit-prior output draws: (n, dim, P).
 
-    Each output is ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``, drawn
-    by :func:`prior.mixture_samples` with the limit matrices of
-    :func:`vbar_limit_samples` at this phase.  At a = 0 the law is exactly
-    the infinite-width Gaussian.
+    Each output is ``Vbar_inf @ Z @ x / sqrt(n_in * lambda_star)``, with
+    ``n_in`` the rows of ``x``, drawn by :func:`prior.mixture_samples`
+    with the limit matrices of :func:`vbar_limit_samples` at this phase.
+    At a = 0 the law is exactly the infinite-width Gaussian.
     """
     check_grid(a, dim, steps)
     return prior.mixture_samples(
         lambda streams, m: _vbar_block(a, dim, steps, streams, m),
-        x, n_in, lambda_star, n_samples, seed, phase, workers,
+        x, lambda_star, n_samples, seed, phase, workers,
     )
 
 

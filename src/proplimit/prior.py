@@ -249,7 +249,6 @@ def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
 def mixture_samples(
     vbar_block,
     x,
-    n_in: int,
     lambda_star: float,
     n_samples: int,
     seed: int,
@@ -258,16 +257,18 @@ def mixture_samples(
 ) -> np.ndarray:
     """Stack of mixture draws ``Vbar @ Z @ x / sqrt(n_in * lambda_star)``: (n, d, P).
 
-    ``vbar_block(streams, m)`` draws a block's ``m`` mixing matrices
-    (m, d, d); the block adds a ``d x n_in`` standard-normal ``Z`` per
-    sample from the ``FAMILY_Z`` stream.  The finite mixture route and the
-    proportional-limit prior differ only in ``vbar_block``.
+    ``n_in`` is the number of rows of ``x``.  ``vbar_block(streams, m)``
+    draws a block's ``m`` mixing matrices (m, d, d); the block adds a
+    ``d x n_in`` standard-normal ``Z`` per sample from the ``FAMILY_Z``
+    stream.  The finite mixture route and the proportional-limit prior
+    differ only in ``vbar_block``.
     """
     if not 0 < lambda_star < np.inf:
         # Finite precisions can still multiply out to 0 or inf.
         raise InvalidParameter(f"lambda_star, the product of the precisions, must be "
                                f"finite and > 0, got {lambda_star}")
-    x = _check_input(x, n_in)
+    x = as_matrix(x, "x")
+    n_in = x.shape[0]
     scale = 1.0 / np.sqrt(n_in * lambda_star)
 
     def draw_block(streams, m: int) -> np.ndarray:
@@ -297,7 +298,7 @@ def prior_mixture_samples(
         raise InvalidParameter("the mixture route requires a common hidden width")
     return mixture_samples(
         lambda streams, m: _chains(shape.width, shape.n_out, shape.depth, streams, m),
-        x, shape.n_in, shape.lambda_star, n_samples, seed, phase, workers,
+        _check_input(x, shape.n_in), shape.lambda_star, n_samples, seed, phase, workers,
     )
 
 

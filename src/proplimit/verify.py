@@ -47,6 +47,10 @@ PH_POSTERIOR_PSD, PH_POSTERIOR_REMARK = 66, 67
 PH_APPENDIX_JOINT, PH_APPENDIX_MIX = 68, 69
 PH_EMPIRICAL_MGF, PH_KS_CALIBRATION = 70, 71
 
+# Grid steps of the scalar limit mixing draws of c7 and c8, and the number
+# of batches c8 splits its draws into for the variance standard error.
+MIXING_STEPS, C8_BATCHES = 16, 50
+
 # Fixed input matrix for the sampler-equivalence criterion (3 x 4, full rank).
 X_EQUIV = np.array(
     [
@@ -102,14 +106,10 @@ class VerifyConfig:
     c5_refine_samples: int = 10_000
     c7_mixing: int = 100_000
     c8_mixing: int = 100_000
-    c8_batches: int = 50
-    mixing_steps: int = 16
-    quad_points: int = 4001
     prop_samples: int = 100_000
     prop_grid_samples: int = 10_000
     prop_instances: int = 1_000
     appendix_samples: int = 2_000_000
-    ks_alpha: float = 1e-3
 
 
 def _vecs(draws: np.ndarray) -> np.ndarray:
@@ -182,9 +182,7 @@ def check_diag_lognormal_ks(cfg: VerifyConfig) -> list[CheckRow]:
     for r in (1, 2):
         logs = np.log(draws[:, r - 1, r - 1])
         mean, sd = -a * r / 2.0, math.sqrt(a / 2.0)
-        report = analysis.ks_statistic(
-            logs, lambda x, m=mean, s=sd: ndtr((x - m) / s), alpha=cfg.ks_alpha
-        )
+        report = analysis.ks_statistic(logs, lambda x, m=mean, s=sd: ndtr((x - m) / s))
         rows.append(
             CheckRow(
                 f"diag-ks-r{r}", report.statistic, report.threshold,
@@ -360,7 +358,7 @@ def check_nngp_degeneracy(cfg: VerifyConfig) -> list[CheckRow]:
 
 def _scalar_limit_mixing(cfg: VerifyConfig, n: int, phase: int) -> np.ndarray:
     draws = limit.vbar_limit_samples(
-        1.0, 1, cfg.mixing_steps, n, cfg.seed, phase, cfg.workers
+        1.0, 1, MIXING_STEPS, n, cfg.seed, phase, cfg.workers
     )
     return np.einsum("nij,nkj->nik", draws, draws)
 
@@ -371,9 +369,7 @@ def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
     data = posterior.Dataset(x=[[1.0]], y=[[2.0]], x0=[1.0], beta=1.0)
     mix = posterior.posterior_mixture(qs, data)
     mean, cov = posterior.predictive_moments(mix)
-    oracle_mean, oracle_var = analysis.quadrature_predictive_1d(
-        1.0, 1.0, 1.0, 2.0, 1.0, cfg.quad_points
-    )
+    oracle_mean, oracle_var = analysis.quadrature_predictive_1d(1.0, 1.0, 1.0, 2.0, 1.0)
     rows = [
         CheckRow(
             "posterior-mean-vs-quadrature",
@@ -408,7 +404,7 @@ def check_label_dependence(cfg: VerifyConfig) -> list[CheckRow]:
     n = qs.shape[0]
     variances = {}
     batch_vars = {}
-    edges = np.linspace(0, n, cfg.c8_batches + 1).astype(int)
+    edges = np.linspace(0, n, C8_BATCHES + 1).astype(int)
     for label in (0.0, 5.0):
         data = posterior.Dataset(x=[[1.0]], y=[[label]], x0=[1.0], beta=1.0)
         mix = posterior.posterior_mixture(qs, data)
@@ -541,13 +537,11 @@ def prop_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
         rng = montecarlo.stream_for(cfg.seed, PH_GAMMA_KS, idx)
         # The primitive the Bartlett diagonals draw, scaled to rate ``rate_p``.
         draws = rng.standard_gamma(shape_p, cfg.prop_samples) * (1.0 / rate_p)
-        report = analysis.ks_statistic(
-            draws, lambda x, s=shape_p, r=rate_p: gammainc(s, r * x), alpha=cfg.ks_alpha
-        )
+        report = analysis.ks_statistic(draws, lambda x, s=shape_p, r=rate_p: gammainc(s, r * x))
         rows.append(
             CheckRow(
                 f"gamma-ks-{shape_p}-{rate_p}", report.statistic, report.threshold,
-                reference=f"n={report.n} alpha={cfg.ks_alpha}",
+                reference=f"n={report.n} alpha={analysis.DEFAULT_KS_ALPHA}",
             )
         )
     return rows
@@ -669,9 +663,7 @@ def prop_vbar_d1_ks(cfg: VerifyConfig) -> list[CheckRow]:
     )
     logs = np.log(draws[:, 0, 0])
     sd = math.sqrt(a / 2.0)
-    report = analysis.ks_statistic(
-        logs, lambda x: ndtr((x + a / 2.0) / sd), alpha=cfg.ks_alpha
-    )
+    report = analysis.ks_statistic(logs, lambda x: ndtr((x + a / 2.0) / sd))
     return [
         CheckRow(
             "vbar-d1-lognormal-ks", report.statistic, report.threshold,
@@ -717,9 +709,7 @@ def prop_limit_diag_ks(cfg: VerifyConfig) -> list[CheckRow]:
     for k in range(1, dim + 1):
         logs = np.log(draws[:, k - 1, k - 1])
         mean, sd = -a * k / 2.0, math.sqrt(a / 2.0)
-        report = analysis.ks_statistic(
-            logs, lambda x, m=mean, s=sd: ndtr((x - m) / s), alpha=cfg.ks_alpha
-        )
+        report = analysis.ks_statistic(logs, lambda x, m=mean, s=sd: ndtr((x - m) / s))
         rows.append(
             CheckRow(
                 f"limit-diag-ks-k{k}", report.statistic, report.threshold,
@@ -969,15 +959,14 @@ def prop_gamma_ratio_expansion(cfg: VerifyConfig) -> list[CheckRow]:
 
 
 def prop_quadrature_doubling(cfg: VerifyConfig) -> list[CheckRow]:
-    m1, v1 = analysis.quadrature_predictive_1d(1.0, 1.0, 1.0, 2.0, 1.0, cfg.quad_points)
-    m2, v2 = analysis.quadrature_predictive_1d(
-        1.0, 1.0, 1.0, 2.0, 1.0, 2 * cfg.quad_points + 1
-    )
+    points = analysis.DEFAULT_QUAD_POINTS
+    m1, v1 = analysis.quadrature_predictive_1d(1.0, 1.0, 1.0, 2.0, 1.0, points)
+    m2, v2 = analysis.quadrature_predictive_1d(1.0, 1.0, 1.0, 2.0, 1.0, 2 * points + 1)
     stat = max(abs(m2 - m1) / abs(m1), abs(v2 - v1) / abs(v1))
     return [
         CheckRow(
             "quadrature-grid-doubling", stat, 1e-8,
-            reference=f"{cfg.quad_points} vs {2 * cfg.quad_points + 1} points",
+            reference=f"{points} vs {2 * points + 1} points",
         )
     ]
 

@@ -35,6 +35,16 @@ BAD_CONFIGS = [
     ("sample-prior", PRIOR_ARGS + ['widths="44"'], "widths"),
     ("sample-prior", PRIOR_ARGS + ['lambdas="123"'], "lambdas"),
     ("posterior-predict", POSTERIOR_ARGS + ["beta=true"], "beta"),
+    ("sample-limit", LIMIT_ARGS + ['a="0.5"'], "a"),
+    ("sample-limit", LIMIT_ARGS + ["a=.5"], "a"),
+    ("sample-limit", LIMIT_ARGS + ['n_samples="4"'], "n_samples"),
+    ("posterior-predict", POSTERIOR_ARGS + ['x0=["1"]'], "x0"),
+    ("posterior-predict", POSTERIOR_ARGS + ["y=[[2.0, 1.0]]", "x=[[1.0, true]]"], "x"),
+    # Keys the selected mode does not read are checked all the same.
+    ("sample-limit", LIMIT_ARGS + ["emit=vbar", "x=[[true]]"], "x"),
+    ("sample-limit", LIMIT_ARGS + ["emit=vbar", 'lambda_star="abc"'], "lambda_star"),
+    ("posterior-predict", POSTERIOR_ARGS + ["a=zzz"], "a"),
+    ("converge-test", ["ks_alpha=0.01"], "ks_alpha"),
 ]
 
 
@@ -263,6 +273,17 @@ class TestPosteriorPredict:
         assert 1 / 200 <= results["max_weight"] < 1
         assert 0 < results["psi_min"] <= results["psi_max"]
         assert results["n_nonfinite"] == 0
+
+    def test_report_echoes_resolved_config(self, tmp_path):
+        # The report holds what the command read: n_mixing as an int, and
+        # the default steps the limit draws used.
+        args = ["posterior-predict", "--out-dir", tmp_path]
+        for key, value in {**SCALAR_CFG, "mixing": "limit", "a": 1.0, "n_mixing": 64.0}.items():
+            args += ["--set", f"{key}={json.dumps(value)}"]
+        assert run(args) == 0
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert config["n_mixing"] == 64 and isinstance(config["n_mixing"], int)
+        assert config["steps"] == 4096
 
     def test_finite_mixing_runs(self, tmp_path):
         cfg = dict(SCALAR_CFG)

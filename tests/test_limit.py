@@ -256,13 +256,13 @@ class TestRefinementPair:
 
 class TestPriorLimit:
     def test_zero_input(self):
-        out = limit.prior_limit_samples(np.zeros((2, 3)), 0.5, 2, 2, 1.0, 16, 3, SEED)
+        out = limit.prior_limit_samples(np.zeros((2, 3)), 0.5, 2, 1.0, 16, 3, SEED)
         np.testing.assert_array_equal(out, np.zeros((3, 2, 3)))
 
     def test_rows_match_single_draws(self):
         # Sample i draws its grid from the block's stream and Z from its Z stream.
         x = np.array([[1.0, -0.5, 0.2], [0.4, 0.9, -1.1]])
-        out = limit.prior_limit_samples(x, 0.7, 3, 2, 2.0, 16, 4, SEED, phase=12)
+        out = limit.prior_limit_samples(x, 0.7, 3, 2.0, 16, 4, SEED, phase=12)
         rng = montecarlo.stream_for(SEED, 12, 0)
         z_rng = montecarlo.stream_for(SEED, 12, 0, prior.FAMILY_Z)
         for i in range(4):
@@ -273,7 +273,7 @@ class TestPriorLimit:
     def test_lazy_regime_gaussian_covariance(self):
         x = np.array([[1.0, -0.5], [0.4, 0.9]])
         n = 30_000
-        draws = limit.prior_limit_samples(x, 0.0, 2, 2, 1.0, 8, n, SEED, phase=10)
+        draws = limit.prior_limit_samples(x, 0.0, 2, 1.0, 8, n, SEED, phase=10)
         vecs = draws.transpose(0, 2, 1).reshape(n, -1)
         target = prior.prior_covariance_exact(x, 2, 1.0, 2)
         iu = np.triu_indices(4)
@@ -288,7 +288,7 @@ class TestPriorLimit:
         x = np.array([[1.0, -0.5], [0.4, 0.9]])
         a, steps, n = 1.0, 32, 20_000
         vbars = limit.vbar_limit_samples(a, 2, steps, n, SEED, phase=11)
-        draws = limit.prior_limit_samples(x, a, 2, 2, 1.0, steps, n, SEED, phase=11)
+        draws = limit.prior_limit_samples(x, a, 2, 1.0, steps, n, SEED, phase=11)
         vecs = draws.transpose(0, 2, 1).reshape(n, -1)
         qbars = np.einsum("nij,nkj->nik", vbars, vbars)
         gram = (x.T @ x) / 2.0
@@ -301,7 +301,7 @@ class TestPriorLimit:
     def test_lambda_star_validation(self):
         for bad in (0.0, np.inf, np.nan):
             with pytest.raises(InvalidParameter):
-                limit.prior_limit_samples(np.eye(2), 0.5, 2, 2, bad, 16, 2, SEED)
+                limit.prior_limit_samples(np.eye(2), 0.5, 2, bad, 16, 2, SEED)
 
 
 def digest(arr) -> str:
@@ -319,7 +319,7 @@ class TestWorkspaceDraws:
             coarse, fine = limit.vbar_limit_refinement_pair(0.7, 2, 16, 64, 50, 7, 5, w)
             assert digest(fine) == "ddc0c194b695"
             assert digest(coarse) == "bdda4d3177bd"
-            out = limit.prior_limit_samples(x, 0.7, 3, 2, 1.0, 32, 100, 7, 6, w)
+            out = limit.prior_limit_samples(x, 0.7, 3, 1.0, 32, 100, 7, 6, w)
             assert digest(out) == "3f06f5870bad"
 
     @pytest.mark.parametrize("a,dim,steps", [(0.0, 3, 16), (0.7, 1, 16), (0.5, 24, 64)])
