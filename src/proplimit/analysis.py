@@ -3,8 +3,8 @@
 These are the independent yardsticks the samplers are verified against:
 exact and limiting moment generating functions of the log diagonal
 entries, the combinatorial variance bound for below-diagonal entries, a
-digamma evaluator, a Kolmogorov-Smirnov test, and a one-dimensional
-quadrature oracle for the posterior predictive.
+Kolmogorov-Smirnov test, and a one-dimensional quadrature oracle for the
+posterior predictive.
 """
 
 from __future__ import annotations
@@ -82,38 +82,6 @@ def offdiag_variance_bound(k: int, i: int, depth: int, width: int) -> float:
     for m in range(1, gap + 1):
         total += width ** (-m) * math.comb(depth, m) * math.comb(gap - 1, m - 1)
     return total
-
-
-# Asymptotic series for digamma: psi(x) ~ ln x - 1/(2x) - sum c_j / x^(2j),
-# coefficients B_{2j}/(2j) for the Bernoulli numbers B_2..B_12.
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
-_DIGAMMA_SHIFT = 10.0
-
-
-def digamma(x: float) -> float:
-    """Digamma function for x > 0, accurate to 1e-10 or better.
-
-    Uses the recurrence psi(x) = psi(x + 1) - 1/x to shift the argument
-    above 10, then the asymptotic series.
-    """
-    if not x > 0:
-        raise InvalidParameter(f"digamma needs x > 0, got {x}")
-    value = 0.0
-    while x < _DIGAMMA_SHIFT:
-        value -= 1.0 / x
-        x += 1.0
-    inv_sq = 1.0 / (x * x)
-    tail = 0.0
-    for coeff in reversed(_DIGAMMA_TAIL):
-        tail = (tail + coeff) * inv_sq
-    return value + math.log(x) - 0.5 / x - tail
 
 
 def ks_threshold(n: int, alpha: float) -> float:

@@ -426,7 +426,7 @@ def main(argv=None) -> int:
         if args.out_dir is not None:
             cfg["out_dir"] = args.out_dir
         return COMMANDS[args.command](_resolve(cfg, args.command))
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         error = {"error": str(exc), "command": args.command}
         print(json.dumps(error), file=sys.stderr)
         return 2

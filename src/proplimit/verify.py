@@ -9,7 +9,10 @@ worst normalized deviation and the threshold is k.
 Checks are keyed by stable names; ``ACCEPTANCE`` holds the desk-scale
 criteria, ``PROPERTIES`` the per-module distributional invariants.  Sample
 counts live in :class:`VerifyConfig` so quick runs can shrink them without
-touching the checks.
+touching the checks; a count too small to measure anything is rejected
+there, before any draw.  Each reduction has one helper (``_sigma_ratio``,
+``_ks_row``, ``_mgf_rel_err``, ``_bridge_rows``), and a standard error
+from fewer than two draws fails its row.
 
 Every check draws through the production block samplers
 (``prior.bartlett_chain_draws``, ``prior.vbar_finite_samples``,
@@ -22,12 +25,13 @@ that needs one generator for several families passes it twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammainc, ndtr
 
-from . import analysis, limit, linalg, montecarlo, posterior, prior
+from . import analysis, backend, limit, linalg, montecarlo, posterior, prior
+from .errors import InvalidParameter
 
 # Stream phase ids: one per independent sampling stage.
 PH_C1_DIRECT, PH_C1_MIX = 10, 11
@@ -91,7 +95,9 @@ class VerifyConfig:
 
     Defaults are the desk-scale acceptance settings; shrink them for smoke
     runs.  ``workers`` of None defers to the PROPLIMIT_WORKERS environment
-    variable.
+    variable.  Every ``*_samples``, ``*_mixing`` and ``*_instances`` count must
+    be at least 2, since a standard error needs two draws, and ``c8_mixing``
+    at least 2 per batch: one component has a label-free predictive variance.
     """
 
     seed: int
@@ -111,6 +117,13 @@ class VerifyConfig:
     prop_instances: int = 1_000
     appendix_samples: int = 2_000_000
 
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name.endswith(("_samples", "_mixing", "_instances")) and getattr(self, f.name) < 2:
+                raise InvalidParameter(f"'{f.name}' must be >= 2, got {getattr(self, f.name)}")
+        if self.c8_mixing < 2 * C8_BATCHES:
+            raise InvalidParameter(f"'c8_mixing' must be >= {2 * C8_BATCHES}, got {self.c8_mixing}")
+
 
 def _vecs(draws: np.ndarray) -> np.ndarray:
     # (n, d, p) -> (n, d*p) with output index fastest (column-major vec)
@@ -118,9 +131,78 @@ def _vecs(draws: np.ndarray) -> np.ndarray:
     return draws.transpose(0, 2, 1).reshape(n, d * p)
 
 
-def _max_sigma_ratio(est, target, se):
-    se = np.where(se > 0, se, np.inf)
-    return float(np.max(np.abs(est - target) / se))
+def _sigma_ratio(est, target, se) -> float:
+    """Largest ``|est - target| / se`` over the entries; ``se == 0`` counts 0.
+    A non-finite ``se`` (``montecarlo.mean_and_se`` gives one for fewer than
+    two draws) makes it inf: too few draws measure nothing, so the row fails.
+    """
+    se = np.asarray(se, dtype=np.float64)
+    if not np.all(np.isfinite(se)):
+        return math.inf
+    return float(np.max(np.abs(est - target) / np.where(se > 0, se, np.inf)))
+
+
+def _second_moment_ratio(vecs: np.ndarray, target: np.ndarray) -> float:
+    """``_sigma_ratio`` of the empirical E[v_i v_j], i <= j, against ``target``."""
+    iu = np.triu_indices(vecs.shape[1])
+    est, se = montecarlo.mean_and_se(vecs[:, iu[0]] * vecs[:, iu[1]])
+    return _sigma_ratio(est, target[iu], se)
+
+
+def _ks_row(name, samples, cdf, reference, alpha=analysis.DEFAULT_KS_ALPHA, **meta):
+    report = analysis.ks_statistic(samples, cdf, alpha=alpha)
+    return CheckRow(name, report.statistic, report.threshold, reference=reference, **meta)
+
+
+def _log_diag_ks_rows(draws, a, name, **meta) -> list[CheckRow]:
+    """One KS row per diagonal entry: log Vbar_kk against N(-ak/2, a/2).
+
+    ``name`` may hold ``{k}``, the 1-based diagonal position.
+    """
+    sd = math.sqrt(a / 2.0)
+    rows = []
+    for k in range(1, draws.shape[1] + 1):
+        mean = -a * k / 2.0
+        rows.append(_ks_row(
+            name.format(k=k), np.log(draws[:, k - 1, k - 1]),
+            lambda x, m=mean: ndtr((x - m) / sd),
+            f"N({mean:.3g},{a / 2:.3g}) n={draws.shape[0]}", a=a, **meta,
+        ))
+    return rows
+
+
+def _mgf_rel_err(width: int, depth: int, r: int, s: float):
+    """(relative gap, exact, limit) of the finite MGF of log Vbar_rr to its
+    limit at a = depth / width."""
+    exact = analysis.exact_log_mgf_finite(width, r, depth, s)
+    lim = analysis.limit_log_mgf(depth / width, r, s)
+    return abs(exact - lim) / lim, exact, lim
+
+
+def _bridge_rows(name, reference, first, second, steps, coupled, coarse, fine, **meta):
+    """Mean and variance rows comparing the lower triangles of two draw sets.
+
+    The tolerance per entry is 4 combined standard errors plus a
+    discretization allowance C * steps^(-1/2), with C fitted per entry from
+    the ``coupled`` (coarse, fine) pair riding identical Brownian paths at
+    ``coarse`` and ``fine`` grid steps.
+    """
+    tables = []  # per lower-triangular entry: (mean, se_mean, var, se_var)
+    for draws in (first, second, *coupled):
+        lower = np.tril_indices(draws.shape[1])
+        flat = draws[:, lower[0], lower[1]]
+        tables.append((*montecarlo.mean_and_se(flat), *montecarlo.var_and_se(flat)))
+    one, two, c_coarse, c_fine = tables
+    denom = coarse ** -0.5 - fine ** -0.5
+    rows = []
+    for label, j in (("mean", 0), ("variance", 2)):
+        fitted_c = np.abs(c_coarse[j] - c_fine[j]) / denom
+        tol = 4.0 * np.hypot(one[j + 1], two[j + 1]) + fitted_c * steps ** -0.5
+        rows.append(CheckRow(
+            f"{name}-{label}", float(np.max(np.abs(one[j] - two[j]) / tol)), 1.0,
+            reference=f"{reference}={float(np.max(fitted_c)):.4f}", **meta,
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +223,10 @@ def check_prop1_equivalence(cfg: VerifyConfig) -> list[CheckRow]:
     )
 
     rows = []
-    k = target.shape[0]
-    iu = np.triu_indices(k)
     for name, draws in (("direct", direct), ("mixture", mixture)):
-        products = draws[:, iu[0]] * draws[:, iu[1]]
-        est, se = montecarlo.mean_and_se(products)
-        stat = _max_sigma_ratio(est, target[iu], se)
         rows.append(
             CheckRow(
-                f"prop1-covariance-{name}", stat, 3.0,
+                f"prop1-covariance-{name}", _second_moment_ratio(draws, target), 3.0,
                 reference="X.T@X/3 kron I, per-entry / SE",
                 width=8, depth=3,
             )
@@ -159,11 +236,10 @@ def check_prop1_equivalence(cfg: VerifyConfig) -> list[CheckRow]:
     for draws in (direct, mixture):
         vals = draws[:, 0] ** 2 * draws[:, 1] ** 2
         m4.append(montecarlo.mean_and_se(vals))
-    diff = abs(m4[0][0] - m4[1][0])
     se = math.hypot(float(m4[0][1]), float(m4[1][1]))
     rows.append(
         CheckRow(
-            "prop1-fourth-moment", diff / se, 4.0,
+            "prop1-fourth-moment", _sigma_ratio(m4[0][0], m4[1][0], se), 4.0,
             reference=f"direct={m4[0][0]:.5f} mixture={m4[1][0]:.5f}",
             width=8, depth=3,
         )
@@ -179,25 +255,15 @@ def check_diag_lognormal_ks(cfg: VerifyConfig) -> list[CheckRow]:
         depth, width, dim, cfg.c2_samples, cfg.seed, PH_C2, cfg.workers
     )
     rows = []
-    for r in (1, 2):
-        logs = np.log(draws[:, r - 1, r - 1])
-        mean, sd = -a * r / 2.0, math.sqrt(a / 2.0)
-        report = analysis.ks_statistic(logs, lambda x, m=mean, s=sd: ndtr((x - m) / s))
-        rows.append(
-            CheckRow(
-                f"diag-ks-r{r}", report.statistic, report.threshold,
-                reference=f"N({mean:.3g},{a / 2:.3g}) n={report.n}",
-                width=width, depth=depth, a=a,
-            )
-        )
+    ks_rows = _log_diag_ks_rows(draws, a, "diag-ks-r{k}", width=width, depth=depth)
+    for r, ks_row in enumerate(ks_rows, start=1):
+        rows.append(ks_row)
         # Finite-size bias allowance: exact MGF within 1% of the limit MGF.
         for s in (-1.0, 1.0):
-            exact = analysis.exact_log_mgf_finite(width, r, depth, s)
-            lim = analysis.limit_log_mgf(a, r, s)
+            err, exact, lim = _mgf_rel_err(width, depth, r, s)
             rows.append(
                 CheckRow(
-                    f"diag-mgf-bias-r{r}-s{s:+.0f}",
-                    abs(exact - lim) / lim, 0.01,
+                    f"diag-mgf-bias-r{r}-s{s:+.0f}", err, 0.01,
                     reference=f"exact={exact:.6f} limit={lim:.6f}",
                     width=width, depth=depth, a=a,
                 )
@@ -207,11 +273,10 @@ def check_diag_lognormal_ks(cfg: VerifyConfig) -> list[CheckRow]:
 
 def check_mgf_bridge(cfg: VerifyConfig) -> list[CheckRow]:
     """Exact MGF at N=1000, L=500 sits within 0.5% of exp(-0.125)."""
-    exact = analysis.exact_log_mgf_finite(1000, 1, 500, 1.0)
-    ref = math.exp(-0.125)
+    err, exact, ref = _mgf_rel_err(1000, 500, 1, 1.0)
     return [
         CheckRow(
-            "mgf-bridge-n1000", abs(exact - ref) / ref, 0.005,
+            "mgf-bridge-n1000", err, 0.005,
             reference=f"exact={exact:.8f} limit=exp(-1/8)={ref:.8f}",
             width=1000, depth=500, a=0.5,
         )
@@ -243,23 +308,8 @@ def check_offdiag_variance_bound(cfg: VerifyConfig) -> list[CheckRow]:
     return rows
 
 
-def _moment_table(draws: np.ndarray):
-    """Per lower-triangular entry: (mean, se_mean, var, se_var)."""
-    n, dim, _ = draws.shape
-    rows, cols = np.tril_indices(dim)
-    flat = draws[:, rows, cols]
-    mean, mean_se = montecarlo.mean_and_se(flat)
-    var, var_se = montecarlo.var_and_se(flat)
-    return mean, mean_se, var, var_se
-
-
 def check_limit_vs_finite_bridge(cfg: VerifyConfig) -> list[CheckRow]:
-    """Limit sampler matches the deep finite chain, entrywise moments.
-
-    The tolerance per entry is 4 combined standard errors plus a
-    discretization allowance C * steps^(-1/2), with C fitted from a coupled
-    coarse/fine refinement pair riding identical Brownian paths.
-    """
+    """Limit sampler matches the deep finite chain, entrywise moments."""
     dim, a = 3, 0.5
     # Reject the grids before 20k draws are spent, not after.
     limit.check_grid(a, dim, cfg.c5_steps)
@@ -270,32 +320,14 @@ def check_limit_vs_finite_bridge(cfg: VerifyConfig) -> list[CheckRow]:
     limit_draws = limit.vbar_limit_samples(
         a, dim, cfg.c5_steps, cfg.c5_samples, cfg.seed, PH_C5_LIMIT, cfg.workers
     )
-    coarse, fine = limit.vbar_limit_refinement_pair(
+    coupled = limit.vbar_limit_refinement_pair(
         a, dim, cfg.c5_refine_coarse, cfg.c5_refine_fine,
         cfg.c5_refine_samples, cfg.seed, PH_C5_REFINE, cfg.workers,
     )
-
-    fin = _moment_table(finite)
-    lim = _moment_table(limit_draws)
-    coarse_m = _moment_table(coarse)
-    fine_m = _moment_table(fine)
-    denom = cfg.c5_refine_coarse ** -0.5 - cfg.c5_refine_fine ** -0.5
-    step_factor = cfg.c5_steps ** -0.5
-
-    rows = []
-    for label, j in (("mean", 0), ("variance", 2)):
-        fitted_c = np.abs(coarse_m[j] - fine_m[j]) / denom
-        allowance = fitted_c * step_factor
-        tol = 4.0 * np.hypot(fin[j + 1], lim[j + 1]) + allowance
-        ratio = np.abs(fin[j] - lim[j]) / tol
-        rows.append(
-            CheckRow(
-                f"bridge-{label}", float(np.max(ratio)), 1.0,
-                reference=f"max fitted C={float(np.max(fitted_c)):.4f}",
-                width=1000, depth=500, a=a,
-            )
-        )
-    return rows
+    return _bridge_rows(
+        "bridge", "max fitted C", finite, limit_draws, cfg.c5_steps,
+        coupled, cfg.c5_refine_coarse, cfg.c5_refine_fine, width=1000, depth=500, a=a,
+    )
 
 
 def _gp_closed_form(data: posterior.Dataset, q: np.ndarray):
@@ -537,13 +569,11 @@ def prop_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
         rng = montecarlo.stream_for(cfg.seed, PH_GAMMA_KS, idx)
         # The primitive the Bartlett diagonals draw, scaled to rate ``rate_p``.
         draws = rng.standard_gamma(shape_p, cfg.prop_samples) * (1.0 / rate_p)
-        report = analysis.ks_statistic(draws, lambda x, s=shape_p, r=rate_p: gammainc(s, r * x))
-        rows.append(
-            CheckRow(
-                f"gamma-ks-{shape_p}-{rate_p}", report.statistic, report.threshold,
-                reference=f"n={report.n} alpha={analysis.DEFAULT_KS_ALPHA}",
-            )
-        )
+        rows.append(_ks_row(
+            f"gamma-ks-{shape_p}-{rate_p}", draws,
+            lambda x, s=shape_p, r=rate_p: gammainc(s, r * x),
+            f"n={cfg.prop_samples} alpha={analysis.DEFAULT_KS_ALPHA}",
+        ))
     return rows
 
 
@@ -565,10 +595,8 @@ def prop_bartlett_independence(cfg: VerifyConfig) -> list[CheckRow]:
 def prop_bartlett_wishart_moments(cfg: VerifyConfig) -> list[CheckRow]:
     n, dof, dim = cfg.prop_samples, 10, 2
     rng_b = montecarlo.stream_for(cfg.seed, PH_WISHART_BART, 0)
-    diag, low = prior.bartlett_chain_draws(dof, dim, n, rng_b, rng_b)
-    factors = np.zeros((n, dim, dim))
-    factors[:, np.arange(dim), np.arange(dim)] = diag
-    factors[:, 1, 0] = low[:, 0]
+    # Chains of one factor: the product is the Bartlett factor itself.
+    factors = backend.lt_chain_multiply(*prior.bartlett_chain_draws(dof, dim, (n, 1), rng_b, rng_b))
     bart = np.einsum("nij,nkj->nik", factors, factors)
 
     rng_o = montecarlo.stream_for(cfg.seed, PH_WISHART_OUTER, 0)
@@ -582,37 +610,28 @@ def prop_bartlett_wishart_moments(cfg: VerifyConfig) -> list[CheckRow]:
     var_b, vse_b = montecarlo.var_and_se(flat_b)
     var_o, vse_o = montecarlo.var_and_se(flat_o)
     stat = max(
-        float(np.max(np.abs(mean_b - mean_o) / np.hypot(se_b, se_o))),
-        float(np.max(np.abs(var_b - var_o) / np.hypot(vse_b, vse_o))),
+        _sigma_ratio(mean_b, mean_o, np.hypot(se_b, se_o)),
+        _sigma_ratio(var_b, var_o, np.hypot(vse_b, vse_o)),
     )
-    rows = [
+    return [
         CheckRow(
             "bartlett-vs-outer-wishart", stat, 4.0,
             reference="entrywise mean and variance, combined SE", width=dof,
-        )
-    ]
-    mean_stat = float(np.max(np.abs(mean_b - np.eye(dim).ravel()) / se_b))
-    rows.append(
+        ),
         CheckRow(
-            "wishart-mean-identity", mean_stat, 4.0,
+            "wishart-mean-identity", _sigma_ratio(mean_b, np.eye(dim).ravel(), se_b), 4.0,
             reference="E[Q] = I entrywise", width=dof,
-        )
-    )
-    return rows
+        ),
+    ]
 
 
 def prop_wishart_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
     rng = montecarlo.stream_for(cfg.seed, PH_WISHART_KS, 0)
     # At dim 1 the Wishart draw V @ V.T is the squared Bartlett diagonal.
     draws = prior.bartlett_chain_draws(8, 1, cfg.prop_samples // 2, rng, rng)[0][:, 0] ** 2
-    report = analysis.ks_statistic(
-        draws, lambda x: gammainc(4.0, 4.0 * x), alpha=0.01
-    )
     return [
-        CheckRow(
-            "wishart-d1-gamma-ks", report.statistic, report.threshold,
-            reference="Gamma(4, rate 4) at alpha=0.01", width=8,
-        )
+        _ks_row("wishart-d1-gamma-ks", draws, lambda x: gammainc(4.0, 4.0 * x),
+                "Gamma(4, rate 4) at alpha=0.01", alpha=0.01, width=8)
     ]
 
 
@@ -621,15 +640,14 @@ def prop_diag_product_identity(cfg: VerifyConfig) -> list[CheckRow]:
     draws = prior.vbar_finite_samples(
         depth, width, dim, cfg.prop_samples, cfg.seed, PH_DIAG_PROD, cfg.workers
     )
-    stat = -math.inf
-    for k in range(1, dim + 1):
-        sq = draws[:, k - 1, k - 1] ** 2
-        est, se = montecarlo.mean_and_se(sq[:, None])
-        target = ((width - k + 1) / width) ** depth
-        stat = max(stat, abs(float(est[0]) - target) / float(se[0]))
+    # One (n, 1) reduction per entry: a column of a wider reduction sums in
+    # another order and differs in the last bits.
+    moments = [montecarlo.mean_and_se(draws[:, k, k, None] ** 2) for k in range(dim)]
+    est, se = (np.concatenate(m) for m in zip(*moments))
+    target = np.array([((width - k + 1) / width) ** depth for k in range(1, dim + 1)])
     return [
         CheckRow(
-            "diag-product-identity", stat, 4.0,
+            "diag-product-identity", _sigma_ratio(est, target, se), 4.0,
             reference="E[(Vbar_kk)^2] = ((N-k+1)/N)^L", width=width, depth=depth,
         )
     ]
@@ -647,8 +665,7 @@ def prop_zero_mean(cfg: VerifyConfig) -> list[CheckRow]:
         mean, se = montecarlo.mean_and_se(draws)
         rows.append(
             CheckRow(
-                f"prior-zero-mean-{name}",
-                float(np.max(np.abs(mean) / se)), 4.0,
+                f"prior-zero-mean-{name}", _sigma_ratio(mean, 0.0, se), 4.0,
                 reference="every output entry", width=8, depth=3,
             )
         )
@@ -661,16 +678,7 @@ def prop_vbar_d1_ks(cfg: VerifyConfig) -> list[CheckRow]:
     draws = prior.vbar_finite_samples(
         depth, width, 1, cfg.prop_samples, cfg.seed, PH_D1_KS, cfg.workers
     )
-    logs = np.log(draws[:, 0, 0])
-    sd = math.sqrt(a / 2.0)
-    report = analysis.ks_statistic(logs, lambda x: ndtr((x + a / 2.0) / sd))
-    return [
-        CheckRow(
-            "vbar-d1-lognormal-ks", report.statistic, report.threshold,
-            reference=f"N({-a / 2},{a / 2}) n={report.n}",
-            width=width, depth=depth, a=a,
-        )
-    ]
+    return _log_diag_ks_rows(draws, a, "vbar-d1-lognormal-ks", width=width, depth=depth)
 
 
 def prop_matnormal_mc(cfg: VerifyConfig) -> list[CheckRow]:
@@ -687,14 +695,9 @@ def prop_matnormal_mc(cfg: VerifyConfig) -> list[CheckRow]:
     g = rng.standard_normal((n, 3, 3))
     z = np.einsum("ij,njk,lk->nil", low1, g, low2)
     hzk = np.einsum("ij,njk,kl->nil", h, z, k)
-    vecs = hzk.transpose(0, 2, 1).reshape(n, -1)
-    iu = np.triu_indices(vecs.shape[1])
-    products = vecs[:, iu[0]] * vecs[:, iu[1]]
-    est, se = montecarlo.mean_and_se(products)
-    stat = _max_sigma_ratio(est, target[iu], se)
     return [
         CheckRow(
-            "matnormal-vec-cov-mc", stat, 4.0,
+            "matnormal-vec-cov-mc", _second_moment_ratio(_vecs(hzk), target), 4.0,
             reference="empirical covariance of vec(HZK)",
         )
     ]
@@ -705,18 +708,7 @@ def prop_limit_diag_ks(cfg: VerifyConfig) -> list[CheckRow]:
     draws = limit.vbar_limit_samples(
         a, dim, steps, cfg.prop_grid_samples, cfg.seed, PH_LIMIT_DIAG, cfg.workers
     )
-    rows = []
-    for k in range(1, dim + 1):
-        logs = np.log(draws[:, k - 1, k - 1])
-        mean, sd = -a * k / 2.0, math.sqrt(a / 2.0)
-        report = analysis.ks_statistic(logs, lambda x, m=mean, s=sd: ndtr((x - m) / s))
-        rows.append(
-            CheckRow(
-                f"limit-diag-ks-k{k}", report.statistic, report.threshold,
-                reference=f"N({mean},{a / 2}) n={report.n}", a=a,
-            )
-        )
-    return rows
+    return _log_diag_ks_rows(draws, a, "limit-diag-ks-k{k}")
 
 
 def prop_limit_refinement(cfg: VerifyConfig) -> list[CheckRow]:
@@ -724,25 +716,14 @@ def prop_limit_refinement(cfg: VerifyConfig) -> list[CheckRow]:
     n = cfg.prop_grid_samples
     run_coarse = limit.vbar_limit_samples(a, dim, 1024, n, cfg.seed, PH_REFINE_A, cfg.workers)
     run_fine = limit.vbar_limit_samples(a, dim, 8192, n, cfg.seed, PH_REFINE_B, cfg.workers)
-    coupled_c, coupled_f = limit.vbar_limit_refinement_pair(
+    coupled = limit.vbar_limit_refinement_pair(
         a, dim, 1024, 8192, n, cfg.seed, PH_REFINE_C, cfg.workers
     )
-    denom = 1024 ** -0.5 - 8192 ** -0.5
-    rows = []
-    for label, reduce in (("mean", montecarlo.mean_and_se), ("variance", montecarlo.var_and_se)):
-        entry = lambda d: d[:, 1, 0][:, None]
-        est_c, se_c = reduce(entry(run_coarse))
-        est_f, se_f = reduce(entry(run_fine))
-        fitted_c = abs(float(reduce(entry(coupled_c))[0][0] - reduce(entry(coupled_f))[0][0])) / denom
-        tol = 4.0 * math.hypot(float(se_c[0]), float(se_f[0])) + fitted_c * 1024 ** -0.5
-        gap = abs(float(est_c[0]) - float(est_f[0]))
-        rows.append(
-            CheckRow(
-                f"grid-refinement-{label}", gap / tol, 1.0,
-                reference=f"fitted C={fitted_c:.4f}", a=a,
-            )
-        )
-    return rows
+    # The below-diagonal entry alone, as a 1 x 1 lower triangle.
+    entry = [d[:, 1:, :1] for d in (run_coarse, run_fine, *coupled)]
+    return _bridge_rows(
+        "grid-refinement", "fitted C", entry[0], entry[1], 1024, entry[2:], 1024, 8192, a=a
+    )
 
 
 def prop_limit_positivity(cfg: VerifyConfig) -> list[CheckRow]:
@@ -775,31 +756,31 @@ def prop_iterated_integral_mean(cfg: VerifyConfig) -> list[CheckRow]:
     mean, se = montecarlo.mean_and_se(vals)
     return [
         CheckRow(
-            "iterated-integral-zero-mean",
-            float(np.max(np.abs(mean) / se)), 4.0,
+            "iterated-integral-zero-mean", _sigma_ratio(mean, 0.0, se), 4.0,
             reference="paths (0,2) and (0,1,2)", a=a,
         )
     ]
 
 
-def _random_dataset(rng, n_in, p, d):
+def _random_instance(rng, full_rank: bool):
+    """A random (data, Q) pair; with ``full_rank`` the inputs have at least as
+    many rows as there are training points, so the Gram block is invertible."""
+    d = int(rng.integers(1, 4))
+    p = int(rng.integers(1, 4))
+    n_in = p + int(rng.integers(0, 3)) if full_rank else int(rng.integers(1, 5))
     x = rng.standard_normal((n_in, p))
     y = rng.standard_normal((d, p))
     x0 = rng.standard_normal(n_in)
     beta = float(rng.uniform(0.1, 3.0))
-    return posterior.Dataset(x=x, y=y, x0=x0, beta=beta)
+    m = rng.standard_normal((d, d))
+    return posterior.Dataset(x=x, y=y, x0=x0, beta=beta), m @ m.T + 0.3 * np.eye(d)
 
 
 def prop_posterior_psd(cfg: VerifyConfig) -> list[CheckRow]:
     rng = montecarlo.stream_for(cfg.seed, PH_POSTERIOR_PSD, 0)
     failures = 0
     for _ in range(cfg.prop_instances):
-        d = int(rng.integers(1, 4))
-        p = int(rng.integers(1, 4))
-        n_in = int(rng.integers(1, 5))
-        data = _random_dataset(rng, n_in, p, d)
-        m = rng.standard_normal((d, d))
-        q = m @ m.T + 0.3 * np.eye(d)
+        data, q = _random_instance(rng, full_rank=False)
         full = posterior.starred(q, data)[0].full()
         try:
             linalg.cholesky(full + 1e-10 * np.eye(full.shape[0]))
@@ -817,12 +798,7 @@ def prop_posterior_remark(cfg: VerifyConfig) -> list[CheckRow]:
     rng = montecarlo.stream_for(cfg.seed, PH_POSTERIOR_REMARK, 0)
     worst = 0.0
     for _ in range(cfg.prop_instances):
-        d = int(rng.integers(1, 4))
-        p = int(rng.integers(1, 4))
-        n_in = p + int(rng.integers(0, 3))  # full column rank => invertible block
-        data = _random_dataset(rng, n_in, p, d)
-        m = rng.standard_normal((d, d))
-        q = m @ m.T + 0.3 * np.eye(d)
+        data, q = _random_instance(rng, full_rank=True)
         general, mean_general, _ = posterior.starred(q, data)
         simple, mean_simple = posterior.starred_invertible(q, data)
         scale = max(1.0, float(np.max(np.abs(general.full()))))
@@ -865,9 +841,6 @@ def prop_appendix_round_trip(cfg: VerifyConfig) -> list[CheckRow]:
     emp = np.column_stack([s0[keep], s1[keep]])
     n_bin = emp.shape[0]
     emp_mean, emp_mean_se = montecarlo.mean_and_se(emp)
-    iu = np.triu_indices(2)
-    emp_prod = emp[:, iu[0]] * emp[:, iu[1]]
-    emp_second, emp_second_se = montecarlo.mean_and_se(emp_prod)
 
     qs = _scalar_limit_mixing(cfg, max(cfg.prop_samples, 50_000), PH_APPENDIX_MIX)
     data = posterior.Dataset(x=[[x1v]], y=[[y_star]], x0=[x0v], beta=beta)
@@ -879,8 +852,8 @@ def prop_appendix_round_trip(cfg: VerifyConfig) -> list[CheckRow]:
     )
 
     stat = max(
-        float(np.max(np.abs(emp_mean - mix_mean) / emp_mean_se)),
-        float(np.max(np.abs(emp_second - mix_second[iu]) / emp_second_se)),
+        _sigma_ratio(emp_mean, mix_mean, emp_mean_se),
+        _second_moment_ratio(emp, mix_second),
     )
     return [
         CheckRow(
@@ -896,12 +869,10 @@ def prop_mgf_bridge_grid(cfg: VerifyConfig) -> list[CheckRow]:
     for a in (0.5, 1.0):
         for r in (1, 2):
             for s in (-1.0, 1.0, 2.0):
-                lim = analysis.limit_log_mgf(a, r, s)
-                errs = []
-                for width in (100, 1000, 10000):
-                    depth = int(a * width)
-                    exact = analysis.exact_log_mgf_finite(width, r, depth, s)
-                    errs.append(abs(exact - lim) / lim)
+                errs = [
+                    _mgf_rel_err(width, int(a * width), r, s)[0]
+                    for width in (100, 1000, 10000)
+                ]
                 worst_at_1000 = max(worst_at_1000, errs[1])
                 worst_violation = max(
                     worst_violation, errs[1] - errs[0], errs[2] - errs[1]
@@ -926,17 +897,16 @@ def prop_empirical_mgf(cfg: VerifyConfig) -> list[CheckRow]:
     draws = prior.vbar_finite_samples(
         depth, width, dim, cfg.prop_samples, cfg.seed, PH_EMPIRICAL_MGF, cfg.workers
     )
-    stat = -math.inf
+    moments, target = [], []
     for r in (1, 2):
         logs = np.log(draws[:, r - 1, r - 1])
         for s in (-1.0, 1.0):
-            vals = np.exp(s * logs)
-            est, se = montecarlo.mean_and_se(vals[:, None])
-            target = analysis.exact_log_mgf_finite(width, r, depth, s)
-            stat = max(stat, abs(float(est[0]) - target) / float(se[0]))
+            moments.append(montecarlo.mean_and_se(np.exp(s * logs)[:, None]))
+            target.append(analysis.exact_log_mgf_finite(width, r, depth, s))
+    est, se = (np.concatenate(m) for m in zip(*moments))
     return [
         CheckRow(
-            "empirical-mgf", stat, 4.0,
+            "empirical-mgf", _sigma_ratio(est, np.array(target), se), 4.0,
             reference="s in {-1, 1}, r in {1, 2}", width=width, depth=depth,
         )
     ]
@@ -968,23 +938,6 @@ def prop_quadrature_doubling(cfg: VerifyConfig) -> list[CheckRow]:
             "quadrature-grid-doubling", stat, 1e-8,
             reference=f"{points} vs {2 * points + 1} points",
         )
-    ]
-
-
-def prop_digamma_identities(cfg: VerifyConfig) -> list[CheckRow]:
-    worst_rec = max(
-        abs(analysis.digamma(x + 1.0) - analysis.digamma(x) - 1.0 / x)
-        for x in (0.3, 1.0, 7.0)
-    )
-    euler = 0.5772156649015328606
-    worst_ref = max(
-        abs(analysis.digamma(1.0) + euler),
-        abs(analysis.digamma(0.5) + euler + 2.0 * math.log(2.0)),
-    )
-    return [
-        CheckRow("digamma-recurrence", worst_rec, 1e-12, reference="x in {0.3, 1, 7}"),
-        CheckRow("digamma-reference-values", worst_ref, 1e-10,
-                 reference="psi(1), psi(1/2)"),
     ]
 
 
@@ -1037,21 +990,24 @@ PROPERTIES = {
     "prop-empirical-mgf": prop_empirical_mgf,
     "prop-gamma-ratio": prop_gamma_ratio_expansion,
     "prop-quadrature-doubling": prop_quadrature_doubling,
-    "prop-digamma": prop_digamma_identities,
     "prop-ks-calibration": prop_ks_calibration,
 }
 
 
 def run_checks(cfg: VerifyConfig, names=None, include_properties=False):
-    """Run the requested checks; returns (ordered names, rows)."""
+    """Run the requested checks; returns (ordered names, rows).
+
+    ``names`` of None runs every registered check; otherwise it must name
+    at least one check, each registered and none twice.
+    """
     registry = dict(ACCEPTANCE)
     if include_properties:
         registry.update(PROPERTIES)
     if names is None:
         names = list(registry)
-    rows = []
-    for name in names:
-        if name not in registry:
-            raise KeyError(f"unknown check {name!r}")
-        rows.extend(registry[name](cfg))
-    return names, rows
+    unknown = [name for name in names if name not in registry]
+    if unknown:
+        raise InvalidParameter(f"unknown check {unknown[0]!r}")
+    if not names or len(set(names)) < len(names):
+        raise InvalidParameter(f"need at least one check and no check twice, got {names}")
+    return names, [row for name in names for row in registry[name](cfg)]

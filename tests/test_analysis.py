@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -66,28 +65,6 @@ class TestVarianceBound:
     def test_index_order_enforced(self):
         with pytest.raises(InvalidParameter):
             analysis.offdiag_variance_bound(1, 2, 3, 10)
-
-
-class TestDigamma:
-    def test_euler_mascheroni(self):
-        assert analysis.digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-12)
-
-    def test_half(self):
-        assert analysis.digamma(0.5) == pytest.approx(-1.9635100260214235, abs=1e-12)
-
-    @pytest.mark.parametrize("x", [0.3, 1.0, 7.0])
-    def test_recurrence(self, x):
-        gap = analysis.digamma(x + 1.0) - analysis.digamma(x) - 1.0 / x
-        assert abs(gap) < 1e-12
-
-    def test_against_mpmath(self, np_rng):
-        for x in 10 ** np_rng.uniform(-2, 5, size=40):
-            ref = float(mpmath.digamma(x))
-            assert analysis.digamma(float(x)) == pytest.approx(ref, abs=1e-10, rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(InvalidParameter):
-            analysis.digamma(0.0)
 
 
 class TestKsStatistic:
@@ -160,11 +137,3 @@ def test_gamma_ratio_two_term_expansion():
             approx = x**alpha * (1.0 + alpha * (alpha - 1.0) / (2.0 * x))
             assert abs(exact - approx) / exact < 10.0 / (x * x)
 
-
-def test_log_gamma_digamma_finite_difference():
-    # The digamma evaluator is the derivative of log-gamma; check with a
-    # central difference at well-spaced points.
-    for x in (0.7, 3.0, 42.0, 1e4):
-        h = 1e-5 * max(1.0, x)
-        fd = (math.lgamma(x + h) - math.lgamma(x - h)) / (2 * h)
-        assert analysis.digamma(x) == pytest.approx(fd, rel=1e-7)

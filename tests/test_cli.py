@@ -26,7 +26,8 @@ LIMIT_ARGS = ["a=0.5", "dim=2", "steps=4"]
 POSTERIOR_ARGS = [f"{k}={json.dumps(v)}" for k, v in SCALAR_CFG.items() if k != "seed"]
 
 # (command, --set items, the key the error must name): keys no mode of the
-# command reads, and values that only a lax coercion would accept.
+# command reads, values that only a lax coercion would accept, and verify
+# counts too small to measure anything.
 BAD_CONFIGS = [
     ("sample-limit", LIMIT_ARGS + ["n_sampels=3"], "n_sampels"),
     ("posterior-predict", POSTERIOR_ARGS + ["stpes=16"], "stpes"),
@@ -45,6 +46,11 @@ BAD_CONFIGS = [
     ("sample-limit", LIMIT_ARGS + ["emit=vbar", 'lambda_star="abc"'], "lambda_star"),
     ("posterior-predict", POSTERIOR_ARGS + ["a=zzz"], "a"),
     ("converge-test", ["ks_alpha=0.01"], "ks_alpha"),
+    ("converge-test", ['criteria=["c9-linalg-substrate"]', "prop_instances=0"], "prop_instances"),
+    ("verify-all", ['checks=["prop-posterior-psd"]', "prop_instances=0"], "prop_instances"),
+    ("verify-all", ['checks=["prop-iterint-zero-mean"]', "prop_grid_samples=1"],
+     "prop_grid_samples"),
+    ("converge-test", ['criteria=["c8-label-dependence"]', "c8_mixing=50"], "c8_mixing"),
 ]
 
 
@@ -306,9 +312,20 @@ class TestConvergeTest:
         out = capsys.readouterr().out
         assert "PASS mgf-bridge-n1000" in out
 
-    def test_unknown_criterion_exits_2(self, tmp_path):
+    def test_unknown_criterion_exits_2(self, tmp_path, capsys):
         assert run(["converge-test", "--seed", 1, "--out-dir", tmp_path,
                     "--set", 'criteria=["no-such-check"]']) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "unknown check 'no-such-check'"
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [("verify-all", "checks=[]"), ("converge-test", 'criteria=["c3-mgf-bridge", "c3-mgf-bridge"]')],
+    )
+    def test_empty_or_repeated_selection_exits_2(self, tmp_path, capsys, command, setting):
+        # An empty selection measures nothing; a repeated one writes its rows twice.
+        assert run([command, "--seed", 1, "--out-dir", tmp_path, "--set", setting]) == 2
+        assert "no check twice" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "report.json").exists()
 
     def test_zero_step_refinement_grid_exits_2(self, tmp_path, capsys):
         # A bad grid is a config error (exit 2), not a crash or a failed check.
