@@ -31,16 +31,16 @@ generators never cross threads.
 :func:`sample_map` is the only sampler driver and the only partitioner:
 it cuts ``range(n)`` into blocks of ``BLOCK`` and stacks the rows each
 block returns, in block order, whether the blocks run in the caller's
-thread (one worker) or on a thread pool.  Moment reductions collect
-per-sample values into index-ordered arrays and reduce with numpy, which
-is deterministic for a fixed array; worker count therefore changes wall
-time only.
+thread (one worker) or on a thread pool.  The pool is imported on the
+first map with more than one worker, so a single-worker run never loads
+``concurrent.futures``.  Moment reductions collect per-sample values into
+index-ordered arrays and reduce with numpy, which is deterministic for a
+fixed array; worker count therefore changes wall time only.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -123,15 +123,20 @@ def sample_map(
     blocks = range(-(-n_samples // BLOCK))
     if workers == 1:
         return np.concatenate([block(b) for b in blocks])
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(block, blocks)))
 
 
 def mean_and_se(values: np.ndarray):
-    """Entrywise sample mean and its standard error over axis 0."""
+    """Entrywise sample mean and its standard error over axis 0.
+
+    Fewer than two values give an inf SE; no values also give a NaN mean.
+    """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    mean = values.mean(axis=0)
+    mean = values.mean(axis=0) if n else np.full(values.shape[1:], np.nan)
     if n < 2:
         return mean, np.full_like(mean, np.inf)
     se = values.std(axis=0, ddof=1) / np.sqrt(n)

@@ -22,7 +22,8 @@ inputs) need no separate code path.
 The dense per-Q oracles (:func:`starred` and its simplification
 :func:`starred_invertible`) form the Kronecker blocks and invert them
 directly.  They are references for the tests and the property suites,
-not a production path.
+not a production path, and the only code here that needs scipy: they
+import it when called, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import EmptyMixing, InvalidParameter, ShapeMismatch
 from .linalg import as_matrix, cholesky, kron, pinv, symmetrize
@@ -186,6 +186,17 @@ def _resolvent(s11: np.ndarray, beta: float):
     return cholesky(a)
 
 
+def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(chol chol.T)^-1 b`` for a lower Cholesky factor ``chol``.
+
+    Only the dense oracles solve this way, so scipy is imported here, on
+    the first call, and stays off the sampling commands' import path.
+    """
+    from scipy.linalg import cho_solve
+
+    return cho_solve((chol, True), b, check_finite=False)
+
+
 def starred(q, data: Dataset):
     """Dense per-Q oracle: ``(SigmaBlocks, mean, psi)`` of the posterior component.
 
@@ -204,7 +215,7 @@ def starred(q, data: Dataset):
     chol = _resolvent(s11, beta)
 
     # s11 (I + beta s11)^-1 is symmetric; solve from the left and transpose.
-    s11_star = cho_solve((chol, True), s11, check_finite=False).T
+    s11_star = _chol_solve(chol, s11).T
     s11_star = (s11_star + s11_star.T) / 2.0
 
     s11_pinv = pinv(s11)
@@ -218,7 +229,7 @@ def starred(q, data: Dataset):
     m_top = beta * (bridge @ (s11_star @ data.y_vec))
     mean = np.concatenate([m_top, m_bottom])
 
-    solve_y = cho_solve((chol, True), data.y_vec, check_finite=False)
+    solve_y = _chol_solve(chol, data.y_vec)
     psi_value = float(
         beta * (data.y_vec @ solve_y) + 2.0 * np.sum(np.log(np.diag(chol)))
     )
@@ -238,11 +249,11 @@ def starred_invertible(q, data: Dataset):
     blocks = sigma_of_q(q, data)
     beta = data.beta
     chol = _resolvent(blocks.s11, beta)
-    shrunk = cho_solve((chol, True), blocks.s11, check_finite=False).T
+    shrunk = _chol_solve(chol, blocks.s11).T
     s11_star = (shrunk + shrunk.T) / 2.0
-    s01_star = cho_solve((chol, True), blocks.s01.T, check_finite=False).T
+    s01_star = _chol_solve(chol, blocks.s01.T).T
     s00_star = blocks.s00 - beta * (s01_star @ blocks.s01.T)
-    solve_y = cho_solve((chol, True), data.y_vec, check_finite=False)
+    solve_y = _chol_solve(chol, data.y_vec)
     mean = np.concatenate([beta * (blocks.s01 @ solve_y), beta * (shrunk @ data.y_vec)])
     return SigmaBlocks((s00_star + s00_star.T) / 2.0, s01_star, s11_star), mean
 

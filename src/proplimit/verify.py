@@ -20,6 +20,10 @@ Every check draws through the production block samplers
 call (``standard_gamma``); independent routes such as the outer-product
 Wishart draw live inside the check that compares against them.  A check
 that needs one generator for several families passes it twice.
+
+The CLI imports this module for every command, so scipy (the normal and
+gamma CDFs of the KS references) is imported inside the four functions
+that use it, not here.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import gammainc, ndtr
 
 from . import analysis, backend, limit, linalg, montecarlo, posterior, prior
 from .errors import InvalidParameter
@@ -54,6 +57,17 @@ PH_EMPIRICAL_MGF, PH_KS_CALIBRATION = 70, 71
 # Grid steps of the scalar limit mixing draws of c7 and c8, and the number
 # of batches c8 splits its draws into for the variance standard error.
 MIXING_STEPS, C8_BATCHES = 16, 50
+
+# The KS rows whose sample size a count sets, as (share, alpha) pairs: the
+# row draws count // share at level alpha.  c2_samples sizes diag-ks-r*,
+# prop_grid_samples limit-diag-ks-k*, and prop_samples gamma-ks-*,
+# vbar-d1-lognormal-ks and (half of it, at 0.01) wishart-d1-gamma-ks.
+WISHART_KS_SHARE, WISHART_KS_ALPHA = 2, 0.01
+KS_COUNTS = {
+    "c2_samples": [(1, analysis.DEFAULT_KS_ALPHA)],
+    "prop_grid_samples": [(1, analysis.DEFAULT_KS_ALPHA)],
+    "prop_samples": [(1, analysis.DEFAULT_KS_ALPHA), (WISHART_KS_SHARE, WISHART_KS_ALPHA)],
+}
 
 # Fixed input matrix for the sampler-equivalence criterion (3 x 4, full rank).
 X_EQUIV = np.array(
@@ -98,6 +112,9 @@ class VerifyConfig:
     variable.  Every ``*_samples``, ``*_mixing`` and ``*_instances`` count must
     be at least 2, since a standard error needs two draws, and ``c8_mixing``
     at least 2 per batch: one component has a label-free predictive variance.
+    A count that sizes KS rows (``KS_COUNTS``) must also give each of them a
+    threshold below 1, the largest KS statistic; a row at a threshold of 1
+    or more passes whatever the draws.
     """
 
     seed: int
@@ -119,10 +136,20 @@ class VerifyConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name.endswith(("_samples", "_mixing", "_instances")) and getattr(self, f.name) < 2:
-                raise InvalidParameter(f"'{f.name}' must be >= 2, got {getattr(self, f.name)}")
+            if f.name.endswith(("_samples", "_mixing", "_instances")):
+                floor = _count_floor(KS_COUNTS.get(f.name, ()))
+                if getattr(self, f.name) < floor:
+                    raise InvalidParameter(f"'{f.name}' must be >= {floor}, got {getattr(self, f.name)}")
         if self.c8_mixing < 2 * C8_BATCHES:
             raise InvalidParameter(f"'c8_mixing' must be >= {2 * C8_BATCHES}, got {self.c8_mixing}")
+
+
+def _count_floor(rows) -> int:
+    """The least count, from 2, at which every KS row it sizes has a threshold below 1."""
+    count = 2
+    while any(analysis.ks_threshold(count // share, alpha) >= 1 for share, alpha in rows):
+        count += 1
+    return count
 
 
 def _vecs(draws: np.ndarray) -> np.ndarray:
@@ -159,6 +186,8 @@ def _log_diag_ks_rows(draws, a, name, **meta) -> list[CheckRow]:
 
     ``name`` may hold ``{k}``, the 1-based diagonal position.
     """
+    from scipy.special import ndtr
+
     sd = math.sqrt(a / 2.0)
     rows = []
     for k in range(1, draws.shape[1] + 1):
@@ -564,6 +593,8 @@ def check_worker_invariance(cfg: VerifyConfig) -> list[CheckRow]:
 
 
 def prop_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
+    from scipy.special import gammainc
+
     rows = []
     for idx, (shape_p, rate_p) in enumerate([(0.5, 1.0), (1.0, 1.0), (4.5, 5.0), (50.0, 50.0)]):
         rng = montecarlo.stream_for(cfg.seed, PH_GAMMA_KS, idx)
@@ -626,12 +657,15 @@ def prop_bartlett_wishart_moments(cfg: VerifyConfig) -> list[CheckRow]:
 
 
 def prop_wishart_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
+    from scipy.special import gammainc
+
     rng = montecarlo.stream_for(cfg.seed, PH_WISHART_KS, 0)
     # At dim 1 the Wishart draw V @ V.T is the squared Bartlett diagonal.
-    draws = prior.bartlett_chain_draws(8, 1, cfg.prop_samples // 2, rng, rng)[0][:, 0] ** 2
+    n = cfg.prop_samples // WISHART_KS_SHARE
+    draws = prior.bartlett_chain_draws(8, 1, n, rng, rng)[0][:, 0] ** 2
     return [
         _ks_row("wishart-d1-gamma-ks", draws, lambda x: gammainc(4.0, 4.0 * x),
-                "Gamma(4, rate 4) at alpha=0.01", alpha=0.01, width=8)
+                f"Gamma(4, rate 4) at alpha={WISHART_KS_ALPHA}", alpha=WISHART_KS_ALPHA, width=8)
     ]
 
 
@@ -942,6 +976,8 @@ def prop_quadrature_doubling(cfg: VerifyConfig) -> list[CheckRow]:
 
 
 def prop_ks_calibration(cfg: VerifyConfig) -> list[CheckRow]:
+    from scipy.special import ndtr
+
     n_rep, n_draw = 200, 10_000
     failures = 0
     for rep in range(n_rep):

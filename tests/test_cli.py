@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,11 @@ BAD_CONFIGS = [
     ("verify-all", ['checks=["prop-iterint-zero-mean"]', "prop_grid_samples=1"],
      "prop_grid_samples"),
     ("converge-test", ['criteria=["c8-label-dependence"]', "c8_mixing=50"], "c8_mixing"),
+    # KS rows whose threshold would be 1 or more, so no draw could fail them.
+    ("converge-test", ['criteria=["c2-diag-lognormal-ks"]', "c2_samples=3"], "c2_samples"),
+    ("verify-all", ['checks=["prop-limit-diag-ks"]', "prop_grid_samples=3"],
+     "prop_grid_samples"),
+    ("verify-all", ['checks=["prop-wishart-gamma-ks"]', "prop_samples=5"], "prop_samples"),
 ]
 
 
@@ -375,3 +383,54 @@ def test_write_csv_golden(tmp_path):
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest()[:12] == "3700d41c43e4"
     assert b"\n1,mixture,0,0,inf\n" in data and b"\n0,mixture,0,0,-0\n" in data
+
+
+# The sampling commands, tiny and single-worker, run in a fresh interpreter
+# that reports which of the modules they never use got imported.
+COLD_COMMANDS = [
+    ["sample-prior", *PRIOR_ARGS],
+    ["sample-limit", *LIMIT_ARGS, "n_samples=2", "emit=vbar"],
+    ["sample-limit", *LIMIT_ARGS, "n_samples=2", "emit=prior", "x=[[1.0, 0.0], [0.0, 1.0]]"],
+    ["posterior-predict", *POSTERIOR_ARGS],
+    ["posterior-predict", *POSTERIOR_ARGS, 'mixing="finite"', "depth=2", "width=4",
+     "n_mixing=4"],
+    ["posterior-predict", *POSTERIOR_ARGS, 'mixing="limit"', "a=0.5", "steps=4", "n_mixing=4"],
+]
+COLD_START = """
+import json, sys
+from proplimit import cli
+unused = ("scipy", "concurrent.futures")
+on_import = [m for m in unused if m in sys.modules]
+out_dir, commands = sys.argv[1], json.loads(sys.argv[2])
+codes = []
+for i, (command, *settings) in enumerate(commands):
+    argv = [command, "--seed", "5", "--out-dir", f"{out_dir}/{i}", "--set", "workers=1"]
+    for item in settings:
+        argv += ["--set", item]
+    codes.append(cli.main(argv))
+print(json.dumps({"on_import": on_import, "codes": codes,
+                  "after_run": [m for m in unused if m in sys.modules]}))
+"""
+
+
+def run_fresh(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports proplimit from these sources."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_sampling_commands_import_neither_scipy_nor_the_thread_pool(tmp_path):
+    # Only verify-all, converge-test and the dense oracles need scipy, and
+    # only a multi-worker map needs the pool: both stay off the start-up path.
+    done = run_fresh("-c", COLD_START, str(tmp_path), json.dumps(COLD_COMMANDS))
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"on_import": [], "codes": [0] * len(COLD_COMMANDS), "after_run": []}
+
+
+def test_module_entry_point_prints_version():
+    done = run_fresh("-m", "proplimit", "--version")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == cli.__version__

@@ -219,6 +219,14 @@ class TestReductions:
             values.std(axis=0, ddof=1) / np.sqrt(4000), rel=1e-12
         )
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_mean_and_se_too_few(self, n):
+        # No numpy warning either: pytest turns RuntimeWarning into an error.
+        mean, se = montecarlo.mean_and_se(np.ones((n, 3)))
+        assert mean.shape == se.shape == (3,)
+        assert np.all(np.isnan(mean)) == (n == 0)
+        assert np.all(se == np.inf)
+
     def test_var_and_se_normal(self, np_rng):
         values = np_rng.standard_normal((200_000, 1)) * 2.0
         var, se = montecarlo.var_and_se(values)

@@ -20,10 +20,7 @@ class TestSigmaRatio:
         assert verify._sigma_ratio(est, 0.0, np.array([1.0, bad])) == math.inf
 
 
-@pytest.mark.parametrize(
-    "seed, n_bin",
-    [(2, 1), pytest.param(3, 0, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))],
-)
+@pytest.mark.parametrize("seed, n_bin", [(2, 1), (3, 0)])
 def test_appendix_round_trip_fails_on_a_thin_bin(monkeypatch, seed, n_bin):
     # 200 joint draws leave n_bin of them in the label bin at this seed; the
     # mixture side needs no real limit draws to show the rule.
