@@ -85,9 +85,10 @@ def _table_text(rows) -> str:
 
 
 def _write_report(path: Path, report: dict) -> None:
+    # Strict JSON: a NaN or infinity raises ValueError here, before the file is touched.
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with _create(path) as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _is_number(value) -> bool:

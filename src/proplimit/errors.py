@@ -22,4 +22,4 @@ class EmptySample(ProplimitError):
 
 
 class EmptyMixing(ProplimitError):
-    """A mixture was requested from an empty collection of mixing draws."""
+    """A mixture has no weighting: no mixing draws, or none with a finite Psi."""

@@ -14,21 +14,24 @@ diagonal in the product eigenbasis U kron V of G11 = U diag(lam) U.T and
 Q = V diag(mu) V.T (the Kronecker-GP identity of Saatci, 2011).  One SVD
 of the training inputs (X / sqrt(n_in) = W diag(sqrt(lam)) U.T) is shared
 by all components and one batched ``eigh`` of the (n, d, d) Q stack gives
-every component in closed form, O(d^3 + d^2 P) each.  The Moore-Penrose
-inverse of s11 becomes a mask on the products lam mu with the cutoff
-``linalg.pinv`` applies, so singular Gram matrices (repeated or collinear
-inputs) need no separate code path.
+every component in closed form, O(d^3 + d^2 P) each.  No pseudo-inverse
+and no rank decision are needed: the test input's Gram row x0.X / n_in lies
+in the row space of G11, so s01 s11^- s11 = s01 and the Moore-Penrose
+blocks reduce exactly to the resolvent form s01 (I + beta s11)^-1, whose
+eigenvalues 1 / (1 + beta lam mu) are defined for singular Gram matrices
+(repeated or collinear inputs) as for any other.
 
-The dense per-Q oracles (:func:`starred` and its simplification
-:func:`starred_invertible`) form the Kronecker blocks and invert them
-directly.  They are references for the tests and the property suites,
+The dense per-Q oracles form the Kronecker blocks and solve with them
+directly: :func:`starred` in the Moore-Penrose form, the one caller of
+``linalg.pinv`` here, and :func:`starred_invertible` in the resolvent
+form.  They are references for the tests and the property suites,
 not a production path, and the only code here that needs scipy: they
 import it when called, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,19 +49,12 @@ class Dataset:
     ``x`` is n_in x P (training inputs as columns), ``y`` is n_out x P
     (labels), ``x0`` the test input, ``beta`` the finite, nonnegative label
     precision.
-    The stacked input matrix [x0, x] and the column-stacked label vector
-    are derived once at construction.
     """
 
     x: np.ndarray
     y: np.ndarray
     x0: np.ndarray
     beta: float
-    x_tilde: np.ndarray = field(init=False, repr=False)
-    y_vec: np.ndarray = field(init=False, repr=False)
-    _g00: float = field(init=False, repr=False)
-    _g01: np.ndarray = field(init=False, repr=False)
-    _g11: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = as_matrix(self.x, "x")
@@ -78,16 +74,14 @@ class Dataset:
             raise InvalidParameter("x0 contains non-finite entries")
         if not 0 <= self.beta < np.inf:
             raise InvalidParameter(f"beta must be finite and >= 0, got {self.beta}")
-        n_in = x.shape[0]
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x_tilde", np.column_stack([x0, x]))
-        object.__setattr__(self, "y_vec", y.reshape(-1, order="F").copy())
-        object.__setattr__(self, "_g00", float(x0 @ x0) / n_in)
-        object.__setattr__(self, "_g01", (x0 @ x)[None, :] / n_in)
-        gram = (x.T @ x) / n_in
-        object.__setattr__(self, "_g11", (gram + gram.T) / 2.0)
+
+    @property
+    def y_vec(self) -> np.ndarray:
+        """The labels stacked column by column: y[:, 0], then y[:, 1], ..."""
+        return self.y.reshape(-1, order="F")
 
     @property
     def n_in(self) -> int:
@@ -154,8 +148,9 @@ class PosteriorMixture:
 
     @property
     def psi_range(self) -> tuple:
-        """Smallest and largest weight exponent Psi over the components."""
-        return float(self.psi.min()), float(self.psi.max())
+        """Smallest and largest finite weight exponent Psi over the components."""
+        finite = self.psi[np.isfinite(self.psi)]
+        return float(finite.min()), float(finite.max())
 
 
 def _check_q(q, n_out: int) -> np.ndarray:
@@ -173,10 +168,12 @@ def sigma_of_q(q, data: Dataset) -> SigmaBlocks:
     s00 = (x0.x0/n_in) Q, s01 = (x0.X/n_in) kron Q, s11 = (X.X/n_in) kron Q.
     """
     q = _check_q(q, data.n_out)
+    x, x0, n_in = data.x, data.x0, data.n_in
+    gram = (x.T @ x) / n_in
     return SigmaBlocks(
-        s00=data._g00 * q,
-        s01=kron(data._g01, q),
-        s11=kron(data._g11, q),
+        s00=(float(x0 @ x0) / n_in) * q,
+        s01=kron((x0 @ x)[None, :] / n_in, q),
+        s11=kron((gram + gram.T) / 2.0, q),
     )
 
 
@@ -237,14 +234,16 @@ def starred(q, data: Dataset):
 
 
 def starred_invertible(q, data: Dataset):
-    """Simplified ``(SigmaBlocks, mean)`` of :func:`starred`, valid when s11 is invertible.
+    """Resolvent-form ``(SigmaBlocks, mean)`` of :func:`starred`, valid for every dataset.
 
     s01* = s01 (I + beta s11)^-1,
     s00* = s00 - beta s01 (I + beta s11)^-1 s01.T and the mean's top block
-    beta s01 (I + beta s11)^-1 y.  An independent cross-check of
-    :func:`starred`; the beta factor in s00* is required for consistency
-    with the Moore-Penrose form (both reduce to the unshrunk blocks at
-    beta = 0).
+    beta s01 (I + beta s11)^-1 y.  These equal the Moore-Penrose forms of
+    :func:`starred` whether or not s11 is invertible: the Gram row x0.X
+    lies in the row space of X.X, so s01 s11^- s11 = s01.  No
+    pseudo-inverse is needed, and since I + beta s11 >= I the Cholesky
+    solves stay accurate on a singular s11.  An independent cross-check of
+    :func:`starred`; both reduce to the unshrunk blocks at beta = 0.
     """
     blocks = sigma_of_q(q, data)
     beta = data.beta
@@ -258,51 +257,62 @@ def starred_invertible(q, data: Dataset):
     return SigmaBlocks((s00_star + s00_star.T) / 2.0, s01_star, s11_star), mean
 
 
-def _mixing_stack(mixing) -> np.ndarray:
-    """Q draws as one (n, d, d) array."""
-    try:
-        stack = np.asarray(mixing, dtype=np.float64)
-    except ValueError as exc:  # ragged: some Q has another size
-        raise ShapeMismatch(f"mixing draws do not stack to (n, d, d): {exc}") from exc
-    if stack.shape[0] == 0:
-        raise EmptyMixing("a posterior mixture needs at least one mixing draw")
-    return stack
-
-
 @dataclass(frozen=True)
-class _Spectrum:
-    """Product eigenbasis of s11 = G11 kron Q for a stack of Q draws.
+class _Components:
+    """Every component of a Q stack, in the product eigenbasis of s11 = G11 kron Q.
 
     G11 = U diag(lam) U.T is shared; Q_n = V_n diag(mu_n) V_n.T per draw.
     Arrays indexed (n, j, p) pair output eigenvalue mu_j with input
     eigenvalue lam_p: ``z = V.T Y U`` is the label matrix in that basis,
-    ``denom = 1 + beta lam mu`` the eigenvalues of I + beta s11, and
-    ``mask`` keeps the products lam mu that ``linalg.pinv`` keeps in s11.
-    With x0 / sqrt(n_in) = W a + e (e orthogonal to the left singular
-    vectors W of the training inputs), ``a`` holds the test input's
-    coordinates, ``c = a sqrt(lam) = g01 U`` the test/train Gram row in the
-    input eigenbasis and ``r0 = |e|^2`` the squared residual of x0 off the
-    span of the training inputs, so g00 = r0 + sum a^2.
+    ``denom = 1 + beta lam mu`` the eigenvalues of I + beta s11 and ``g``
+    the test/train transfer s01 (I + beta s11)^-1.  ``psi``, ``m0`` and
+    ``s00`` are each component's weight exponent, test-block mean and
+    test-block covariance.
     """
 
+    psi: np.ndarray     # (n,)
+    m0: np.ndarray      # (n, d)
+    s00: np.ndarray     # (n, d, d)
+    g: np.ndarray       # (n, d, P)
     lam: np.ndarray     # (P,)
     u: np.ndarray       # (P, P)
-    a: np.ndarray       # (P,)
-    c: np.ndarray       # (P,)
-    r0: float
     mu: np.ndarray      # (n, d)
     v: np.ndarray       # (n, d, d)
     z: np.ndarray       # (n, d, P)
     denom: np.ndarray   # (n, d, P)
-    mask: np.ndarray    # (n, d, P)
 
 
-def _spectrum(qs: np.ndarray, data: Dataset) -> _Spectrum:
+def _components(mixing, data: Dataset) -> _Components:
+    """Weight exponents and starred moments of every mixing draw at once.
+
+    ``mixing`` is a sequence or (n, d, d) stack of Q draws.
+
+    With x0 / sqrt(n_in) = W a + e (e orthogonal to the left singular
+    vectors W of the training inputs), ``a`` holds the test input's
+    coordinates, ``c = a sqrt(lam) = g01 U`` the test/train Gram row in the
+    input eigenbasis and ``r0 = |e|^2`` the squared residual of x0 off the
+    span of the training inputs, so g00 = r0 + sum a^2.  In the product
+    eigenbasis every starred quantity is diagonal:
+    Psi = beta sum z^2 / denom + sum log denom;
+    m0 = beta V sum_p g_jp z_jp, with g = c mu / denom;
+    S00* = V diag(mu_j (g00 - beta sum_p c_p g_jp)) V.T.
+    c is 0 wherever lam is, since g01 lies in the row space of G11, so no
+    direction needs a rank decision.  S00* is evaluated in the equivalent
+    residual form mu_j (r0 + sum_p a_p^2 / denom_jp): subtracting the
+    projected part of g00 cancels catastrophically once beta lam mu is
+    large, and can turn the variance negative.
+    """
+    try:
+        qs = np.asarray(mixing, dtype=np.float64)
+    except ValueError as exc:  # ragged: some Q has another size
+        raise ShapeMismatch(f"mixing draws do not stack to (n, d, d): {exc}") from exc
+    if qs.shape[:1] == (0,):
+        raise EmptyMixing("a posterior mixture needs at least one mixing draw")
     d, p = data.n_out, data.n_train
     if qs.ndim != 3:
         raise ShapeMismatch(f"Q stack has shape {qs.shape}, expected (n, {d}, {d})")
     qs = _check_q(qs, d)
-    root_n = np.sqrt(data.n_in)
+    beta, root_n = data.beta, np.sqrt(data.n_in)
     # Full U even when n_in < P: the null directions of G11 still carry labels.
     w, sing, ut = np.linalg.svd(data.x / root_n, full_matrices=data.n_in < p)
     lam = np.zeros(p)
@@ -310,41 +320,20 @@ def _spectrum(qs: np.ndarray, data: Dataset) -> _Spectrum:
     a = np.zeros(p)
     a[: sing.size] = w.T @ data.x0 / root_n
     resid = data.x0 / root_n - w @ a[: sing.size]
+    r0 = float(resid @ resid)
+    c = a * np.sqrt(lam)
     mu, v = np.linalg.eigh(qs)
     z = np.swapaxes(v, 1, 2) @ (data.y @ ut.T)
-    lam_mu = mu[:, :, None] * lam
-    # linalg.pinv's cutoff on the singular values |lam mu| of s11.
-    cutoff = p * d * np.finfo(np.float64).eps * np.abs(lam_mu).max(axis=(1, 2))
-    return _Spectrum(
-        lam=lam, u=ut.T, a=a, c=a * np.sqrt(lam), r0=float(resid @ resid),
-        mu=mu, v=v, z=z,
-        denom=1.0 + data.beta * lam_mu, mask=lam_mu > cutoff[:, None, None],
+    denom = 1.0 + beta * (mu[:, :, None] * lam)
+    psi = beta * np.sum(z**2 / denom, axis=(1, 2)) + np.sum(np.log(denom), axis=(1, 2))
+    g = c * mu[:, :, None] / denom
+    m0 = beta * np.einsum("nij,nj->ni", v, np.sum(g * z, axis=2))
+    eig00 = mu * (r0 + (1.0 / denom) @ a**2)
+    s00 = (v * eig00[:, None, :]) @ np.swapaxes(v, 1, 2)
+    return _Components(
+        psi=psi, m0=m0, s00=(s00 + np.swapaxes(s00, 1, 2)) / 2.0, g=g,
+        lam=lam, u=ut.T, mu=mu, v=v, z=z, denom=denom,
     )
-
-
-def _spectral_core(sp: _Spectrum, data: Dataset):
-    """Weight exponents and test-block moments of every component at once.
-
-    In the product eigenbasis every starred quantity is diagonal:
-    Psi = beta sum z^2 / denom + sum log denom;
-    m0 = beta V sum_p g_jp z_jp;
-    S00* = V diag(mu_j (g00 - beta sum_p c_p g_jp)) V.T,
-    with ``g = mask c mu / denom``, the transfer s01 s11^- s11* in that
-    basis.  S00* is evaluated in the equivalent residual form
-    mu_j (r0 + sum_p a_p^2 / denom_jp), with denom_jp read as 1 where the
-    mask drops (j, p): subtracting the projected part of g00 cancels
-    catastrophically once beta lam mu is large, and can turn the variance
-    negative.  Returns ``(psi, m0, s00, g)``.
-    """
-    beta = data.beta
-    psi = beta * np.sum(sp.z**2 / sp.denom, axis=(1, 2)) + np.sum(
-        np.log(sp.denom), axis=(1, 2)
-    )
-    g = np.where(sp.mask, sp.c * sp.mu[:, :, None] / sp.denom, 0.0)
-    m0 = beta * np.einsum("nij,nj->ni", sp.v, np.sum(g * sp.z, axis=2))
-    eig00 = sp.mu * (sp.r0 + np.where(sp.mask, 1.0 / sp.denom, 1.0) @ sp.a**2)
-    s00 = (sp.v * eig00[:, None, :]) @ np.swapaxes(sp.v, 1, 2)
-    return psi, m0, (s00 + np.swapaxes(s00, 1, 2)) / 2.0, g
 
 
 def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
@@ -357,13 +346,18 @@ def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
     flagged in ``warnings`` rather than raised.
 
     All components come from one batched eigendecomposition of the Q stack
-    (see :func:`_spectral_core`), O(d^3 + d^2 P) per component; only the
-    test block of each component is kept.
+    (see :func:`_components`), O(d^3 + d^2 P) per component; only the
+    test block of each component is kept.  A component whose Psi is not
+    finite gets weight 0; if no component has a finite Psi there is no
+    weighting at all, and :class:`EmptyMixing` is raised.
     """
-    qs = _mixing_stack(mixing)
-    n = qs.shape[0]
-    psi_values, means, covs, _ = _spectral_core(_spectrum(qs, data), data)
-    log_w = -0.5 * psi_values
+    comp = _components(mixing, data)
+    psi_values, means, covs = comp.psi, comp.m0, comp.s00
+    n = psi_values.shape[0]
+    finite_psi = np.isfinite(psi_values)
+    if not finite_psi.any():
+        raise EmptyMixing(f"none of the {n} mixing draws has a finite weight exponent Psi")
+    log_w = np.where(finite_psi, -0.5 * psi_values, -np.inf)
     log_w -= log_w.max()
     weights = np.exp(log_w)
     total = weights.sum()
@@ -371,7 +365,7 @@ def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
     weights = weights / total
 
     finite = (
-        np.isfinite(psi_values)
+        finite_psi
         & np.isfinite(means).all(axis=1)
         & np.isfinite(covs).all(axis=(1, 2))
     )
@@ -391,23 +385,21 @@ def joint_moments(mixing, data: Dataset):
     Returns ``(means, covariances)`` of shapes (n, k) and (n, k, k) with
     k = n_out (P + 1), test block leading: the batched counterpart of the
     mean and ``blocks.full()`` of :func:`starred`, from the same spectral
-    core as :func:`posterior_mixture`.
+    components as :func:`posterior_mixture`.
     """
-    qs = _mixing_stack(mixing)
-    sp = _spectrum(qs, data)
-    _, m0, s00, g = _spectral_core(sp, data)
+    sp = _components(mixing, data)
     n, d, p = sp.z.shape
     shrink = sp.lam * sp.mu[:, :, None] / sp.denom  # eigenvalues of s11*
     m1 = data.beta * np.einsum("nij,njr,pr->npi", sp.v, shrink * sp.z, sp.u)
-    s01 = np.einsum("nij,njr,qr,nkj->niqk", sp.v, g, sp.u, sp.v, optimize=True)
+    s01 = np.einsum("nij,njr,qr,nkj->niqk", sp.v, sp.g, sp.u, sp.v, optimize=True)
     s11 = np.einsum(
         "pr,nij,njr,qr,nkj->npiqk", sp.u, sp.v, shrink, sp.u, sp.v, optimize=True
     ).reshape(n, p * d, p * d)
     s11 = (s11 + np.swapaxes(s11, 1, 2)) / 2.0
     s01 = s01.reshape(n, d, p * d)
-    top = np.concatenate([s00, s01], axis=2)
+    top = np.concatenate([sp.s00, s01], axis=2)
     bottom = np.concatenate([np.swapaxes(s01, 1, 2), s11], axis=2)
-    means = np.concatenate([m0, m1.reshape(n, p * d)], axis=1)
+    means = np.concatenate([sp.m0, m1.reshape(n, p * d)], axis=1)
     return means, np.concatenate([top, bottom], axis=1)
 
 

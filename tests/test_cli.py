@@ -24,6 +24,25 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_report(path: Path) -> dict:
+    """``path`` parsed as strict JSON: NaN, Infinity and -Infinity raise."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+@pytest.fixture(autouse=True)
+def reports_are_strict_json(request):
+    """Every report.json a test leaves under its tmp_path must be strict JSON."""
+    tmp = request.getfixturevalue("tmp_path") if "tmp_path" in request.fixturenames else None
+    yield
+    if tmp is not None:
+        for path in tmp.rglob("report.json"):
+            read_report(path)
+
+
 PRIOR_ARGS = ["x=[[1.0]]", "n_out=1", "depth=2", "width=4", "n_samples=2"]
 LIMIT_ARGS = ["a=0.5", "dim=2", "steps=4"]
 POSTERIOR_ARGS = [f"{k}={json.dumps(v)}" for k, v in SCALAR_CFG.items() if k != "seed"]
@@ -299,6 +318,16 @@ class TestPosteriorPredict:
         assert config["n_mixing"] == 64 and isinstance(config["n_mixing"], int)
         assert config["steps"] == 4096
 
+    def test_no_finite_psi_exits_2_without_a_report(self, tmp_path, capsys):
+        # x = 1e200 overflows the Gram matrix: every Psi is infinite, so no
+        # weighting exists.
+        args = ["posterior-predict", "--seed", 1, "--out-dir", tmp_path, "--set", "x=[[1e200]]",
+                "--set", "y=[[1.0]]", "--set", "x0=[1.0]", "--set", "beta=1.0"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(args) == 2
+        assert "finite" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "report.json").exists()
+
     def test_finite_mixing_runs(self, tmp_path):
         cfg = dict(SCALAR_CFG)
         cfg.update({"mixing": "finite", "depth": 4, "width": 6, "n_mixing": 100})
@@ -371,6 +400,14 @@ def test_outputs_are_replaced_not_truncated(tmp_path):
     assert json.loads(report.read_text()) == {"run": 2}
     assert (tmp_path / "old.csv").read_text() == "run\n1\n"
     assert table.read_text() == "run\n2\n"
+
+
+def test_non_finite_report_refused_before_the_file_is_touched(tmp_path):
+    report = tmp_path / "report.json"
+    cli._write_report(report, {"run": 1})
+    with pytest.raises(ValueError):
+        cli._write_report(report, {"run": float("nan")})
+    assert read_report(report) == {"run": 1}
 
 
 def test_write_csv_golden(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +29,6 @@ class TestDataset:
             x=[[1.0, 0.0], [0.0, 2.0]], y=[[1.0, 3.0], [2.0, 4.0]],
             x0=[0.5, 0.5], beta=2.0,
         )
-        np.testing.assert_array_equal(data.x_tilde[:, 0], [0.5, 0.5])
         np.testing.assert_array_equal(data.y_vec, [1.0, 2.0, 3.0, 4.0])
         assert data.n_out == 2 and data.n_train == 2 and data.n_in == 2
 
@@ -84,23 +85,53 @@ class TestSigmaStar:
         np.testing.assert_allclose(starred.s00, [[0.5]], rtol=1e-12)
 
     def test_remark_consistency_random(self, np_rng):
-        for _ in range(50):
+        # Full-rank inputs, then singular Gram matrices: the Gram row x0.X
+        # lies in the row space of X.X for every dataset, so the resolvent
+        # form equals the Moore-Penrose one whether or not s11 is invertible.
+        for kind in ["random"] * 50 + list(SINGULAR_KINDS) * 20:
             d = int(np_rng.integers(1, 4))
-            p = int(np_rng.integers(1, 4))
-            n_in = p + int(np_rng.integers(0, 3))
-            data = posterior.Dataset(
-                x=np_rng.standard_normal((n_in, p)),
-                y=np_rng.standard_normal((d, p)),
-                x0=np_rng.standard_normal(n_in),
-                beta=float(np_rng.uniform(0.1, 3.0)),
-            )
+            if kind == "random":
+                p = int(np_rng.integers(1, 4))
+                n_in = p + int(np_rng.integers(0, 3))
+                data = posterior.Dataset(
+                    x=np_rng.standard_normal((n_in, p)),
+                    y=np_rng.standard_normal((d, p)),
+                    x0=np_rng.standard_normal(n_in),
+                    beta=float(np_rng.uniform(0.1, 3.0)),
+                )
+            else:
+                data = singular_dataset(np_rng, kind, d)
             m = np_rng.standard_normal((d, d))
             q = m @ m.T + 0.3 * np.eye(d)
-            general = posterior.starred(q, data)[0].full()
-            simple = posterior.starred_invertible(q, data)[0].full()
+            general, general_mean, _ = posterior.starred(q, data)
+            simple, simple_mean = posterior.starred_invertible(q, data)
+            general = np.concatenate([general.full().ravel(), general_mean])
+            simple = np.concatenate([simple.full().ravel(), simple_mean])
             assert np.max(np.abs(general - simple)) < 1e-8 * max(
                 1.0, np.max(np.abs(general))
             )
+
+
+# Singular Gram matrices: a repeated column with n_in >= P and with
+# n_in < P, and collinear columns with x0 inside their span.
+SINGULAR_KINDS = ("repeated", "repeated-wide", "collinear")
+
+
+def singular_dataset(rng, kind, d):
+    p = int(rng.integers(2, 6))
+    if kind == "collinear":
+        r = int(rng.integers(1, p))
+        basis = rng.standard_normal((r + 2, r))
+        x = basis @ rng.standard_normal((r, p))
+        x0 = basis @ rng.standard_normal(r)
+    else:
+        n_in = p + int(rng.integers(0, 3)) if kind == "repeated" else int(rng.integers(1, p))
+        x = rng.standard_normal((n_in, p))
+        x[:, -1] = x[:, 0]
+        x0 = rng.standard_normal(n_in)
+    return posterior.Dataset(
+        x=x, y=rng.standard_normal((d, p)), x0=x0, beta=float(rng.uniform(0.1, 3.0))
+    )
 
 
 class TestMStar:
@@ -215,7 +246,7 @@ class TestPredictiveMoments:
 
 
 # Dataset shapes for the differential test: generic inputs, and the
-# rank-deficient cases where the Moore-Penrose route matters.
+# rank-deficient cases where the oracle needs its pseudo-inverse.
 DATASET_KINDS = ("random", "repeated", "collinear", "outside-span", "beta-zero")
 
 
@@ -261,9 +292,10 @@ def _condition(data, q) -> float:
     """Ratio of the largest to the smallest kept eigenvalue of s11.
 
     The dense oracle inverts s11 through an SVD, so its forward error
-    grows with this ratio; the spectral core does not invert it.
+    grows with this ratio; the spectral posterior does not invert it.
     """
-    lam_mu = np.outer(np.linalg.eigvalsh(q), np.linalg.eigvalsh(data._g11))
+    gram = data.x.T @ data.x / data.n_in
+    lam_mu = np.outer(np.linalg.eigvalsh(q), np.linalg.eigvalsh(gram))
     top = np.abs(lam_mu).max()
     kept = lam_mu[lam_mu > lam_mu.size * np.finfo(float).eps * top]
     return float(top / kept.min()) if kept.size else 1.0
@@ -339,11 +371,73 @@ class TestMixtureDiagnostics:
         assert mix.n_nonfinite == 1
         assert mix.weights[2] == 0.0
         assert mix.max_weight == pytest.approx(mix.weights[:2].max())
+        # The range covers the finite exponents only.
+        assert mix.psi_range[1] == pytest.approx(posterior.starred(2 * np.eye(1), data)[2])
+
+    def test_nan_psi_gets_zero_weight(self):
+        # Along [1, 1] the second Q's eigenvalue 1e10 overflows denom and
+        # its label coordinate 1.84e154 overflows z^2: inf / inf, so Psi is NaN.
+        data = posterior.Dataset(x=[[1e150]], y=[[1.3e154], [1.3e154]], x0=[1.0], beta=1.0)
+        r = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mix = posterior.posterior_mixture([np.eye(2), r @ np.diag([1e10, 1.0]) @ r.T], data)
+        assert np.isnan(mix.psi[1])
+        np.testing.assert_array_equal(mix.weights, [1.0, 0.0])
+        assert mix.ess == 1.0 and mix.n_nonfinite == 1
+        assert mix.psi_range == (mix.psi[0], mix.psi[0])
+
+    def test_no_finite_psi_raises(self):
+        # x = 1e200 overflows the Gram matrix, so every Psi is infinite and
+        # the weights would be 0 / 0.
+        data = scalar_data(x=[[1e200]], y=[[1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EmptyMixing, match="finite"):
+                posterior.posterior_mixture([np.eye(1), 2 * np.eye(1)], data)
 
     def test_invalid_stacks_raise_typed_errors(self):
         with pytest.raises(ShapeMismatch):
             posterior.posterior_mixture([np.eye(1), np.eye(2)], scalar_data())
+        with pytest.raises(ShapeMismatch):
+            posterior.posterior_mixture(2.0, scalar_data())
         with pytest.raises(NotPositiveDefinite):
             posterior.posterior_mixture(np.zeros((2, 1, 1)), scalar_data())
         with pytest.raises(InvalidParameter):
             posterior.posterior_mixture([[[np.nan]]], scalar_data())
+
+
+def _pinned_instance(kind):
+    """A dataset and eight SPD Q draws at d = 2, from a fixed seed.
+
+    ``collinear`` is shaped like the benchmark's ``posterior-collinear``:
+    n_in = 3 < P = 6, with two columns linear combinations of the others
+    (rank 3).  ``full-rank`` has n_in = 8 > P = 6.
+    """
+    rng = np.random.default_rng(20261019)
+    if kind == "collinear":
+        base = rng.standard_normal((3, 4))
+        x = np.column_stack([base, base[:, 0] + base[:, 1], base[:, 2] - 0.5 * base[:, 3]])
+    else:
+        x = rng.standard_normal((8, 6))
+    data = posterior.Dataset(
+        x=x, y=rng.standard_normal((2, 6)), x0=rng.standard_normal(x.shape[0]), beta=1.0
+    )
+    ms = rng.standard_normal((8, 2, 2))
+    return data, ms @ np.swapaxes(ms, 1, 2) + 0.3 * np.eye(2)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:12]
+
+
+@pytest.mark.parametrize("kind, mixture_digest, joint_digest", [
+    ("collinear", "667032fb1660", "bac8c35d6ea3"),
+    ("full-rank", "ad7167d4bdfc", "793d690eccde"),
+])
+def test_posterior_bytes_pinned(kind, mixture_digest, joint_digest):
+    data, qs = _pinned_instance(kind)
+    mix = posterior.posterior_mixture(qs, data)
+    assert _digest(mix.psi, mix.weights, mix.means, mix.covariances) == mixture_digest
+    assert _digest(*posterior.joint_moments(qs, data)) == joint_digest
