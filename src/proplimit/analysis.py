@@ -10,7 +10,6 @@ posterior predictive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +17,6 @@ from .errors import EmptySample, InvalidParameter
 
 DEFAULT_KS_ALPHA = 1e-3
 DEFAULT_QUAD_POINTS = 4001
-
-
-@dataclass(frozen=True)
-class TestReport:
-    """Outcome of one statistical check: pass iff statistic <= threshold."""
-
-    statistic: float
-    threshold: float
-    n: int
-
-    @property
-    def passed(self) -> bool:
-        return self.statistic <= self.threshold
 
 
 def exact_log_mgf_finite(width: int, r: int, depth: int, s: float) -> float:
@@ -97,11 +83,13 @@ def ks_threshold(n: int, alpha: float) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / (2.0 * n))
 
 
-def ks_statistic(samples, cdf, alpha: float = DEFAULT_KS_ALPHA) -> TestReport:
+def ks_statistic(samples, cdf, alpha: float = DEFAULT_KS_ALPHA) -> tuple[float, float]:
     """Two-sided Kolmogorov-Smirnov test of ``samples`` against ``cdf``.
 
-    The statistic is sup |F_n - F| over both one-sided gaps; the threshold
-    comes from the asymptotic Kolmogorov distribution at level ``alpha``.
+    Returns ``(statistic, threshold)``: the statistic is sup |F_n - F| over
+    both one-sided gaps, and the threshold comes from the asymptotic
+    Kolmogorov distribution at level ``alpha``.  The sample passes iff
+    ``statistic <= threshold`` (the rule of ``verify.CheckRow``).
     """
     samples = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     n = samples.shape[0]
@@ -110,7 +98,7 @@ def ks_statistic(samples, cdf, alpha: float = DEFAULT_KS_ALPHA) -> TestReport:
     values = np.asarray(cdf(samples), dtype=np.float64)
     grid = np.arange(n + 1) / n
     stat = float(max(np.max(values - grid[:-1]), np.max(grid[1:] - values)))
-    return TestReport(stat, ks_threshold(n, alpha), n)
+    return stat, ks_threshold(n, alpha)
 
 
 def quadrature_predictive_1d(

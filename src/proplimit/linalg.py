@@ -35,7 +35,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def symmetrize(a, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
+def symmetrize(a, name: str = "matrix") -> np.ndarray:
     """Return ``A/2 + A.T/2`` after checking A is square and nearly symmetric.
 
     ``a`` may also be a stack of shape ``(n, m, m)``; each matrix in it is
@@ -47,20 +47,20 @@ def symmetrize(a, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarr
         If ``a`` is not square.
     InvalidParameter
         If an entry is non-finite, or the relative asymmetry
-        ``max|A - A.T| / max|A|`` exceeds ``rtol``.
+        ``max|A - A.T| / max|A|`` exceeds ``SYMMETRY_RTOL``.
     """
     out = _square(a, name)
     if out.size == 0:
         return out
     scale = np.abs(out).max(axis=(-2, -1))
     gap = np.abs(out - _t(out)).max(axis=(-2, -1))
-    bad = np.flatnonzero(gap > rtol * np.maximum(scale, 1e-300))
+    bad = np.flatnonzero(gap > SYMMETRY_RTOL * np.maximum(scale, 1e-300))
     if bad.size:
         i = int(bad[0])
         where = f"{name}[{i}]" if out.ndim == 3 else name
         raise InvalidParameter(
             f"{where} is not symmetric: asymmetry {gap.flat[i]:.3e} exceeds "
-            f"{rtol:.1e} * {scale.flat[i]:.3e}"
+            f"{SYMMETRY_RTOL:.1e} * {scale.flat[i]:.3e}"
         )
     return 0.5 * out + 0.5 * _t(out)
 

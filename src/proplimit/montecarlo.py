@@ -40,13 +40,10 @@ fixed array; worker count therefore changes wall time only.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import InvalidParameter
 
-WORKERS_ENV = "PROPLIMIT_WORKERS"
 # Samples per block: a constant, so the bytes never follow the worker
 # count, the run length or a memory budget.
 BLOCK = 64
@@ -59,14 +56,10 @@ _MASK64 = (1 << 64) - 1
 
 
 def worker_count(workers: int | None = None) -> int:
-    """Resolve the worker count: explicit arg, else PROPLIMIT_WORKERS, else 1."""
+    """Resolve the worker count: None means 1; anything else must be an integer >= 1."""
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1") or "1"
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InvalidParameter(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        return 1
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
         raise InvalidParameter(f"worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise InvalidParameter(f"worker count must be >= 1, got {workers}")

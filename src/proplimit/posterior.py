@@ -409,9 +409,14 @@ def predictive_moments(mix: PosteriorMixture):
     mean = sum_i w_i m0_i;
     cov  = sum_i w_i S00_i + (sum_i w_i m0_i m0_i.T - mean mean.T).
     The label-dependent part is accumulated separately so that a point-mass
-    mixture has covariance exactly equal to its component block.
+    mixture has covariance exactly equal to its component block.  A
+    component of weight 0 contributes nothing, even where its moments are
+    not finite (0 * NaN would be NaN): its rows are zeroed, not dropped, so
+    the sums keep their shapes and order.
     """
-    m0, s00, w = mix.means, mix.covariances, mix.weights
+    w = mix.weights
+    m0 = np.where((w > 0)[:, None], mix.means, 0.0)
+    s00 = np.where((w > 0)[:, None, None], mix.covariances, 0.0)
     mean = np.einsum("n,ni->i", w, m0)
     cov_within = np.einsum("n,nij->ij", w, s00)
     second = np.einsum("n,ni,nj->ij", w, m0, m0)

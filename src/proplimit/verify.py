@@ -57,6 +57,12 @@ PH_EMPIRICAL_MGF, PH_KS_CALIBRATION = 70, 71
 # Grid steps of the scalar limit mixing draws of c7 and c8, and the number
 # of batches c8 splits its draws into for the variance standard error.
 MIXING_STEPS, C8_BATCHES = 16, 50
+# Counts whose floor exceeds 2: c8 needs two mixing draws per batch.
+MIN_COUNTS = {"posterior_mixing": 2 * C8_BATCHES}
+
+# Fine over coarse grid steps of every coupled refinement pair (c5 and
+# prop-limit-refinement).
+REFINE_RATIO = 8
 
 # The KS rows whose sample size a count sets, as (share, alpha) pairs: the
 # row draws count // share at level alpha.  c2_samples sizes diag-ks-r*,
@@ -108,10 +114,13 @@ class VerifyConfig:
     """Sample counts and grid sizes for the verification suites.
 
     Defaults are the desk-scale acceptance settings; shrink them for smoke
-    runs.  ``workers`` of None defers to the PROPLIMIT_WORKERS environment
-    variable.  Every ``*_samples``, ``*_mixing`` and ``*_instances`` count must
-    be at least 2, since a standard error needs two draws, and ``c8_mixing``
-    at least 2 per batch: one component has a label-free predictive variance.
+    runs.  ``workers`` of None means one worker.  ``c5_samples`` sizes all
+    of c5's draws, and its refinement pair runs ``c5_refine_coarse`` and
+    ``REFINE_RATIO`` times as many steps; ``posterior_mixing`` sizes c7's
+    and c8's.  Every ``*_samples``, ``*_mixing`` and ``*_instances`` count
+    must be at least 2, since a standard error needs two draws, and those
+    in ``MIN_COUNTS`` at least their entry: ``posterior_mixing`` needs 2
+    per c8 batch, as one component has a label-free predictive variance.
     A count that sizes KS rows (``KS_COUNTS``) must also give each of them a
     threshold below 1, the largest KS statistic; a row at a threshold of 1
     or more passes whatever the draws.
@@ -125,10 +134,7 @@ class VerifyConfig:
     c5_samples: int = 10_000
     c5_steps: int = 4096
     c5_refine_coarse: int = 1024
-    c5_refine_fine: int = 8192
-    c5_refine_samples: int = 10_000
-    c7_mixing: int = 100_000
-    c8_mixing: int = 100_000
+    posterior_mixing: int = 100_000
     prop_samples: int = 100_000
     prop_grid_samples: int = 10_000
     prop_instances: int = 1_000
@@ -137,16 +143,13 @@ class VerifyConfig:
     def __post_init__(self):
         for f in fields(self):
             if f.name.endswith(("_samples", "_mixing", "_instances")):
-                floor = _count_floor(KS_COUNTS.get(f.name, ()))
+                floor = _count_floor(KS_COUNTS.get(f.name, ()), MIN_COUNTS.get(f.name, 2))
                 if getattr(self, f.name) < floor:
                     raise InvalidParameter(f"'{f.name}' must be >= {floor}, got {getattr(self, f.name)}")
-        if self.c8_mixing < 2 * C8_BATCHES:
-            raise InvalidParameter(f"'c8_mixing' must be >= {2 * C8_BATCHES}, got {self.c8_mixing}")
 
 
-def _count_floor(rows) -> int:
-    """The least count, from 2, at which every KS row it sizes has a threshold below 1."""
-    count = 2
+def _count_floor(rows, count: int) -> int:
+    """The least count, from ``count``, at which every KS row it sizes has a threshold below 1."""
     while any(analysis.ks_threshold(count // share, alpha) >= 1 for share, alpha in rows):
         count += 1
     return count
@@ -177,8 +180,8 @@ def _second_moment_ratio(vecs: np.ndarray, target: np.ndarray) -> float:
 
 
 def _ks_row(name, samples, cdf, reference, alpha=analysis.DEFAULT_KS_ALPHA, **meta):
-    report = analysis.ks_statistic(samples, cdf, alpha=alpha)
-    return CheckRow(name, report.statistic, report.threshold, reference=reference, **meta)
+    statistic, threshold = analysis.ks_statistic(samples, cdf, alpha=alpha)
+    return CheckRow(name, statistic, threshold, reference=reference, **meta)
 
 
 def _log_diag_ks_rows(draws, a, name, **meta) -> list[CheckRow]:
@@ -340,9 +343,11 @@ def check_offdiag_variance_bound(cfg: VerifyConfig) -> list[CheckRow]:
 def check_limit_vs_finite_bridge(cfg: VerifyConfig) -> list[CheckRow]:
     """Limit sampler matches the deep finite chain, entrywise moments."""
     dim, a = 3, 0.5
+    coarse = cfg.c5_refine_coarse
+    fine = coarse * REFINE_RATIO
     # Reject the grids before 20k draws are spent, not after.
     limit.check_grid(a, dim, cfg.c5_steps)
-    limit.check_refinement(a, dim, cfg.c5_refine_coarse, cfg.c5_refine_fine)
+    limit.check_refinement(a, dim, coarse, fine)
     finite = prior.vbar_finite_samples(
         500, 1000, dim, cfg.c5_samples, cfg.seed, PH_C5_FINITE, cfg.workers
     )
@@ -350,12 +355,11 @@ def check_limit_vs_finite_bridge(cfg: VerifyConfig) -> list[CheckRow]:
         a, dim, cfg.c5_steps, cfg.c5_samples, cfg.seed, PH_C5_LIMIT, cfg.workers
     )
     coupled = limit.vbar_limit_refinement_pair(
-        a, dim, cfg.c5_refine_coarse, cfg.c5_refine_fine,
-        cfg.c5_refine_samples, cfg.seed, PH_C5_REFINE, cfg.workers,
+        a, dim, coarse, fine, cfg.c5_samples, cfg.seed, PH_C5_REFINE, cfg.workers
     )
     return _bridge_rows(
         "bridge", "max fitted C", finite, limit_draws, cfg.c5_steps,
-        coupled, cfg.c5_refine_coarse, cfg.c5_refine_fine, width=1000, depth=500, a=a,
+        coupled, coarse, fine, width=1000, depth=500, a=a,
     )
 
 
@@ -426,7 +430,7 @@ def _scalar_limit_mixing(cfg: VerifyConfig, n: int, phase: int) -> np.ndarray:
 
 def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
     """Importance-sampled predictive moments match the quadrature oracle."""
-    qs = _scalar_limit_mixing(cfg, cfg.c7_mixing, PH_C7)
+    qs = _scalar_limit_mixing(cfg, cfg.posterior_mixing, PH_C7)
     data = posterior.Dataset(x=[[1.0]], y=[[2.0]], x0=[1.0], beta=1.0)
     mix = posterior.posterior_mixture(qs, data)
     mean, cov = posterior.predictive_moments(mix)
@@ -444,8 +448,8 @@ def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
         ),
         CheckRow(
             "posterior-ess",
-            (cfg.c7_mixing / 10.0) / mix.ess, 1.0,
-            reference=f"ESS={mix.ess:.1f} of n={cfg.c7_mixing}", a=1.0,
+            (cfg.posterior_mixing / 10.0) / mix.ess, 1.0,
+            reference=f"ESS={mix.ess:.1f} of n={cfg.posterior_mixing}", a=1.0,
         ),
     ]
     return rows
@@ -461,7 +465,7 @@ def _predictive_variance_from_arrays(m0, s00, weights, lo, hi) -> float:
 
 def check_label_dependence(cfg: VerifyConfig) -> list[CheckRow]:
     """Predictive variance at a=1 responds to the labels (non-NNGP learning)."""
-    qs = _scalar_limit_mixing(cfg, cfg.c8_mixing, PH_C8)
+    qs = _scalar_limit_mixing(cfg, cfg.posterior_mixing, PH_C8)
     n = qs.shape[0]
     variances = {}
     batch_vars = {}
@@ -746,17 +750,18 @@ def prop_limit_diag_ks(cfg: VerifyConfig) -> list[CheckRow]:
 
 
 def prop_limit_refinement(cfg: VerifyConfig) -> list[CheckRow]:
-    dim, a = 2, 1.0
+    dim, a, coarse = 2, 1.0, 1024
+    fine = coarse * REFINE_RATIO
     n = cfg.prop_grid_samples
-    run_coarse = limit.vbar_limit_samples(a, dim, 1024, n, cfg.seed, PH_REFINE_A, cfg.workers)
-    run_fine = limit.vbar_limit_samples(a, dim, 8192, n, cfg.seed, PH_REFINE_B, cfg.workers)
+    run_coarse = limit.vbar_limit_samples(a, dim, coarse, n, cfg.seed, PH_REFINE_A, cfg.workers)
+    run_fine = limit.vbar_limit_samples(a, dim, fine, n, cfg.seed, PH_REFINE_B, cfg.workers)
     coupled = limit.vbar_limit_refinement_pair(
-        a, dim, 1024, 8192, n, cfg.seed, PH_REFINE_C, cfg.workers
+        a, dim, coarse, fine, n, cfg.seed, PH_REFINE_C, cfg.workers
     )
     # The below-diagonal entry alone, as a 1 x 1 lower triangle.
     entry = [d[:, 1:, :1] for d in (run_coarse, run_fine, *coupled)]
     return _bridge_rows(
-        "grid-refinement", "fitted C", entry[0], entry[1], 1024, entry[2:], 1024, 8192, a=a
+        "grid-refinement", "fitted C", entry[0], entry[1], coarse, entry[2:], coarse, fine, a=a
     )
 
 
@@ -983,8 +988,8 @@ def prop_ks_calibration(cfg: VerifyConfig) -> list[CheckRow]:
     for rep in range(n_rep):
         rng = montecarlo.stream_for(cfg.seed, PH_KS_CALIBRATION, rep)
         draws = rng.standard_normal(n_draw)
-        report = analysis.ks_statistic(draws, ndtr, alpha=1e-3)
-        failures += 0 if report.passed else 1
+        row = _ks_row(f"ks-calibration-{rep}", draws, ndtr, "N(0, 1)", alpha=1e-3)
+        failures += 0 if row.passed else 1
     return [
         CheckRow(
             "ks-calibration", failures / n_rep, 0.01,

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -75,22 +76,27 @@ def test_c10_reproducibility_library_level():
 SMOKE_SCALE = [
     "c1_samples=2000", "c2_samples=1500", "c4_samples=2000",
     "c5_samples=400", "c5_steps=256", "c5_refine_coarse=128",
-    "c5_refine_fine=1024", "c5_refine_samples=400",
-    "c7_mixing=3000", "c8_mixing=3000",
+    "posterior_mixing=3000",
     "prop_samples=3000", "prop_grid_samples=400",
     "prop_instances=120", "appendix_samples=300000",
 ]
 
 
-def _verify_all(out_dir, seed=ACCEPTANCE_SEED):
+def test_smoke_scale_sets_every_count():
+    # A count missing here would run at desk scale inside the smoke run.
+    counts = {f.name for f in fields(verify.VerifyConfig)} - {"seed", "workers"}
+    assert {item.split("=")[0] for item in SMOKE_SCALE} == counts
+    assert len(SMOKE_SCALE) == len(counts)
+
+
+def _verify_all(out_dir, *settings, seed=ACCEPTANCE_SEED):
     args = ["verify-all", "--seed", str(seed), "--out-dir", str(out_dir)]
-    for item in SMOKE_SCALE:
+    for item in SMOKE_SCALE + list(settings):
         args += ["--set", item]
     return cli.main(args)
 
 
-def test_c10_cli_byte_identical_and_worker_invariant(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("PROPLIMIT_WORKERS", raising=False)
+def test_c10_cli_byte_identical_and_worker_invariant(tmp_path, capsys):
     code_a = _verify_all(tmp_path / "a")
     code_b = _verify_all(tmp_path / "b")
     assert code_a == code_b == 0
@@ -104,8 +110,7 @@ def test_c10_cli_byte_identical_and_worker_invariant(tmp_path, monkeypatch, caps
     # The 57 smoke-scale rows, pinned byte for byte.
     assert hashlib.sha256(csv_a).hexdigest()[:12] == "38dc9cc24f31"
 
-    monkeypatch.setenv("PROPLIMIT_WORKERS", "3")
-    code_c = _verify_all(tmp_path / "c")
+    code_c = _verify_all(tmp_path / "c", "workers=3")
     assert code_c == code_a
     csv_c = (tmp_path / "c" / "verify_all.csv").read_bytes()
     assert csv_c == csv_a

@@ -69,20 +69,21 @@ class TestVarianceBound:
 
 class TestKsStatistic:
     def test_single_point_against_normal(self):
-        report = analysis.ks_statistic([0.0], ndtr)
-        assert report.statistic == pytest.approx(0.5)
+        statistic, _ = analysis.ks_statistic([0.0], ndtr)
+        assert statistic == pytest.approx(0.5)
 
     def test_exact_quantile_spacing(self):
         n = 64
         samples = (np.arange(n) + 0.5) / n
-        report = analysis.ks_statistic(samples, lambda x: np.clip(x, 0.0, 1.0))
-        assert report.statistic == pytest.approx(0.5 / n)
+        statistic, _ = analysis.ks_statistic(samples, lambda x: np.clip(x, 0.0, 1.0))
+        assert statistic == pytest.approx(0.5 / n)
 
     def test_matches_scipy(self, np_rng):
         draws = np_rng.standard_normal(2000)
-        ours = analysis.ks_statistic(draws, ndtr)
+        ours, threshold = analysis.ks_statistic(draws, ndtr)
         ref = scipy.stats.kstest(draws, "norm")
-        assert ours.statistic == pytest.approx(ref.statistic, rel=1e-10)
+        assert ours == pytest.approx(ref.statistic, rel=1e-10)
+        assert threshold == analysis.ks_threshold(2000, analysis.DEFAULT_KS_ALPHA)
 
     def test_threshold_value(self):
         assert analysis.ks_threshold(10_000, 1e-3) == pytest.approx(0.0195, abs=2e-4)
@@ -91,7 +92,8 @@ class TestKsStatistic:
         failures = 0
         for seed in range(20):
             draws = np.random.default_rng(seed).standard_normal(10_000)
-            failures += 0 if analysis.ks_statistic(draws, ndtr).passed else 1
+            statistic, threshold = analysis.ks_statistic(draws, ndtr)
+            failures += 0 if statistic <= threshold else 1
         assert failures == 0
 
     def test_empty_rejected(self):

@@ -72,12 +72,20 @@ BAD_CONFIGS = [
     ("verify-all", ['checks=["prop-posterior-psd"]', "prop_instances=0"], "prop_instances"),
     ("verify-all", ['checks=["prop-iterint-zero-mean"]', "prop_grid_samples=1"],
      "prop_grid_samples"),
-    ("converge-test", ['criteria=["c8-label-dependence"]', "c8_mixing=50"], "c8_mixing"),
+    ("converge-test", ['criteria=["c8-label-dependence"]', "posterior_mixing=50"],
+     "posterior_mixing"),
     # KS rows whose threshold would be 1 or more, so no draw could fail them.
     ("converge-test", ['criteria=["c2-diag-lognormal-ks"]', "c2_samples=3"], "c2_samples"),
     ("verify-all", ['checks=["prop-limit-diag-ks"]', "prop_grid_samples=3"],
      "prop_grid_samples"),
     ("verify-all", ['checks=["prop-wishart-gamma-ks"]', "prop_samples=5"], "prop_samples"),
+    # Counts folded into another: c5_samples, REFINE_RATIO, posterior_mixing.
+    ("converge-test", ['criteria=["c5-limit-vs-finite"]', "c5_refine_fine=8192"],
+     "c5_refine_fine"),
+    ("converge-test", ['criteria=["c5-limit-vs-finite"]', "c5_refine_samples=400"],
+     "c5_refine_samples"),
+    ("converge-test", ['criteria=["c7-posterior-oracle"]', "c7_mixing=3000"], "c7_mixing"),
+    ("verify-all", ['checks=["c8-label-dependence"]', "c8_mixing=3000"], "c8_mixing"),
 ]
 
 
@@ -368,13 +376,13 @@ class TestConvergeTest:
         # A bad grid is a config error (exit 2), not a crash or a failed check.
         code = run(["converge-test", "--seed", 1, "--out-dir", tmp_path,
                     "--set", "c5_refine_coarse=0", "--set", "c5_samples=4",
-                    "--set", "c5_steps=4", "--set", "c5_refine_samples=4",
+                    "--set", "c5_steps=4",
                     "--set", 'criteria=["c5-limit-vs-finite"]'])
         assert code == 2
         assert "grid steps" in json.loads(capsys.readouterr().err)["error"]
 
     @pytest.mark.parametrize(
-        "knob", ["c5_steps=1", "c5_refine_coarse=0", "c5_refine_fine=1000"]
+        "knob", ["c5_steps=1", "c5_refine_coarse=0"]
     )
     def test_bad_c5_grid_fails_before_any_draw(self, tmp_path, monkeypatch, knob):
         # At the default sample counts the draws before a late check take ~10 s.

@@ -146,8 +146,8 @@ class TestVbarLimit:
         draws = limit.vbar_limit_samples(a, 1, 8, n, SEED, phase=6)
         logs = np.log(draws[:, 0, 0])
         sd = np.sqrt(a / 2.0)
-        report = analysis.ks_statistic(logs, lambda x: ndtr((x + a / 2.0) / sd))
-        assert report.passed, report
+        statistic, threshold = analysis.ks_statistic(logs, lambda x: ndtr((x + a / 2.0) / sd))
+        assert statistic <= threshold
 
     def test_determinant_positive(self):
         draws = limit.vbar_limit_samples(1.0, 3, 64, 500, SEED, phase=7)

@@ -177,23 +177,11 @@ def test_verify_phase_ids_distinct():
 
 
 class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(montecarlo.WORKERS_ENV, "5")
-        assert montecarlo.worker_count() == 5
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(montecarlo.WORKERS_ENV, "5")
+    def test_explicit_wins(self):
         assert montecarlo.worker_count(2) == 2
 
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv(montecarlo.WORKERS_ENV, raising=False)
+    def test_default_single(self):
         assert montecarlo.worker_count() == 1
-
-    @pytest.mark.parametrize("raw", ["abc", "2.5"])
-    def test_malformed_env_is_typed(self, monkeypatch, raw):
-        monkeypatch.setenv(montecarlo.WORKERS_ENV, raw)
-        with pytest.raises(InvalidParameter, match=montecarlo.WORKERS_ENV):
-            montecarlo.worker_count()
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, "2", True, np.float64(2.0)])
     def test_non_integer_is_typed(self, bad):

@@ -244,6 +244,18 @@ class TestPredictiveMoments:
                 ref = cov.tobytes()
         assert cov.tobytes() == ref
 
+    def test_zero_weight_component_contributes_nothing(self):
+        # Q = 1e160 overflows the second component: Psi = inf gives it weight
+        # 0, and its mean is NaN.  The mixture is the first component alone.
+        data = scalar_data(x=[[1e150]], y=[[1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            mix = posterior.posterior_mixture([np.eye(1), 1e160 * np.eye(1)], data)
+        np.testing.assert_array_equal(mix.weights, [1.0, 0.0])
+        assert np.isnan(mix.means[1, 0])
+        mean, cov = posterior.predictive_moments(mix)
+        np.testing.assert_array_equal(mean, mix.means[0])
+        np.testing.assert_array_equal(cov, mix.covariances[0])
+
 
 # Dataset shapes for the differential test: generic inputs, and the
 # rank-deficient cases where the oracle needs its pseudo-inverse.

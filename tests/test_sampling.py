@@ -134,10 +134,10 @@ class TestWishart:
 
     def test_d1_is_gamma(self, rng):
         draws = wisharts(8, 1, 50_000, rng)[:, 0, 0]
-        report = analysis.ks_statistic(
+        statistic, threshold = analysis.ks_statistic(
             draws, lambda x: gammainc(4.0, 4.0 * x), alpha=0.01
         )
-        assert report.passed, report
+        assert statistic <= threshold
 
     def test_outer_route_matches_bartlett_moments(self, rng):
         # The outer-product route: a sum of dof outer products of N(0, I/dof) vectors.
