@@ -62,8 +62,12 @@ MAX_DIM = 32
 DEFAULT_STEPS = 4096
 
 
-def check_grid(a: float, dim: int, steps: int) -> None:
-    """Reject a limit ratio, dimension or grid size no draw accepts."""
+def check_grid(a: float, dim: int, steps: int) -> tuple[int, int]:
+    """Reject a limit ratio, dimension or grid size no draw accepts.
+
+    Returns ``(dim, steps)`` as ints (``montecarlo.whole``).
+    """
+    dim, steps = montecarlo.whole(dim, "dim"), montecarlo.whole(steps, "steps")
     if not 0 <= a < np.inf:
         raise InvalidParameter(f"limit ratio must be finite and >= 0, got {a}")
     if dim < 1:
@@ -75,6 +79,7 @@ def check_grid(a: float, dim: int, steps: int) -> None:
         )
     if steps < 2:
         raise InvalidParameter(f"need at least 2 grid steps, got {steps}")
+    return dim, steps
 
 
 class Grid:
@@ -93,7 +98,7 @@ class Grid:
     """
 
     def __init__(self, a: float, dim: int, steps: int):
-        check_grid(a, dim, steps)
+        dim, steps = check_grid(a, dim, steps)
         self.a, self.dim, self.steps = float(a), dim, steps
         n_off = dim * (dim - 1) // 2
         self.root_dt = 1.0 / np.sqrt(steps)
@@ -186,7 +191,9 @@ def iterated_integral(grid: Grid, path) -> float:
     factor, so it is exactly one summand of a below-diagonal limit entry.
     Zero off-diagonal increments (or a = 0) give exactly 0.  Summed over
     :func:`enumerate_paths`, it is the path-by-path reference for
-    :func:`vbar_limit_from_grid`.
+    :func:`vbar_limit_from_grid`, so it forms its suffix sums itself (a
+    reversed cumulative sum per hop) rather than through the
+    :func:`backend.suffix_mac` kernel it checks.
     """
     path = validate_path(path, grid.dim)
     z = grid.drifted_paths
@@ -197,7 +204,7 @@ def iterated_integral(grid: Grid, path) -> float:
         # exp(Z_lo(t_u) - Z_hi(t_u)) at the left endpoints u = 0..M-1
         w = np.exp(z[lo, :-1] - z[hi, :-1])
         dw = grid.offdiag_increments[tril_position(hi, lo)]
-        suffix = backend.suffix_mac((w * dw)[None], suffix[None, None])[0]
+        suffix = np.append(np.cumsum((w * dw * suffix[1:])[::-1])[::-1], 0.0)
     return float(grid.a ** (hops / 2.0) * np.exp(z[path[-1], -1]) * suffix[0])
 
 
@@ -243,7 +250,7 @@ def vbar_limit_samples(
     workers: int | None = None,
 ) -> np.ndarray:
     """Stack of independent limit-matrix draws: (n, dim, dim)."""
-    check_grid(a, dim, steps)
+    dim, steps = check_grid(a, dim, steps)
     return montecarlo.sample_map(
         lambda streams, m: _vbar_block(a, dim, steps, streams, m),
         n_samples, seed, phase, workers,
@@ -268,7 +275,7 @@ def prior_limit_samples(
     with the limit matrices of :func:`vbar_limit_samples` at this phase.
     At a = 0 the law is exactly the infinite-width Gaussian.
     """
-    check_grid(a, dim, steps)
+    dim, steps = check_grid(a, dim, steps)
     return prior.mixture_samples(
         lambda streams, m: _vbar_block(a, dim, steps, streams, m),
         x, lambda_star, n_samples, seed, phase, workers,
@@ -287,15 +294,22 @@ def _coarsened(fine: Grid, coarse: Grid) -> Grid:
     return coarse.fill_paths()
 
 
-def check_refinement(a: float, dim: int, coarse_steps: int, fine_steps: int) -> None:
-    """Reject a coupled coarse/fine grid pair no refinement draw accepts."""
-    check_grid(a, dim, coarse_steps)
+def check_refinement(
+    a: float, dim: int, coarse_steps: int, fine_steps: int
+) -> tuple[int, int, int]:
+    """Reject a coupled coarse/fine grid pair no refinement draw accepts.
+
+    Returns ``(dim, coarse_steps, fine_steps)`` as ints.
+    """
+    dim, coarse_steps = check_grid(a, dim, coarse_steps)
+    fine_steps = montecarlo.whole(fine_steps, "fine_steps")
     if fine_steps % coarse_steps != 0:
         raise InvalidParameter(
             f"fine_steps={fine_steps} must be a multiple of coarse_steps={coarse_steps}"
         )
     if fine_steps // coarse_steps < 2:
         raise InvalidParameter("refinement requires fine_steps > coarse_steps")
+    return dim, coarse_steps, fine_steps
 
 
 def vbar_limit_refinement_pair(
@@ -318,7 +332,7 @@ def vbar_limit_refinement_pair(
     one pair of grids.  Returns ``(coarse, fine)`` stacks of shape
     (n, dim, dim).
     """
-    check_refinement(a, dim, coarse_steps, fine_steps)
+    dim, coarse_steps, fine_steps = check_refinement(a, dim, coarse_steps, fine_steps)
 
     def draw_block(streams, m: int) -> np.ndarray:
         rng = streams(0)

@@ -40,6 +40,8 @@ fixed array; worker count therefore changes wall time only.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
+
 import numpy as np
 
 from .errors import InvalidParameter
@@ -53,6 +55,21 @@ _MAX_BLOCK = 1 << FAMILY_SHIFT
 _MAX_FAMILY = 1 << (PHASE_SHIFT - FAMILY_SHIFT)
 _MAX_PHASE = 1 << (64 - PHASE_SHIFT)  # phase << PHASE_SHIFT fills the key half
 _MASK64 = (1 << 64) - 1
+
+
+def whole(value, name: str) -> int:
+    """``value`` as an int, if it is a whole real number (``8.0`` reads 8).
+
+    This is the one rule for counts and sizes (samples, steps, dimensions,
+    depths, widths): anything else -- ``8.5``, a bool, a string, NaN --
+    raises :class:`InvalidParameter` rather than a bare ``TypeError`` or a
+    silent truncation.
+    """
+    if not isinstance(value, bool):
+        # An integer as is: float() would overflow on one above ~1.8e308.
+        if isinstance(value, Integral) or (isinstance(value, Real) and float(value).is_integer()):
+            return int(value)
+    raise InvalidParameter(f"{name} must be a whole number, got {value!r}")
 
 
 def worker_count(workers: int | None = None) -> int:
@@ -105,6 +122,7 @@ def sample_map(
     family's generator once.  One worker runs the blocks in the caller's
     thread; more run them on a thread pool, ``workers`` blocks at a time.
     """
+    n_samples = whole(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
     workers = worker_count(workers)

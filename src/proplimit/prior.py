@@ -38,13 +38,6 @@ FAMILY_GAMMA, FAMILY_LOW, FAMILY_Z = 0, 1, 2
 DIRECT_BATCH_VALUES = 1 << 19
 
 
-def _is_whole(value) -> bool:
-    try:
-        return not isinstance(value, bool) and float(value).is_integer()
-    except (TypeError, ValueError):
-        return False
-
-
 @dataclass(frozen=True)
 class NetworkShape:
     """Architecture and precision schedule of a deep linear network.
@@ -76,6 +69,8 @@ class NetworkShape:
     widths: tuple = None
 
     def __post_init__(self):
+        for name in ("n_in", "n_out", "depth", "width"):
+            object.__setattr__(self, name, montecarlo.whole(getattr(self, name), name))
         if self.n_in < 1 or self.n_out < 1 or self.depth < 1:
             raise InvalidParameter(
                 f"need n_in, n_out, depth >= 1; got {self.n_in}, "
@@ -97,9 +92,7 @@ class NetworkShape:
             raise InvalidParameter(f"all precisions must be finite and > 0, got {lambdas}")
         object.__setattr__(self, "lambdas", lambdas)
         if self.widths is not None:
-            if not all(_is_whole(w) for w in self.widths):
-                raise InvalidParameter(f"widths must be whole numbers, got {self.widths}")
-            widths = tuple(int(w) for w in self.widths)
+            widths = tuple(montecarlo.whole(w, "widths") for w in self.widths)
             if len(widths) != self.depth or any(w < 1 for w in widths):
                 raise InvalidParameter(
                     f"widths needs {self.depth} entries, all >= 1"
@@ -316,6 +309,9 @@ def vbar_finite_samples(
     Factor ``l`` has Wishart(width, I/width) outer product; every product
     is lower triangular with strictly positive diagonal.
     """
+    depth = montecarlo.whole(depth, "depth")
+    width = montecarlo.whole(width, "width")
+    dim = montecarlo.whole(dim, "dim")
     return montecarlo.sample_map(
         lambda streams, m: _chains(width, dim, depth, streams, m),
         n_samples, seed, phase, workers,

@@ -11,8 +11,16 @@ criteria, ``PROPERTIES`` the per-module distributional invariants.  Sample
 counts live in :class:`VerifyConfig` so quick runs can shrink them without
 touching the checks; a count too small to measure anything is rejected
 there, before any draw.  Each reduction has one helper (``_sigma_ratio``,
-``_ks_row``, ``_mgf_rel_err``, ``_bridge_rows``), and a standard error
-from fewer than two draws fails its row.
+``_ks_row``, ``_mgf_rel_err``, ``_bridge_rows``), a statistic over several
+entries reduces them all in one ``montecarlo.mean_and_se`` or
+``var_and_se`` call, and a standard error from fewer than two draws fails
+its row.
+
+Every mixture moment of c7 and c8 is ``posterior.predictive_moments`` of a
+``posterior.posterior_mixture``, c8's batch variances included.  Its
+einsum reductions keep c8's statistic off the BLAS thread count
+(``tests/test_verify.py``); the posterior of thousands of training points
+still follows it, through its SVD.
 
 Every check draws through the production block samplers
 (``prior.bartlett_chain_draws``, ``prior.vbar_finite_samples``,
@@ -318,21 +326,20 @@ def check_mgf_bridge(cfg: VerifyConfig) -> list[CheckRow]:
 def check_offdiag_variance_bound(cfg: VerifyConfig) -> list[CheckRow]:
     """Empirical below-diagonal variances respect the combinatorial bound."""
     dim = 3
+    rows_at, cols_at = np.tril_indices(dim, -1)
     rows = []
     for idx, (width, depth) in enumerate([(8, 4), (8, 16), (32, 4), (32, 16)]):
         draws = prior.vbar_finite_samples(
             depth, width, dim, cfg.c4_samples, cfg.seed, PH_C4_BASE + idx, cfg.workers
         )
-        worst = -math.inf
-        for k in range(2, dim + 1):
-            for i in range(1, k):
-                entries = draws[:, k - 1, i - 1]
-                var, se = montecarlo.var_and_se(entries[:, None])
-                bound = analysis.offdiag_variance_bound(k, i, depth, width)
-                worst = max(worst, float((var[0] - bound) / se[0]))
+        var, se = montecarlo.var_and_se(draws[:, rows_at, cols_at])
+        bounds = np.array([
+            analysis.offdiag_variance_bound(r + 1, c + 1, depth, width)
+            for r, c in zip(rows_at, cols_at)
+        ])
         rows.append(
             CheckRow(
-                f"variance-bound-N{width}-L{depth}", worst, 4.0,
+                f"variance-bound-N{width}-L{depth}", float(np.max((var - bounds) / se)), 4.0,
                 reference="max (Var - bound)/SE over strict-lower entries",
                 width=width, depth=depth,
             )
@@ -455,33 +462,21 @@ def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
     return rows
 
 
-def _predictive_variance_from_arrays(m0, s00, weights, lo, hi) -> float:
-    w = weights[lo:hi]
-    w = w / w.sum()
-    mean = float(w @ m0[lo:hi])
-    second = float(w @ (s00[lo:hi] + m0[lo:hi] ** 2))
-    return second - mean * mean
-
-
 def check_label_dependence(cfg: VerifyConfig) -> list[CheckRow]:
     """Predictive variance at a=1 responds to the labels (non-NNGP learning)."""
     qs = _scalar_limit_mixing(cfg, cfg.posterior_mixing, PH_C8)
-    n = qs.shape[0]
+    edges = np.linspace(0, qs.shape[0], C8_BATCHES + 1).astype(int)
     variances = {}
     batch_vars = {}
-    edges = np.linspace(0, n, C8_BATCHES + 1).astype(int)
     for label in (0.0, 5.0):
         data = posterior.Dataset(x=[[1.0]], y=[[label]], x0=[1.0], beta=1.0)
-        mix = posterior.posterior_mixture(qs, data)
-        m0 = mix.means[:, 0]
-        s00 = mix.covariances[:, 0, 0]
-        variances[label] = _predictive_variance_from_arrays(m0, s00, mix.weights, 0, n)
-        batch_vars[label] = np.array(
-            [
-                _predictive_variance_from_arrays(m0, s00, mix.weights, lo, hi)
-                for lo, hi in zip(edges[:-1], edges[1:])
-            ]
-        )
+        # The whole mixture's variance, then each batch's, whose mixture
+        # renormalizes the batch's own weights.
+        var = [
+            float(posterior.predictive_moments(posterior.posterior_mixture(mixing, data))[1][0, 0])
+            for mixing in (qs, *np.split(qs, edges[1:-1]))
+        ]
+        variances[label], batch_vars[label] = var[0], np.array(var[1:])
     diffs = batch_vars[5.0] - batch_vars[0.0]
     se = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))
     full_diff = abs(variances[5.0] - variances[0.0])
@@ -678,10 +673,7 @@ def prop_diag_product_identity(cfg: VerifyConfig) -> list[CheckRow]:
     draws = prior.vbar_finite_samples(
         depth, width, dim, cfg.prop_samples, cfg.seed, PH_DIAG_PROD, cfg.workers
     )
-    # One (n, 1) reduction per entry: a column of a wider reduction sums in
-    # another order and differs in the last bits.
-    moments = [montecarlo.mean_and_se(draws[:, k, k, None] ** 2) for k in range(dim)]
-    est, se = (np.concatenate(m) for m in zip(*moments))
+    est, se = montecarlo.mean_and_se(np.diagonal(draws, axis1=1, axis2=2) ** 2)
     target = np.array([((width - k + 1) / width) ** depth for k in range(1, dim + 1)])
     return [
         CheckRow(
@@ -936,16 +928,14 @@ def prop_empirical_mgf(cfg: VerifyConfig) -> list[CheckRow]:
     draws = prior.vbar_finite_samples(
         depth, width, dim, cfg.prop_samples, cfg.seed, PH_EMPIRICAL_MGF, cfg.workers
     )
-    moments, target = [], []
-    for r in (1, 2):
-        logs = np.log(draws[:, r - 1, r - 1])
-        for s in (-1.0, 1.0):
-            moments.append(montecarlo.mean_and_se(np.exp(s * logs)[:, None]))
-            target.append(analysis.exact_log_mgf_finite(width, r, depth, s))
-    est, se = (np.concatenate(m) for m in zip(*moments))
+    cases = [(r, s) for r in (1, 2) for s in (-1.0, 1.0)]
+    r_at, s_at = (np.array(v) for v in zip(*cases))
+    logs = np.log(np.diagonal(draws, axis1=1, axis2=2))
+    est, se = montecarlo.mean_and_se(np.exp(s_at * logs[:, r_at - 1]))
+    target = np.array([analysis.exact_log_mgf_finite(width, r, depth, s) for r, s in cases])
     return [
         CheckRow(
-            "empirical-mgf", _sigma_ratio(est, np.array(target), se), 4.0,
+            "empirical-mgf", _sigma_ratio(est, target, se), 4.0,
             reference="s in {-1, 1}, r in {1, 2}", width=width, depth=depth,
         )
     ]

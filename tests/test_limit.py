@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from proplimit import analysis, limit, montecarlo, prior
+from proplimit import analysis, backend, limit, montecarlo, prior
 from proplimit.errors import InvalidParameter, ShapeMismatch
 
 SEED = 99
@@ -123,6 +123,19 @@ class TestIteratedIntegral:
         vals = montecarlo.sample_map(per_draw(one), n, SEED, phase=4)
         mean, se = montecarlo.mean_and_se(vals)
         assert np.all(np.abs(mean) < 4 * se)
+
+    def test_independent_of_the_kernel_it_checks(self, rng, monkeypatch):
+        # The oracle of TestPathSumMatchesEnumeration must not run through
+        # the DP's suffix kernel, or a fault there would pass unseen.
+        grid = limit.simulate_paths(rng, limit.Grid(0.8, 4, 64))
+        paths = limit.enumerate_paths(3, 0)
+        before = [limit.iterated_integral(grid, p) for p in paths]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("iterated_integral called backend.suffix_mac")
+
+        monkeypatch.setattr(backend, "suffix_mac", broken)
+        assert [limit.iterated_integral(grid, p) for p in paths] == before
 
     def test_dimension_check(self, rng):
         grid = limit.simulate_paths(rng, limit.Grid(0.5, 2, 16))

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from proplimit import montecarlo, prior, verify
+from proplimit import limit, montecarlo, prior, verify
 from proplimit.errors import InvalidParameter
 
 
@@ -196,6 +196,47 @@ class TestWorkerCount:
             montecarlo.sample_map(draw3, 4, seed=1, phase=0, workers=2.5)
         with pytest.raises(InvalidParameter):
             prior.vbar_finite_samples(2, 4, 2, 4, seed=1, workers=2.5)
+
+
+X3 = np.ones((3, 4))
+
+
+@pytest.mark.parametrize("call, same_as", [
+    pytest.param(lambda: prior.vbar_finite_samples(3, 8.5, 2, 5, 1), None, id="finite-width"),
+    pytest.param(
+        lambda: prior.prior_mixture_samples(
+            X3, prior.NetworkShape(n_in=3, n_out=2, depth=3, width=8.5), 5, 1
+        ),
+        None, id="mixture-width",
+    ),
+    pytest.param(
+        lambda: prior.forward_direct_samples(
+            X3, prior.NetworkShape(n_in=3, n_out=2, depth=2.5, width=8), 5, 1
+        ),
+        None, id="direct-depth",
+    ),
+    pytest.param(lambda: limit.vbar_limit_samples(0.5, 2.5, 16, 3, 1), None, id="limit-dim"),
+    pytest.param(lambda: limit.vbar_limit_samples(0.5, 2, 16.5, 3, 1), None, id="limit-steps"),
+    pytest.param(lambda: limit.vbar_limit_samples(0.5, 2, 16, 2.5, 1), None, id="limit-n-samples"),
+    pytest.param(
+        lambda: limit.vbar_limit_refinement_pair(0.5, 2, 16, 64.0, 3, 1),
+        lambda: limit.vbar_limit_refinement_pair(0.5, 2, 16, 64, 3, 1),
+        id="refinement-whole-float",
+    ),
+    pytest.param(
+        lambda: prior.vbar_finite_samples(3.0, 8.0, 2.0, 5.0, 1),
+        lambda: prior.vbar_finite_samples(3, 8, 2, 5, 1),
+        id="finite-whole-floats",
+    ),
+])
+def test_counts_follow_the_whole_number_rule(call, same_as):
+    # A whole float is read as its int; anything else is a typed error,
+    # never a bare TypeError and never a draw at a fractional size.
+    if same_as is None:
+        with pytest.raises(InvalidParameter, match="whole number"):
+            call()
+    else:
+        np.testing.assert_array_equal(call(), same_as())
 
 
 class TestReductions:

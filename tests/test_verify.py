@@ -1,6 +1,10 @@
 """Edge rules of the verification reductions: too few draws must fail a row."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,3 +33,26 @@ def test_appendix_round_trip_fails_on_a_thin_bin(monkeypatch, seed, n_bin):
     (row,) = verify.prop_appendix_round_trip(cfg)
     assert row.reference.startswith(f"bin count={n_bin} ")
     assert row.statistic == math.inf and not row.passed
+
+
+C8_STATISTIC = """
+from proplimit import verify
+(row,) = verify.check_label_dependence(verify.VerifyConfig(seed=20260810, posterior_mixing=20_000))
+print(repr(row.statistic))
+"""
+
+
+def test_label_dependence_is_independent_of_blas_threads():
+    # Results depend on (seed, phase, index) only: c8's reductions must not
+    # follow the BLAS thread count, which numpy reads once, at import.
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    statistics = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", C8_STATISTIC], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        statistics.append(done.stdout.strip())
+    assert statistics[0] == statistics[1]
