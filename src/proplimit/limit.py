@@ -62,11 +62,13 @@ MAX_DIM = 32
 DEFAULT_STEPS = 4096
 
 
-def check_grid(a: float, dim: int, steps: int) -> tuple[int, int]:
+def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:
     """Reject a limit ratio, dimension or grid size no draw accepts.
 
-    Returns ``(dim, steps)`` as ints (``montecarlo.whole``).
+    Returns ``(a, dim, steps)`` as a float and ints (``montecarlo.real``,
+    ``montecarlo.whole``).
     """
+    a = montecarlo.real(a, "limit ratio")
     dim, steps = montecarlo.whole(dim, "dim"), montecarlo.whole(steps, "steps")
     if not 0 <= a < np.inf:
         raise InvalidParameter(f"limit ratio must be finite and >= 0, got {a}")
@@ -79,7 +81,7 @@ def check_grid(a: float, dim: int, steps: int) -> tuple[int, int]:
         )
     if steps < 2:
         raise InvalidParameter(f"need at least 2 grid steps, got {steps}")
-    return dim, steps
+    return a, dim, steps
 
 
 class Grid:
@@ -98,8 +100,8 @@ class Grid:
     """
 
     def __init__(self, a: float, dim: int, steps: int):
-        dim, steps = check_grid(a, dim, steps)
-        self.a, self.dim, self.steps = float(a), dim, steps
+        a, dim, steps = check_grid(a, dim, steps)
+        self.a, self.dim, self.steps = a, dim, steps
         n_off = dim * (dim - 1) // 2
         self.root_dt = 1.0 / np.sqrt(steps)
         self.root_half_a = np.sqrt(a / 2.0)
@@ -250,7 +252,7 @@ def vbar_limit_samples(
     workers: int | None = None,
 ) -> np.ndarray:
     """Stack of independent limit-matrix draws: (n, dim, dim)."""
-    dim, steps = check_grid(a, dim, steps)
+    a, dim, steps = check_grid(a, dim, steps)
     return montecarlo.sample_map(
         lambda streams, m: _vbar_block(a, dim, steps, streams, m),
         n_samples, seed, phase, workers,
@@ -275,7 +277,7 @@ def prior_limit_samples(
     with the limit matrices of :func:`vbar_limit_samples` at this phase.
     At a = 0 the law is exactly the infinite-width Gaussian.
     """
-    dim, steps = check_grid(a, dim, steps)
+    a, dim, steps = check_grid(a, dim, steps)
     return prior.mixture_samples(
         lambda streams, m: _vbar_block(a, dim, steps, streams, m),
         x, lambda_star, n_samples, seed, phase, workers,
@@ -296,12 +298,12 @@ def _coarsened(fine: Grid, coarse: Grid) -> Grid:
 
 def check_refinement(
     a: float, dim: int, coarse_steps: int, fine_steps: int
-) -> tuple[int, int, int]:
+) -> tuple[float, int, int, int]:
     """Reject a coupled coarse/fine grid pair no refinement draw accepts.
 
-    Returns ``(dim, coarse_steps, fine_steps)`` as ints.
+    Returns ``(a, dim, coarse_steps, fine_steps)`` as a float and ints.
     """
-    dim, coarse_steps = check_grid(a, dim, coarse_steps)
+    a, dim, coarse_steps = check_grid(a, dim, coarse_steps)
     fine_steps = montecarlo.whole(fine_steps, "fine_steps")
     if fine_steps % coarse_steps != 0:
         raise InvalidParameter(
@@ -309,7 +311,7 @@ def check_refinement(
         )
     if fine_steps // coarse_steps < 2:
         raise InvalidParameter("refinement requires fine_steps > coarse_steps")
-    return dim, coarse_steps, fine_steps
+    return a, dim, coarse_steps, fine_steps
 
 
 def vbar_limit_refinement_pair(
@@ -332,7 +334,7 @@ def vbar_limit_refinement_pair(
     one pair of grids.  Returns ``(coarse, fine)`` stacks of shape
     (n, dim, dim).
     """
-    dim, coarse_steps, fine_steps = check_refinement(a, dim, coarse_steps, fine_steps)
+    a, dim, coarse_steps, fine_steps = check_refinement(a, dim, coarse_steps, fine_steps)
 
     def draw_block(streams, m: int) -> np.ndarray:
         rng = streams(0)

@@ -72,6 +72,19 @@ def whole(value, name: str) -> int:
     raise InvalidParameter(f"{name} must be a whole number, got {value!r}")
 
 
+def real(value, name: str) -> float:
+    """``value`` as a float, if it is a real number that is not a bool.
+
+    This is the one rule for real parameters (limit ratio, precisions,
+    label precision): a string or a bool raises :class:`InvalidParameter`
+    rather than a bare ``TypeError`` or a silent 1.0.  Each caller keeps
+    its own range check.
+    """
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+
+
 def worker_count(workers: int | None = None) -> int:
     """Resolve the worker count: None means 1; anything else must be an integer >= 1."""
     if workers is None:

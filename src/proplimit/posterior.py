@@ -11,15 +11,18 @@ over mixing draws, and reduces mixtures to predictive moments.
 
 The training block is s11 = G11 kron Q, so every starred quantity is
 diagonal in the product eigenbasis U kron V of G11 = U diag(lam) U.T and
-Q = V diag(mu) V.T (the Kronecker-GP identity of Saatci, 2011).  One SVD
-of the training inputs (X / sqrt(n_in) = W diag(sqrt(lam)) U.T) is shared
-by all components and one batched ``eigh`` of the (n, d, d) Q stack gives
-every component in closed form, O(d^3 + d^2 P) each.  No pseudo-inverse
-and no rank decision are needed: the test input's Gram row x0.X / n_in lies
-in the row space of G11, so s01 s11^- s11 = s01 and the Moore-Penrose
-blocks reduce exactly to the resolvent form s01 (I + beta s11)^-1, whose
-eigenvalues 1 / (1 + beta lam mu) are defined for singular Gram matrices
-(repeated or collinear inputs) as for any other.
+Q = V diag(mu) V.T (the Kronecker-GP identity of Saatci, 2011).  One thin
+SVD X / sqrt(n_in) = W diag(sqrt(lam)) U.T (r = min(n_in, P) columns in U;
+one Q-free scalar covers the other P - r directions) and one batched
+``eigh`` of the Q stack give every component in closed form, O(d^3 + d^2 r)
+each.  No pseudo-inverse or rank decision is needed: the test input's Gram
+row x0.X / n_in lies in the row space of G11, so s01 s11^- s11 = s01 and
+the Moore-Penrose blocks reduce exactly to the resolvent form
+s01 (I + beta s11)^-1, whose eigenvalues 1 / (1 + beta lam mu) are defined
+for singular Gram matrices (repeated or collinear inputs) as for any other.
+At P = 3000 training inputs a mixture is byte-equal at one and two BLAS
+threads with n_in = 3 or 50 input rows (the cases ``tests/test_verify.py``
+checks), but not with n_in = 200.
 
 The dense per-Q oracles form the Kronecker blocks and solve with them
 directly: :func:`starred` in the Moore-Penrose form, the one caller of
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import montecarlo
 from .errors import EmptyMixing, InvalidParameter, ShapeMismatch
 from .linalg import as_matrix, cholesky, kron, pinv, symmetrize
 
@@ -72,11 +76,13 @@ class Dataset:
             raise InvalidParameter("need at least one training input")
         if not np.isfinite(x0).all():
             raise InvalidParameter("x0 contains non-finite entries")
-        if not 0 <= self.beta < np.inf:
-            raise InvalidParameter(f"beta must be finite and >= 0, got {self.beta}")
+        beta = montecarlo.real(self.beta, "beta")
+        if not 0 <= beta < np.inf:
+            raise InvalidParameter(f"beta must be finite and >= 0, got {beta}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def y_vec(self) -> np.ndarray:
@@ -121,8 +127,8 @@ class PosteriorMixture:
     effective sample size ``(sum w)^2 / sum w^2``.  ``psi`` holds each
     component's weight exponent and ``n_nonfinite`` counts components
     whose Psi or moments are not finite.  ``warnings`` lists non-fatal
-    diagnostics ("degenerate-weights" when ess < 1.5, "low-ess" below 10%
-    of the component count).
+    diagnostics ("degenerate-weights" when ess < 1.5 over two or more
+    components, "low-ess" below 10% of the component count).
     """
 
     means: np.ndarray
@@ -261,9 +267,9 @@ def starred_invertible(q, data: Dataset):
 class _Components:
     """Every component of a Q stack, in the product eigenbasis of s11 = G11 kron Q.
 
-    G11 = U diag(lam) U.T is shared; Q_n = V_n diag(mu_n) V_n.T per draw.
-    Arrays indexed (n, j, p) pair output eigenvalue mu_j with input
-    eigenvalue lam_p: ``z = V.T Y U`` is the label matrix in that basis,
+    G11 = U diag(lam) U.T is shared, U the P x r thin basis (r = min(n_in, P));
+    Q_n = V_n diag(mu_n) V_n.T per draw.  Arrays indexed (n, j, k) pair
+    mu_j with lam_k: ``z = V.T Y U`` is the label matrix in that basis,
     ``denom = 1 + beta lam mu`` the eigenvalues of I + beta s11 and ``g``
     the test/train transfer s01 (I + beta s11)^-1.  ``psi``, ``m0`` and
     ``s00`` are each component's weight exponent, test-block mean and
@@ -273,13 +279,13 @@ class _Components:
     psi: np.ndarray     # (n,)
     m0: np.ndarray      # (n, d)
     s00: np.ndarray     # (n, d, d)
-    g: np.ndarray       # (n, d, P)
-    lam: np.ndarray     # (P,)
-    u: np.ndarray       # (P, P)
+    g: np.ndarray       # (n, d, r)
+    lam: np.ndarray     # (r,)
+    u: np.ndarray       # (P, r)
     mu: np.ndarray      # (n, d)
     v: np.ndarray       # (n, d, d)
-    z: np.ndarray       # (n, d, P)
-    denom: np.ndarray   # (n, d, P)
+    z: np.ndarray       # (n, d, r)
+    denom: np.ndarray   # (n, d, r)
 
 
 def _components(mixing, data: Dataset) -> _Components:
@@ -293,12 +299,14 @@ def _components(mixing, data: Dataset) -> _Components:
     input eigenbasis and ``r0 = |e|^2`` the squared residual of x0 off the
     span of the training inputs, so g00 = r0 + sum a^2.  In the product
     eigenbasis every starred quantity is diagonal:
-    Psi = beta sum z^2 / denom + sum log denom;
-    m0 = beta V sum_p g_jp z_jp, with g = c mu / denom;
-    S00* = V diag(mu_j (g00 - beta sum_p c_p g_jp)) V.T.
+    Psi = beta (sum z^2 / denom + |Y - Y U U.T|^2) + sum log denom;
+    m0 = beta V sum_k g_jk z_jk, with g = c mu / denom;
+    S00* = V diag(mu_j (g00 - beta sum_k c_k g_jk)) V.T.
     c is 0 wherever lam is, since g01 lies in the row space of G11, so no
-    direction needs a rank decision.  S00* is evaluated in the equivalent
-    residual form mu_j (r0 + sum_p a_p^2 / denom_jp): subtracting the
+    direction needs a rank decision.  Off the span of U, denom = 1 and g = 0:
+    those P - r directions add only the Q-free |Y - Y U U.T|^2 (not
+    |Y|^2 - |Y U|^2, which cancels near the span).  S00* is evaluated in the
+    residual form mu_j (r0 + sum_k a_k^2 / denom_jk): subtracting the
     projected part of g00 cancels catastrophically once beta lam mu is
     large, and can turn the variance negative.
     """
@@ -308,25 +316,23 @@ def _components(mixing, data: Dataset) -> _Components:
         raise ShapeMismatch(f"mixing draws do not stack to (n, d, d): {exc}") from exc
     if qs.shape[:1] == (0,):
         raise EmptyMixing("a posterior mixture needs at least one mixing draw")
-    d, p = data.n_out, data.n_train
+    d = data.n_out
     if qs.ndim != 3:
         raise ShapeMismatch(f"Q stack has shape {qs.shape}, expected (n, {d}, {d})")
     qs = _check_q(qs, d)
     beta, root_n = data.beta, np.sqrt(data.n_in)
-    # Full U even when n_in < P: the null directions of G11 still carry labels.
-    w, sing, ut = np.linalg.svd(data.x / root_n, full_matrices=data.n_in < p)
-    lam = np.zeros(p)
-    lam[: sing.size] = sing**2
-    a = np.zeros(p)
-    a[: sing.size] = w.T @ data.x0 / root_n
-    resid = data.x0 / root_n - w @ a[: sing.size]
+    w, sing, ut = np.linalg.svd(data.x / root_n, full_matrices=False)
+    lam = sing**2
+    a = w.T @ data.x0 / root_n
+    resid = data.x0 / root_n - w @ a
     r0 = float(resid @ resid)
-    c = a * np.sqrt(lam)
     mu, v = np.linalg.eigh(qs)
-    z = np.swapaxes(v, 1, 2) @ (data.y @ ut.T)
+    y_in = data.y @ ut.T
+    null = float(np.sum((data.y - y_in @ ut) ** 2))
+    z = np.swapaxes(v, 1, 2) @ y_in
     denom = 1.0 + beta * (mu[:, :, None] * lam)
-    psi = beta * np.sum(z**2 / denom, axis=(1, 2)) + np.sum(np.log(denom), axis=(1, 2))
-    g = c * mu[:, :, None] / denom
+    psi = beta * (np.sum(z**2 / denom, axis=(1, 2)) + null) + np.sum(np.log(denom), axis=(1, 2))
+    g = a * np.sqrt(lam) * mu[:, :, None] / denom
     m0 = beta * np.einsum("nij,nj->ni", v, np.sum(g * z, axis=2))
     eig00 = mu * (r0 + (1.0 / denom) @ a**2)
     s00 = (v * eig00[:, None, :]) @ np.swapaxes(v, 1, 2)
@@ -346,7 +352,7 @@ def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
     flagged in ``warnings`` rather than raised.
 
     All components come from one batched eigendecomposition of the Q stack
-    (see :func:`_components`), O(d^3 + d^2 P) per component; only the
+    (see :func:`_components`), O(d^3 + d^2 r) per component; only the
     test block of each component is kept.  A component whose Psi is not
     finite gets weight 0; if no component has a finite Psi there is no
     weighting at all, and :class:`EmptyMixing` is raised.
@@ -370,7 +376,7 @@ def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
         & np.isfinite(covs).all(axis=(1, 2))
     )
     warnings = []
-    if ess < DEGENERATE_ESS:
+    if n >= 2 and ess < DEGENERATE_ESS:  # one component is a point mass by design
         warnings.append("degenerate-weights")
     if ess < LOW_ESS_FRACTION * n:
         warnings.append("low-ess")
@@ -388,7 +394,7 @@ def joint_moments(mixing, data: Dataset):
     components as :func:`posterior_mixture`.
     """
     sp = _components(mixing, data)
-    n, d, p = sp.z.shape
+    (n, d), p = sp.mu.shape, data.n_train
     shrink = sp.lam * sp.mu[:, :, None] / sp.denom  # eigenvalues of s11*
     m1 = data.beta * np.einsum("nij,njr,pr->npi", sp.v, shrink * sp.z, sp.u)
     s01 = np.einsum("nij,njr,qr,nkj->niqk", sp.v, sp.g, sp.u, sp.v, optimize=True)

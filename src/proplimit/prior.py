@@ -83,7 +83,8 @@ class NetworkShape:
         lambdas = self.lambdas
         if lambdas is None:
             lambdas = (1.0,) * (self.depth + 1)
-        lambdas = tuple(float(v) for v in np.atleast_1d(lambdas))
+        values = np.atleast_1d(np.asarray(lambdas, dtype=object))  # bools and strings uncast
+        lambdas = tuple(montecarlo.real(v, "lambdas") for v in values)
         if len(lambdas) != self.depth + 1:
             raise InvalidParameter(
                 f"need depth + 1 = {self.depth + 1} precisions, got {len(lambdas)}"
@@ -150,6 +151,7 @@ def prior_covariance_exact(x, n_in: int, lambda_star: float, n_out: int) -> np.n
     kron I_{n_out}`` exactly (column-major vec; output index varies fastest).
     Returned symmetric PSD; singular whenever X has collinear columns.
     """
+    lambda_star = montecarlo.real(lambda_star, "lambda_star")
     if not 0 < lambda_star < np.inf:
         raise InvalidParameter(f"lambda_star must be finite and > 0, got {lambda_star}")
     x = _check_input(x, n_in)
@@ -256,6 +258,7 @@ def mixture_samples(
     stream.  The finite mixture route and the proportional-limit prior
     differ only in ``vbar_block``.
     """
+    lambda_star = montecarlo.real(lambda_star, "lambda_star")
     if not 0 < lambda_star < np.inf:
         # Finite precisions can still multiply out to 0 or inf.
         raise InvalidParameter(f"lambda_star, the product of the precisions, must be "

@@ -17,10 +17,12 @@ entries reduces them all in one ``montecarlo.mean_and_se`` or
 its row.
 
 Every mixture moment of c7 and c8 is ``posterior.predictive_moments`` of a
-``posterior.posterior_mixture``, c8's batch variances included.  Its
-einsum reductions keep c8's statistic off the BLAS thread count
-(``tests/test_verify.py``); the posterior of thousands of training points
-still follows it, through its SVD.
+``posterior.posterior_mixture``, c8's batch variances included, at
+O(d^3 + d^2 r) per component with r = min(n_in, P).  Its einsum
+reductions keep c8's statistic off the BLAS thread count.  A mixture over
+P = 3000 training inputs is byte-equal at one and two threads with
+n_in = 3 or 50 input rows (``tests/test_verify.py`` checks exactly these
+cases), but not with n_in = 200, through the SVD.
 
 Every check draws through the production block samplers
 (``prior.bartlett_chain_draws``, ``prior.vbar_finite_samples``,

@@ -300,6 +300,13 @@ class TestPosteriorPredict:
         assert results["predictive_covariance"][0] == pytest.approx(cov[0].tolist())
         assert results["ess"] == 1.0
 
+    def test_nngp_report_has_no_warnings(self, tmp_path):
+        # The one-component point mass has ESS 1 by design, not degenerate weights.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SCALAR_CFG))
+        assert run(["posterior-predict", "--config", cfg, "--out-dir", tmp_path]) == 0
+        assert read_report(tmp_path / "report.json")["warnings"] == []
+
     def test_limit_mixing_runs(self, tmp_path):
         cfg = dict(SCALAR_CFG)
         cfg.update({"mixing": "limit", "a": 1.0, "steps": 8, "n_mixing": 200})

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from proplimit import limit, montecarlo, prior, verify
+from proplimit import limit, montecarlo, posterior, prior, verify
 from proplimit.errors import InvalidParameter
 
 
@@ -234,6 +234,47 @@ def test_counts_follow_the_whole_number_rule(call, same_as):
     # never a bare TypeError and never a draw at a fractional size.
     if same_as is None:
         with pytest.raises(InvalidParameter, match="whole number"):
+            call()
+    else:
+        np.testing.assert_array_equal(call(), same_as())
+
+
+def _shape(lambdas):
+    return prior.NetworkShape(n_in=3, n_out=2, depth=2, width=8, lambdas=lambdas)
+
+
+def _dataset(beta):
+    return posterior.Dataset(x=[[1.0]], y=[[2.0]], x0=[1.0], beta=beta)
+
+
+@pytest.mark.parametrize("call, same_as", [
+    pytest.param(lambda: limit.vbar_limit_samples("0.5", 2, 16, 3, 1), None, id="limit-ratio-string"),
+    pytest.param(lambda: limit.vbar_limit_samples(True, 2, 16, 3, 1), None, id="limit-ratio-bool"),
+    pytest.param(
+        lambda: limit.vbar_limit_refinement_pair(True, 2, 16, 64, 3, 1), None, id="refinement-ratio-bool"
+    ),
+    pytest.param(lambda: _shape(("1", "2", "3")), None, id="lambdas-strings"),
+    pytest.param(lambda: _shape((True, 2.0, 3.0)), None, id="lambdas-bool"),
+    pytest.param(lambda: prior.prior_covariance_exact(X3, 3, "1", 2), None, id="exact-lambda-star-string"),
+    pytest.param(
+        lambda: prior.mixture_samples(None, X3, True, 3, 1), None, id="mixture-lambda-star-bool"
+    ),
+    pytest.param(lambda: _dataset("1"), None, id="beta-string"),
+    pytest.param(lambda: _dataset(True), None, id="beta-bool"),
+    pytest.param(
+        lambda: limit.vbar_limit_samples(1, 2, 16, 3, 1),
+        lambda: limit.vbar_limit_samples(1.0, 2, 16, 3, 1),
+        id="limit-int-ratio",
+    ),
+    pytest.param(
+        lambda: _shape(np.array([1, 2, 3])).lambdas, lambda: (1.0, 2.0, 3.0), id="lambdas-int-array"
+    ),
+])
+def test_reals_follow_the_real_number_rule(call, same_as):
+    # A real number that is not a bool is read as its float; a string or a
+    # bool is a typed error, never a bare TypeError and never a draw at 1.
+    if same_as is None:
+        with pytest.raises(InvalidParameter, match="real number"):
             call()
     else:
         np.testing.assert_array_equal(call(), same_as())

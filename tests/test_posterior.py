@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,25 @@ class TestSpectralCoreMatchesOracle:
             assert type(caught.value) is type(oracle.value)
 
 
+def test_memory_follows_the_span_not_the_training_count():
+    # n_in = 3 inputs span 3 of P = 1,000 directions: the hidden arrays are
+    # (n, d, 3), so 10,000 components need no (n, d, P) or P x P intermediate.
+    rng = np.random.default_rng(7)
+    data = posterior.Dataset(
+        x=rng.standard_normal((3, 1000)), y=rng.standard_normal((2, 1000)),
+        x0=rng.standard_normal(3), beta=1.0,
+    )
+    ms = rng.standard_normal((10_000, 2, 2))
+    qs = ms @ np.swapaxes(ms, 1, 2) + 0.3 * np.eye(2)
+    tracemalloc.start()
+    try:
+        mix = posterior.posterior_mixture(qs, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - mix.means.nbytes - mix.covariances.nbytes < 16 * 2**20
+
+
 class TestMixtureDiagnostics:
     def test_even_weights(self, np_rng):
         qs = [m @ m.T + 0.2 * np.eye(1) for m in np_rng.standard_normal((4, 1, 1))]
@@ -445,7 +465,7 @@ def _digest(*arrays) -> str:
 
 
 @pytest.mark.parametrize("kind, mixture_digest, joint_digest", [
-    ("collinear", "667032fb1660", "bac8c35d6ea3"),
+    ("collinear", "66bd732b9e8c", "aacd00c049ad"),
     ("full-rank", "ad7167d4bdfc", "793d690eccde"),
 ])
 def test_posterior_bytes_pinned(kind, mixture_digest, joint_digest):

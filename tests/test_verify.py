@@ -41,18 +41,41 @@ from proplimit import verify
 print(repr(row.statistic))
 """
 
+# posterior_mixture on n_in x 3000 inputs, 50 Q draws at d = 2: wide enough
+# that a full P x P SVD basis follows the BLAS thread count.
+POSTERIOR_DIGEST = """
+import hashlib
+import numpy as np
+from proplimit import posterior
+rng = np.random.default_rng(20261019)
+n_in, p = {n_in}, 3000
+data = posterior.Dataset(x=rng.standard_normal((n_in, p)), y=rng.standard_normal((2, p)),
+                         x0=rng.standard_normal(n_in), beta=1.0)
+ms = rng.standard_normal((50, 2, 2))
+mix = posterior.posterior_mixture(ms @ np.swapaxes(ms, 1, 2) + 0.3 * np.eye(2), data)
+h = hashlib.sha256()
+for arr in (mix.psi, mix.weights, mix.means, mix.covariances):
+    h.update(np.ascontiguousarray(arr).tobytes())
+print(h.hexdigest())
+"""
 
-def test_label_dependence_is_independent_of_blas_threads():
-    # Results depend on (seed, phase, index) only: c8's reductions must not
-    # follow the BLAS thread count, which numpy reads once, at import.
+
+@pytest.mark.parametrize("snippet", [
+    pytest.param(C8_STATISTIC, id="c8"),
+    pytest.param(POSTERIOR_DIGEST.format(n_in=3), id="posterior-3x3000"),
+    pytest.param(POSTERIOR_DIGEST.format(n_in=50), id="posterior-50x3000"),
+])
+def test_results_are_independent_of_blas_threads(snippet):
+    # Results depend on (seed, phase, index) only, never on the BLAS thread
+    # count, which numpy reads once, at import.
     src = str(Path(verify.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    statistics = []
+    outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path,
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        done = subprocess.run([sys.executable, "-c", C8_STATISTIC], env=env,
+        done = subprocess.run([sys.executable, "-c", snippet], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        statistics.append(done.stdout.strip())
-    assert statistics[0] == statistics[1]
+        outputs.append(done.stdout.strip())
+    assert outputs[0] == outputs[1]
