@@ -3,11 +3,20 @@
 Subcommands: sample-prior, sample-limit, posterior-predict, converge-test,
 verify-all.  Each reads a JSON config file (``--config``), applies CLI
 overrides (``--seed``, ``--out-dir``, ``--set key=value``) and resolves the
-merged config against the command's schema in ``SCHEMAS``: a key the
+merged config against the command's schema (``_schema``): a key the
 command never reads is an error, every key given must be a JSON value of
 its kind in every mode, and unset keys take their defaults.  The command
 reads only the resolved config, and writes CSV data plus one JSON run
 report whose ``config`` echoes that resolved config, defaults included.
+
+This module imports only the standard library, numpy and ``montecarlo``.
+Each command imports the modules it runs when it runs, so that a fresh
+process loads, and without cached bytecode compiles, only those:
+``sample-prior`` ``prior``, ``sample-limit`` ``limit``, ``posterior-predict``
+``posterior`` plus ``prior`` or ``limit`` for finite or limit mixing, and
+the two verify commands ``verify``, whose ``VerifyConfig`` fields also make
+up their schema.  The commands call into those modules through module
+attributes (``limit.vbar_limit_samples``), never through names bound here.
 
 Determinism contract: CSV bodies are byte-identical across reruns of the
 same config and across worker counts (only the report's timing field may
@@ -32,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, limit, posterior, prior, verify
+from . import __version__
 from .montecarlo import worker_count
 
 # Stream phases for CLI sampling stages.
@@ -139,13 +148,10 @@ def _coerce(value, key: str, kind: str):
 # default is required; one whose default is None stays unset until given.
 _BASE = {"seed": ("int",), "out_dir": ("str", "."), "workers": ("int", None)}
 
+# Grid size M of a limit draw when the config sets no ``steps``.
+DEFAULT_STEPS = 4096
 
-def _verify_schema(names_key: str) -> dict:
-    # Every VerifyConfig field is an integer; seed and workers are as in _BASE.
-    knobs = {f.name: ("int", f.default) for f in fields(verify.VerifyConfig)}
-    return {**knobs, **_BASE, names_key: ("str_list", None)}
-
-
+# The sampling commands' schemas; the verify commands' come from ``_schema``.
 SCHEMAS = {
     "sample-prior": {
         **_BASE, "x": ("matrix",), "n_out": ("int",), "depth": ("int",), "width": ("int",),
@@ -153,7 +159,7 @@ SCHEMAS = {
         "routes": ("str_list", ("direct", "mixture")), "n_samples": ("int", 1000),
     },
     "sample-limit": {
-        **_BASE, "a": ("float",), "dim": ("int",), "steps": ("int", limit.DEFAULT_STEPS),
+        **_BASE, "a": ("float",), "dim": ("int",), "steps": ("int", DEFAULT_STEPS),
         "n_samples": ("int", 1000), "emit": ("str", "vbar"),
         # Read with emit=prior only.
         "x": ("matrix", None), "lambda_star": ("float", 1.0),
@@ -163,11 +169,28 @@ SCHEMAS = {
         "mixing": ("str", "nngp"),
         # Read with mixing=finite (n_mixing, depth, width) or limit (n_mixing, a, steps).
         "n_mixing": ("int", None), "depth": ("int", None), "width": ("int", None),
-        "a": ("float", None), "steps": ("int", limit.DEFAULT_STEPS),
+        "a": ("float", None), "steps": ("int", DEFAULT_STEPS),
     },
-    "converge-test": _verify_schema("criteria"),
-    "verify-all": _verify_schema("checks"),
 }
+
+# The config key that names the checks each verify command runs.
+_VERIFY_NAMES = {"converge-test": "criteria", "verify-all": "checks"}
+
+
+@functools.cache
+def _schema(command: str) -> dict:
+    """The config schema of ``command``.
+
+    A verify command's keys are ``verify.VerifyConfig``'s fields, all
+    integers, then ``_BASE`` and its names key, so its schema is built,
+    importing ``verify``, the first time it is asked for.
+    """
+    if command in SCHEMAS:
+        return SCHEMAS[command]
+    from . import verify
+
+    knobs = {f.name: ("int", f.default) for f in fields(verify.VerifyConfig)}
+    return {**knobs, **_BASE, _VERIFY_NAMES[command]: ("str_list", None)}
 
 
 def _need(cfg: dict, command: str, *keys) -> None:
@@ -183,7 +206,7 @@ def _resolve(cfg: dict, command: str) -> dict:
     Every key given is coerced by its kind, whichever mode reads it; an
     unset key whose default is None stays out.  Creates the output directory.
     """
-    schema = SCHEMAS[command]
+    schema = _schema(command)
     unknown = sorted(set(cfg) - set(schema))
     if unknown:
         raise ConfigError(f"{command}: unknown config key '{unknown[0]}'")
@@ -234,6 +257,8 @@ def _sample_rows(draws: np.ndarray, route: str):
 
 
 def cmd_sample_prior(cfg: dict) -> int:
+    from . import prior
+
     routes = cfg["routes"]
     if not routes or set(routes) - {"direct", "mixture"}:
         raise ConfigError(f"routes must be a nonempty subset of direct/mixture: {routes}")
@@ -262,6 +287,8 @@ def cmd_sample_prior(cfg: dict) -> int:
 
 
 def cmd_sample_limit(cfg: dict) -> int:
+    from . import limit
+
     emit = cfg["emit"]
     if emit not in ("vbar", "prior"):
         raise ConfigError(f"emit must be 'vbar' or 'prior', got {emit!r}")
@@ -289,13 +316,19 @@ def cmd_sample_limit(cfg: dict) -> int:
 def _mixing_draws(cfg: dict, n_out: int) -> np.ndarray:
     source, seed, workers = cfg["mixing"], cfg["seed"], cfg.get("workers")
     if source == "nngp":
+        from . import posterior
+
         return posterior.nngp_mixing(n_out)
     if source == "finite":
+        from . import prior
+
         _need(cfg, "posterior-predict", "n_mixing", "depth", "width")
         vbars = prior.vbar_finite_samples(
             cfg["depth"], cfg["width"], n_out, cfg["n_mixing"], seed, PH_MIXING, workers
         )
     elif source == "limit":
+        from . import limit
+
         _need(cfg, "posterior-predict", "n_mixing", "a")
         vbars = limit.vbar_limit_samples(
             cfg["a"], n_out, cfg["steps"], cfg["n_mixing"], seed, PH_MIXING, workers
@@ -306,6 +339,8 @@ def _mixing_draws(cfg: dict, n_out: int) -> np.ndarray:
 
 
 def cmd_posterior_predict(cfg: dict) -> int:
+    from . import posterior
+
     data = posterior.Dataset(x=cfg["x"], y=cfg["y"], x0=cfg["x0"], beta=cfg["beta"])
     start = time.perf_counter()
     qs = _mixing_draws(cfg, data.n_out)
@@ -326,9 +361,11 @@ def cmd_posterior_predict(cfg: dict) -> int:
 
 
 def _run_verify(cfg: dict, command: str, include_properties: bool, csv_name: str) -> int:
+    from . import verify
+
     knobs = {f.name for f in fields(verify.VerifyConfig)}
     vcfg = verify.VerifyConfig(**{k: v for k, v in cfg.items() if k in knobs})
-    names = cfg.get("criteria" if command == "converge-test" else "checks")
+    names = cfg.get(_VERIFY_NAMES[command])
 
     start = time.perf_counter()
     names, rows = verify.run_checks(vcfg, names, include_properties=include_properties)

@@ -20,8 +20,8 @@ converges pathwise at the strong rate O(M^{-1/2}); the bias of moments
 (the weak rate) is O(1/M), e.g. ``E[V_10^2]_M = (a/M) sum_{u<M}
 exp(-a (1 - u/M))`` against ``1 - exp(-a)`` in the limit.  The c5
 criterion still fits its discretization allowance as C * M^{-1/2}, which
-overstates an O(1/M) bias.  The grid size M is configurable (default
-4096).
+overstates an O(1/M) bias.  The grid size M is each sampler's ``steps``
+argument; the CLI fills it in, 4096 by default, when a config sets none.
 
 Entry (r, c) sums this over all 2^(r-c-1) paths from c to r.  The sum is
 linear in the inner suffix, so it is built by a backward dynamic program
@@ -58,8 +58,6 @@ from .errors import InvalidParameter, ShapeMismatch
 
 # The path-sum program costs O(dim^3 M) per draw; refuse silly inputs.
 MAX_DIM = 32
-
-DEFAULT_STEPS = 4096
 
 
 def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:

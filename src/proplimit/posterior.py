@@ -419,6 +419,11 @@ def predictive_moments(mix: PosteriorMixture):
     component of weight 0 contributes nothing, even where its moments are
     not finite (0 * NaN would be NaN): its rows are zeroed, not dropped, so
     the sums keep their shapes and order.
+
+    The covariance is exactly symmetric: the einsum multiplies the terms of
+    (i, j) and (j, i) in different orders, so the two are averaged as
+    ``C/2 + C.T/2``, which leaves every diagonal entry but a subnormal one
+    unchanged.
     """
     w = mix.weights
     m0 = np.where((w > 0)[:, None], mix.means, 0.0)
@@ -427,7 +432,7 @@ def predictive_moments(mix: PosteriorMixture):
     cov_within = np.einsum("n,nij->ij", w, s00)
     second = np.einsum("n,ni,nj->ij", w, m0, m0)
     cov = cov_within + (second - np.outer(mean, mean))
-    return mean, cov
+    return mean, 0.5 * cov + 0.5 * cov.T
 
 
 def nngp_mixing(n_out: int) -> np.ndarray:

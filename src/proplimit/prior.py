@@ -221,11 +221,10 @@ def bartlett_chain_draws(
             f"degrees of freedom must exceed the dimension: dof={dof}, dim={dim}"
         )
     lead = (size,) if np.ndim(size) == 0 else tuple(size)
-    shapes = np.empty(lead + (dim,))
-    shapes[:] = (dof - np.arange(dim)) / 2.0
     # Gamma(k, rate) is standard_gamma(k) / rate: numpy's own gamma(k,
-    # scale) draws the same standard_gamma values and multiplies them.
-    diag = gamma_rng.standard_gamma(shapes)
+    # scale) draws the same standard_gamma values and multiplies them.  The
+    # row shapes broadcast over ``size``, in the same C order as a full array.
+    diag = gamma_rng.standard_gamma((dof - np.arange(dim)) / 2.0, size=lead + (dim,))
     diag *= 2.0 / dof
     np.sqrt(diag, out=diag)
     low = low_rng.standard_normal(lead + (dim * (dim - 1) // 2,))

@@ -31,9 +31,10 @@ call (``standard_gamma``); independent routes such as the outer-product
 Wishart draw live inside the check that compares against them.  A check
 that needs one generator for several families passes it twice.
 
-The CLI imports this module for every command, so scipy (the normal and
-gamma CDFs of the KS references) is imported inside the four functions
-that use it, not here.
+Only the CLI's verify commands import this module.  scipy (the normal
+and gamma CDFs of the KS references) is imported inside the four
+functions that use it, not here, so a run of checks that need none of
+them never loads it.
 """
 
 from __future__ import annotations

@@ -437,31 +437,39 @@ def test_write_csv_golden(tmp_path):
     assert b"\n1,mixture,0,0,inf\n" in data and b"\n0,mixture,0,0,-0\n" in data
 
 
-# The sampling commands, tiny and single-worker, run in a fresh interpreter
-# that reports which of the modules they never use got imported.
-COLD_COMMANDS = [
-    ["sample-prior", *PRIOR_ARGS],
-    ["sample-limit", *LIMIT_ARGS, "n_samples=2", "emit=vbar"],
-    ["sample-limit", *LIMIT_ARGS, "n_samples=2", "emit=prior", "x=[[1.0, 0.0], [0.0, 1.0]]"],
-    ["posterior-predict", *POSTERIOR_ARGS],
-    ["posterior-predict", *POSTERIOR_ARGS, 'mixing="finite"', "depth=2", "width=4",
-     "n_mixing=4"],
-    ["posterior-predict", *POSTERIOR_ARGS, 'mixing="limit"', "a=0.5", "steps=4", "n_mixing=4"],
-]
+# Modules of proplimit that some command runs; importing the CLI loads none.
+COMMAND_MODULES = {"verify", "analysis", "posterior", "limit", "prior"}
+
+# The sampling commands, tiny and single-worker, each with the modules of
+# proplimit it must never load.
+COLD_COMMANDS = {
+    "prior": (["sample-prior", *PRIOR_ARGS], {"limit", "posterior", "verify", "analysis"}),
+    "limit-vbar": (["sample-limit", *LIMIT_ARGS, "n_samples=2", "emit=vbar"],
+                   {"posterior", "verify", "analysis"}),
+    "limit-prior": (["sample-limit", *LIMIT_ARGS, "n_samples=2", "emit=prior",
+                     "x=[[1.0, 0.0], [0.0, 1.0]]"], {"posterior", "verify", "analysis"}),
+    "posterior-nngp": (["posterior-predict", *POSTERIOR_ARGS],
+                       {"verify", "analysis", "limit", "prior"}),
+    "posterior-finite": (["posterior-predict", *POSTERIOR_ARGS, 'mixing="finite"', "depth=2",
+                          "width=4", "n_mixing=4"], {"verify", "analysis", "limit"}),
+    "posterior-limit": (["posterior-predict", *POSTERIOR_ARGS, 'mixing="limit"', "a=0.5",
+                         "steps=4", "n_mixing=4"], {"verify", "analysis"}),
+}
+# Imports the CLI and runs one command; reports the proplimit modules, and
+# which of scipy and the thread pool, were loaded on import and after the run.
 COLD_START = """
 import json, sys
+def loaded():
+    return sorted(m.removeprefix("proplimit.") for m in sys.modules
+                  if m.startswith("proplimit.") or m in ("scipy", "concurrent.futures"))
 from proplimit import cli
-unused = ("scipy", "concurrent.futures")
-on_import = [m for m in unused if m in sys.modules]
-out_dir, commands = sys.argv[1], json.loads(sys.argv[2])
-codes = []
-for i, (command, *settings) in enumerate(commands):
-    argv = [command, "--seed", "5", "--out-dir", f"{out_dir}/{i}", "--set", "workers=1"]
-    for item in settings:
-        argv += ["--set", item]
-    codes.append(cli.main(argv))
-print(json.dumps({"on_import": on_import, "codes": codes,
-                  "after_run": [m for m in unused if m in sys.modules]}))
+on_import = loaded()
+out_dir, command, *settings = sys.argv[1:]
+argv = [command, "--seed", "5", "--out-dir", out_dir, "--set", "workers=1"]
+for item in settings:
+    argv += ["--set", item]
+code = cli.main(argv)
+print(json.dumps({"on_import": on_import, "code": code, "after_run": loaded()}))
 """
 
 
@@ -473,13 +481,36 @@ def run_fresh(*args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_sampling_commands_import_neither_scipy_nor_the_thread_pool(tmp_path):
+@pytest.fixture(scope="module")
+def cold_runs(tmp_path_factory):
+    """Each of ``COLD_COMMANDS`` run by ``COLD_START`` in its own interpreter."""
+    runs = {}
+    for name, (command, _) in COLD_COMMANDS.items():
+        done = run_fresh("-c", COLD_START, str(tmp_path_factory.mktemp(name)), *command)
+        assert done.returncode == 0, done.stderr
+        runs[name] = json.loads(done.stdout.splitlines()[-1])
+    return runs
+
+
+def test_cli_import_loads_no_command_module(cold_runs):
+    for run in cold_runs.values():
+        assert COMMAND_MODULES.isdisjoint(run["on_import"]), run["on_import"]
+
+
+def test_sampling_commands_import_neither_scipy_nor_the_thread_pool(cold_runs):
     # Only verify-all, converge-test and the dense oracles need scipy, and
     # only a multi-worker map needs the pool: both stay off the start-up path.
-    done = run_fresh("-c", COLD_START, str(tmp_path), json.dumps(COLD_COMMANDS))
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"on_import": [], "codes": [0] * len(COLD_COMMANDS), "after_run": []}
+    for run in cold_runs.values():
+        assert run["code"] == 0
+        for modules in (run["on_import"], run["after_run"]):
+            assert {"scipy", "concurrent.futures"}.isdisjoint(modules), modules
+
+
+@pytest.mark.parametrize("name", COLD_COMMANDS)
+def test_sampling_command_loads_only_the_modules_it_runs(cold_runs, name):
+    run = cold_runs[name]
+    assert run["code"] == 0
+    assert COLD_COMMANDS[name][1].isdisjoint(run["after_run"]), run["after_run"]
 
 
 def test_module_entry_point_prints_version():

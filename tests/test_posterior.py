@@ -473,3 +473,14 @@ def test_posterior_bytes_pinned(kind, mixture_digest, joint_digest):
     mix = posterior.posterior_mixture(qs, data)
     assert _digest(mix.psi, mix.weights, mix.means, mix.covariances) == mixture_digest
     assert _digest(*posterior.joint_moments(qs, data)) == joint_digest
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_predictive_covariance_exactly_symmetric(seed):
+    # The einsum reduces (i, j) and (j, i) in different orders; without the
+    # symmetrization cov[0, 1] != cov[1, 0] in the last digit at 5 of these seeds.
+    data, _ = _pinned_instance("collinear")
+    ms = np.random.default_rng(seed).standard_normal((200, 2, 2))
+    qs = ms @ np.swapaxes(ms, 1, 2) + 0.3 * np.eye(2)
+    _, cov = posterior.predictive_moments(posterior.posterior_mixture(qs, data))
+    assert cov.tobytes() == cov.T.tobytes()
