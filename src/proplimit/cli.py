@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .montecarlo import worker_count
+from .montecarlo import real, whole, worker_count
 
 # Stream phases for CLI sampling stages.
 PH_DIRECT, PH_MIXTURE, PH_LIMIT_PRIOR, PH_LIMIT_VBAR, PH_MIXING = 1, 2, 3, 4, 5
@@ -118,14 +118,11 @@ _LIST_ITEM = {"str_list": "str", "int_list": "int", "num_list": "float"}
 def _coerce(value, key: str, kind: str):
     """``value`` as ``kind``: a JSON value of that kind, or a config error."""
     try:
+        # The library's own count and real-number rules.
         if kind == "int":
-            # A JSON integer as is (float() would round those above 2**53),
-            # or an integral float.
-            if _is_number(value) and (isinstance(value, int) or value.is_integer()):
-                return int(value)
+            return whole(value, key)
         elif kind == "float":
-            if _is_number(value):
-                return float(value)
+            return real(value, key)
         elif kind == "str":
             if isinstance(value, str):
                 return value
@@ -260,8 +257,10 @@ def cmd_sample_prior(cfg: dict) -> int:
     from . import prior
 
     routes = cfg["routes"]
-    if not routes or set(routes) - {"direct", "mixture"}:
-        raise ConfigError(f"routes must be a nonempty subset of direct/mixture: {routes}")
+    if not routes or set(routes) - {"direct", "mixture"} or len(set(routes)) < len(routes):
+        raise ConfigError(
+            f"routes must name direct and/or mixture, at least one and none twice: {routes}"
+        )
     x, n_samples, seed, workers = cfg["x"], cfg["n_samples"], cfg["seed"], cfg.get("workers")
     shape = prior.NetworkShape(
         n_in=x.shape[0], n_out=cfg["n_out"], depth=cfg["depth"], width=cfg["width"],

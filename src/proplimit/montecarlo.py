@@ -172,9 +172,13 @@ def var_and_se(values: np.ndarray):
 
     The SE uses the moment-based formula
     ``sqrt((m4 - (n-3)/(n-1) * s^4) / n)``, valid without normality.
+    Fewer than two values give a NaN variance and an inf SE, as
+    :func:`mean_and_se` gives an inf SE.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
+    if n < 2:
+        return np.full(values.shape[1:], np.nan), np.full(values.shape[1:], np.inf)
     var = values.var(axis=0, ddof=1)
     centered = values - values.mean(axis=0)
     m4 = np.mean(centered**4, axis=0)

@@ -314,6 +314,8 @@ def vbar_finite_samples(
     depth = montecarlo.whole(depth, "depth")
     width = montecarlo.whole(width, "width")
     dim = montecarlo.whole(dim, "dim")
+    if depth < 1:
+        raise InvalidParameter(f"depth must be >= 1, got {depth}")
     return montecarlo.sample_map(
         lambda streams, m: _chains(width, dim, depth, streams, m),
         n_samples, seed, phase, workers,

@@ -9,12 +9,15 @@ worst normalized deviation and the threshold is k.
 Checks are keyed by stable names; ``ACCEPTANCE`` holds the desk-scale
 criteria, ``PROPERTIES`` the per-module distributional invariants.  Sample
 counts live in :class:`VerifyConfig` so quick runs can shrink them without
-touching the checks; a count too small to measure anything is rejected
-there, before any draw.  Each reduction has one helper (``_sigma_ratio``,
-``_ks_row``, ``_mgf_rel_err``, ``_bridge_rows``), a statistic over several
-entries reduces them all in one ``montecarlo.mean_and_se`` or
-``var_and_se`` call, and a standard error from fewer than two draws fails
-its row.
+touching the checks: one count per set of draws that every caller sizes
+alike (``grid_samples`` for the limit-grid draws of c5 and the limit
+properties, ``prop_samples`` for the other properties and the c7/c8
+mixing draws), and c5's refinement grids follow ``c5_steps``.  A count
+too small to measure anything is rejected there, before any draw.  Each
+reduction has one helper (``_sigma_ratio``, ``_ks_row``, ``_mgf_rel_err``,
+``_bridge_rows``), a statistic over several entries reduces them all in
+one ``montecarlo.mean_and_se`` or ``var_and_se`` call, and a standard
+error from fewer than two draws fails its row.
 
 Every mixture moment of c7 and c8 is ``posterior.predictive_moments`` of a
 ``posterior.posterior_mixture``, c8's batch variances included, at
@@ -68,21 +71,23 @@ PH_EMPIRICAL_MGF, PH_KS_CALIBRATION = 70, 71
 # Grid steps of the scalar limit mixing draws of c7 and c8, and the number
 # of batches c8 splits its draws into for the variance standard error.
 MIXING_STEPS, C8_BATCHES = 16, 50
-# Counts whose floor exceeds 2: c8 needs two mixing draws per batch.
-MIN_COUNTS = {"posterior_mixing": 2 * C8_BATCHES}
+# Counts whose floor exceeds 2: prop_samples also sizes c8's mixing draws,
+# two per batch.
+MIN_COUNTS = {"prop_samples": 2 * C8_BATCHES}
 
 # Fine over coarse grid steps of every coupled refinement pair (c5 and
-# prop-limit-refinement).
-REFINE_RATIO = 8
+# prop-limit-refinement), and c5's grid steps over its pair's coarse steps:
+# the pair brackets c5's own grid (1024 and 8192 steps around 4096).
+REFINE_RATIO, C5_COARSE_SHARE = 8, 4
 
 # The KS rows whose sample size a count sets, as (share, alpha) pairs: the
 # row draws count // share at level alpha.  c2_samples sizes diag-ks-r*,
-# prop_grid_samples limit-diag-ks-k*, and prop_samples gamma-ks-*,
+# grid_samples limit-diag-ks-k*, and prop_samples gamma-ks-*,
 # vbar-d1-lognormal-ks and (half of it, at 0.01) wishart-d1-gamma-ks.
 WISHART_KS_SHARE, WISHART_KS_ALPHA = 2, 0.01
 KS_COUNTS = {
     "c2_samples": [(1, analysis.DEFAULT_KS_ALPHA)],
-    "prop_grid_samples": [(1, analysis.DEFAULT_KS_ALPHA)],
+    "grid_samples": [(1, analysis.DEFAULT_KS_ALPHA)],
     "prop_samples": [(1, analysis.DEFAULT_KS_ALPHA), (WISHART_KS_SHARE, WISHART_KS_ALPHA)],
 }
 
@@ -125,13 +130,16 @@ class VerifyConfig:
     """Sample counts and grid sizes for the verification suites.
 
     Defaults are the desk-scale acceptance settings; shrink them for smoke
-    runs.  ``workers`` of None means one worker.  ``c5_samples`` sizes all
-    of c5's draws, and its refinement pair runs ``c5_refine_coarse`` and
-    ``REFINE_RATIO`` times as many steps; ``posterior_mixing`` sizes c7's
-    and c8's.  Every ``*_samples``, ``*_mixing`` and ``*_instances`` count
-    must be at least 2, since a standard error needs two draws, and those
-    in ``MIN_COUNTS`` at least their entry: ``posterior_mixing`` needs 2
-    per c8 batch, as one component has a label-free predictive variance.
+    runs.  ``workers`` of None means one worker.  ``grid_samples`` sizes
+    every draw of c5 and of the limit-sampler properties
+    (``prop-limit-diag-ks``, ``prop-limit-refinement``,
+    ``prop-iterint-zero-mean``); c5's refinement pair runs
+    ``c5_steps // C5_COARSE_SHARE`` and ``REFINE_RATIO`` times as many
+    steps.  ``prop_samples`` sizes the other properties and c7's and c8's
+    mixing draws.  Every ``*_samples`` and ``*_instances`` count must be at
+    least 2, since a standard error needs two draws, and those in
+    ``MIN_COUNTS`` at least their entry: ``prop_samples`` needs 2 per c8
+    batch, as one component has a label-free predictive variance.
     A count that sizes KS rows (``KS_COUNTS``) must also give each of them a
     threshold below 1, the largest KS statistic; a row at a threshold of 1
     or more passes whatever the draws.
@@ -142,18 +150,15 @@ class VerifyConfig:
     c1_samples: int = 200_000
     c2_samples: int = 10_000
     c4_samples: int = 100_000
-    c5_samples: int = 10_000
+    grid_samples: int = 10_000
     c5_steps: int = 4096
-    c5_refine_coarse: int = 1024
-    posterior_mixing: int = 100_000
     prop_samples: int = 100_000
-    prop_grid_samples: int = 10_000
     prop_instances: int = 1_000
     appendix_samples: int = 2_000_000
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name.endswith(("_samples", "_mixing", "_instances")):
+            if f.name.endswith(("_samples", "_instances")):
                 floor = _count_floor(KS_COUNTS.get(f.name, ()), MIN_COUNTS.get(f.name, 2))
                 if getattr(self, f.name) < floor:
                     raise InvalidParameter(f"'{f.name}' must be >= {floor}, got {getattr(self, f.name)}")
@@ -242,7 +247,7 @@ def _bridge_rows(name, reference, first, second, steps, coupled, coarse, fine, *
         fitted_c = np.abs(c_coarse[j] - c_fine[j]) / denom
         tol = 4.0 * np.hypot(one[j + 1], two[j + 1]) + fitted_c * steps ** -0.5
         rows.append(CheckRow(
-            f"{name}-{label}", float(np.max(np.abs(one[j] - two[j]) / tol)), 1.0,
+            f"{name}-{label}", _sigma_ratio(one[j], two[j], tol), 1.0,
             reference=f"{reference}={float(np.max(fitted_c)):.4f}", **meta,
         ))
     return rows
@@ -353,19 +358,19 @@ def check_offdiag_variance_bound(cfg: VerifyConfig) -> list[CheckRow]:
 def check_limit_vs_finite_bridge(cfg: VerifyConfig) -> list[CheckRow]:
     """Limit sampler matches the deep finite chain, entrywise moments."""
     dim, a = 3, 0.5
-    coarse = cfg.c5_refine_coarse
+    coarse = cfg.c5_steps // C5_COARSE_SHARE
     fine = coarse * REFINE_RATIO
     # Reject the grids before 20k draws are spent, not after.
     limit.check_grid(a, dim, cfg.c5_steps)
     limit.check_refinement(a, dim, coarse, fine)
     finite = prior.vbar_finite_samples(
-        500, 1000, dim, cfg.c5_samples, cfg.seed, PH_C5_FINITE, cfg.workers
+        500, 1000, dim, cfg.grid_samples, cfg.seed, PH_C5_FINITE, cfg.workers
     )
     limit_draws = limit.vbar_limit_samples(
-        a, dim, cfg.c5_steps, cfg.c5_samples, cfg.seed, PH_C5_LIMIT, cfg.workers
+        a, dim, cfg.c5_steps, cfg.grid_samples, cfg.seed, PH_C5_LIMIT, cfg.workers
     )
     coupled = limit.vbar_limit_refinement_pair(
-        a, dim, coarse, fine, cfg.c5_samples, cfg.seed, PH_C5_REFINE, cfg.workers
+        a, dim, coarse, fine, cfg.grid_samples, cfg.seed, PH_C5_REFINE, cfg.workers
     )
     return _bridge_rows(
         "bridge", "max fitted C", finite, limit_draws, cfg.c5_steps,
@@ -440,7 +445,7 @@ def _scalar_limit_mixing(cfg: VerifyConfig, n: int, phase: int) -> np.ndarray:
 
 def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
     """Importance-sampled predictive moments match the quadrature oracle."""
-    qs = _scalar_limit_mixing(cfg, cfg.posterior_mixing, PH_C7)
+    qs = _scalar_limit_mixing(cfg, cfg.prop_samples, PH_C7)
     data = posterior.Dataset(x=[[1.0]], y=[[2.0]], x0=[1.0], beta=1.0)
     mix = posterior.posterior_mixture(qs, data)
     mean, cov = posterior.predictive_moments(mix)
@@ -458,8 +463,8 @@ def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
         ),
         CheckRow(
             "posterior-ess",
-            (cfg.posterior_mixing / 10.0) / mix.ess, 1.0,
-            reference=f"ESS={mix.ess:.1f} of n={cfg.posterior_mixing}", a=1.0,
+            (cfg.prop_samples / 10.0) / mix.ess, 1.0,
+            reference=f"ESS={mix.ess:.1f} of n={cfg.prop_samples}", a=1.0,
         ),
     ]
     return rows
@@ -467,7 +472,7 @@ def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
 
 def check_label_dependence(cfg: VerifyConfig) -> list[CheckRow]:
     """Predictive variance at a=1 responds to the labels (non-NNGP learning)."""
-    qs = _scalar_limit_mixing(cfg, cfg.posterior_mixing, PH_C8)
+    qs = _scalar_limit_mixing(cfg, cfg.prop_samples, PH_C8)
     edges = np.linspace(0, qs.shape[0], C8_BATCHES + 1).astype(int)
     variances = {}
     batch_vars = {}
@@ -480,8 +485,7 @@ def check_label_dependence(cfg: VerifyConfig) -> list[CheckRow]:
             for mixing in (qs, *np.split(qs, edges[1:-1]))
         ]
         variances[label], batch_vars[label] = var[0], np.array(var[1:])
-    diffs = batch_vars[5.0] - batch_vars[0.0]
-    se = float(diffs.std(ddof=1) / math.sqrt(len(diffs)))
+    se = float(montecarlo.mean_and_se(batch_vars[5.0] - batch_vars[0.0])[1])
     full_diff = abs(variances[5.0] - variances[0.0])
     return [
         CheckRow(
@@ -739,7 +743,7 @@ def prop_matnormal_mc(cfg: VerifyConfig) -> list[CheckRow]:
 def prop_limit_diag_ks(cfg: VerifyConfig) -> list[CheckRow]:
     dim, a, steps = 3, 0.5, 64
     draws = limit.vbar_limit_samples(
-        a, dim, steps, cfg.prop_grid_samples, cfg.seed, PH_LIMIT_DIAG, cfg.workers
+        a, dim, steps, cfg.grid_samples, cfg.seed, PH_LIMIT_DIAG, cfg.workers
     )
     return _log_diag_ks_rows(draws, a, "limit-diag-ks-k{k}")
 
@@ -747,7 +751,7 @@ def prop_limit_diag_ks(cfg: VerifyConfig) -> list[CheckRow]:
 def prop_limit_refinement(cfg: VerifyConfig) -> list[CheckRow]:
     dim, a, coarse = 2, 1.0, 1024
     fine = coarse * REFINE_RATIO
-    n = cfg.prop_grid_samples
+    n = cfg.grid_samples
     run_coarse = limit.vbar_limit_samples(a, dim, coarse, n, cfg.seed, PH_REFINE_A, cfg.workers)
     run_fine = limit.vbar_limit_samples(a, dim, fine, n, cfg.seed, PH_REFINE_B, cfg.workers)
     coupled = limit.vbar_limit_refinement_pair(
@@ -776,7 +780,7 @@ def prop_limit_positivity(cfg: VerifyConfig) -> list[CheckRow]:
 
 def prop_iterated_integral_mean(cfg: VerifyConfig) -> list[CheckRow]:
     a, dim, steps = 0.5, 3, 256
-    n = cfg.prop_grid_samples
+    n = cfg.grid_samples
 
     def draw_block(streams, m):
         rng, grid = streams(0), limit.Grid(a, dim, steps)

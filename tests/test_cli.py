@@ -70,16 +70,22 @@ BAD_CONFIGS = [
     ("converge-test", ["ks_alpha=0.01"], "ks_alpha"),
     ("converge-test", ['criteria=["c9-linalg-substrate"]', "prop_instances=0"], "prop_instances"),
     ("verify-all", ['checks=["prop-posterior-psd"]', "prop_instances=0"], "prop_instances"),
-    ("verify-all", ['checks=["prop-iterint-zero-mean"]', "prop_grid_samples=1"],
-     "prop_grid_samples"),
-    ("converge-test", ['criteria=["c8-label-dependence"]', "posterior_mixing=50"],
-     "posterior_mixing"),
+    ("verify-all", ['checks=["prop-iterint-zero-mean"]', "grid_samples=1"], "grid_samples"),
+    # prop_samples also sizes c8's mixing draws: at least two per batch.
+    ("converge-test", ['criteria=["c8-label-dependence"]', "prop_samples=99"], "prop_samples"),
+    ("verify-all", ['checks=["prop-wishart-gamma-ks"]', "prop_samples=5"], "prop_samples"),
     # KS rows whose threshold would be 1 or more, so no draw could fail them.
     ("converge-test", ['criteria=["c2-diag-lognormal-ks"]', "c2_samples=3"], "c2_samples"),
-    ("verify-all", ['checks=["prop-limit-diag-ks"]', "prop_grid_samples=3"],
+    ("verify-all", ['checks=["prop-limit-diag-ks"]', "grid_samples=3"], "grid_samples"),
+    # Counts folded into another or derived: grid_samples, prop_samples,
+    # REFINE_RATIO and c5_steps // C5_COARSE_SHARE.
+    ("converge-test", ['criteria=["c5-limit-vs-finite"]', "c5_samples=400"], "c5_samples"),
+    ("verify-all", ['checks=["prop-limit-diag-ks"]', "prop_grid_samples=400"],
      "prop_grid_samples"),
-    ("verify-all", ['checks=["prop-wishart-gamma-ks"]', "prop_samples=5"], "prop_samples"),
-    # Counts folded into another: c5_samples, REFINE_RATIO, posterior_mixing.
+    ("converge-test", ['criteria=["c8-label-dependence"]', "posterior_mixing=3000"],
+     "posterior_mixing"),
+    ("converge-test", ['criteria=["c5-limit-vs-finite"]', "c5_refine_coarse=128"],
+     "c5_refine_coarse"),
     ("converge-test", ['criteria=["c5-limit-vs-finite"]', "c5_refine_fine=8192"],
      "c5_refine_fine"),
     ("converge-test", ['criteria=["c5-limit-vs-finite"]', "c5_refine_samples=400"],
@@ -163,6 +169,15 @@ class TestConfigHandling:
         assert report["config"]["seed"] == 5
         assert report["config"]["a"] == 0.5
         assert report["rng"] == {"algorithm": "Philox", "seed": 5}
+
+    def test_repeated_route_exits_2(self, tmp_path, capsys):
+        # A route named twice would write every one of its rows twice.
+        code = run(["sample-prior", "--seed", 1, "--out-dir", tmp_path,
+                    *[arg for item in PRIOR_ARGS for arg in ("--set", item)],
+                    "--set", 'routes=["mixture", "mixture"]'])
+        assert code == 2
+        assert "none twice" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
 
     def test_fractional_widths_exit_2(self, tmp_path, capsys):
         code = run(["sample-prior", "--seed", 1, "--out-dir", tmp_path,
@@ -343,6 +358,16 @@ class TestPosteriorPredict:
         assert "finite" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_finite_mixing_without_layers_exits_2(self, tmp_path, capsys, depth):
+        args = ["posterior-predict", "--seed", 1, "--out-dir", tmp_path]
+        for item in [*POSTERIOR_ARGS, 'mixing="finite"', f"depth={depth}", "width=4",
+                     "n_mixing=4"]:
+            args += ["--set", item]
+        assert run(args) == 2
+        assert "depth" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "report.json").exists()
+
     def test_finite_mixing_runs(self, tmp_path):
         cfg = dict(SCALAR_CFG)
         cfg.update({"mixing": "finite", "depth": 4, "width": 6, "n_mixing": 100})
@@ -380,16 +405,17 @@ class TestConvergeTest:
         assert not (tmp_path / "report.json").exists()
 
     def test_zero_step_refinement_grid_exits_2(self, tmp_path, capsys):
-        # A bad grid is a config error (exit 2), not a crash or a failed check.
+        # A bad grid is a config error (exit 2), not a crash or a failed check:
+        # c5_steps=3 is a valid grid, but its refinement pair's coarse grid,
+        # 3 // C5_COARSE_SHARE, has no steps.
         code = run(["converge-test", "--seed", 1, "--out-dir", tmp_path,
-                    "--set", "c5_refine_coarse=0", "--set", "c5_samples=4",
-                    "--set", "c5_steps=4",
+                    "--set", "c5_steps=3", "--set", "grid_samples=4",
                     "--set", 'criteria=["c5-limit-vs-finite"]'])
         assert code == 2
-        assert "grid steps" in json.loads(capsys.readouterr().err)["error"]
+        assert json.loads(capsys.readouterr().err)["error"] == "need at least 2 grid steps, got 0"
 
     @pytest.mark.parametrize(
-        "knob", ["c5_steps=1", "c5_refine_coarse=0"]
+        "knob", ["c5_steps=1", "c5_steps=7"]
     )
     def test_bad_c5_grid_fails_before_any_draw(self, tmp_path, monkeypatch, knob):
         # At the default sample counts the draws before a late check take ~10 s.

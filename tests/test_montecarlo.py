@@ -297,6 +297,14 @@ class TestReductions:
         assert np.all(np.isnan(mean)) == (n == 0)
         assert np.all(se == np.inf)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_var_and_se_too_few(self, n):
+        # The same rule as mean_and_se, again without a numpy warning.
+        var, se = montecarlo.var_and_se(np.ones((n, 3)))
+        assert var.shape == se.shape == (3,)
+        assert np.all(np.isnan(var))
+        assert np.all(se == np.inf)
+
     def test_var_and_se_normal(self, np_rng):
         values = np_rng.standard_normal((200_000, 1)) * 2.0
         var, se = montecarlo.var_and_se(values)

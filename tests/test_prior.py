@@ -118,6 +118,12 @@ class TestVbarFinite:
         with pytest.raises(InvalidParameter):
             prior.vbar_finite_samples(3, 2, 2, 1, SEED)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_gate(self, depth):
+        # A chain needs a factor: the same rule as NetworkShape's depth >= 1.
+        with pytest.raises(InvalidParameter, match="depth"):
+            prior.vbar_finite_samples(depth, 4, 2, 1, SEED)
+
     def test_first_diagonal_unit_second_moment(self):
         n = 50_000
         draws = prior.vbar_finite_samples(12, 6, 2, n, SEED, phase=2)

@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +37,51 @@ def test_appendix_round_trip_fails_on_a_thin_bin(monkeypatch, seed, n_bin):
     assert row.statistic == math.inf and not row.passed
 
 
+def test_bridge_rows_fail_on_a_single_draw():
+    # One draw gives an inf SE and a NaN variance: both rows must fail.
+    one = np.ones((1, 2, 2))
+    many = np.random.default_rng(1).standard_normal((8, 2, 2))
+    rows = verify._bridge_rows("b", "C", one, many, 16, (many, many), 4, 32)
+    assert [row.passed for row in rows] == [False, False]
+
+
+def test_variance_bound_fails_on_a_single_draw(monkeypatch):
+    monkeypatch.setattr(verify.prior, "vbar_finite_samples", lambda *args: np.eye(3)[None])
+    rows = verify.check_offdiag_variance_bound(verify.VerifyConfig(seed=1))
+    assert not any(row.passed for row in rows)
+
+
+class _PairCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("c5_steps, pair", [(256, (64, 512)), (4096, (1024, 8192))])
+def test_c5_refinement_pair_brackets_its_grid(monkeypatch, c5_steps, pair):
+    # The pair runs c5_steps // C5_COARSE_SHARE steps and REFINE_RATIO times as many.
+    def record_pair(a, dim, coarse, fine, *args):
+        raise _PairCalled(coarse, fine)
+
+    monkeypatch.setattr(verify.prior, "vbar_finite_samples", lambda *args: None)
+    monkeypatch.setattr(verify.limit, "vbar_limit_samples", lambda *args: None)
+    monkeypatch.setattr(verify.limit, "vbar_limit_refinement_pair", record_pair)
+    with pytest.raises(_PairCalled) as called:
+        verify.check_limit_vs_finite_bridge(verify.VerifyConfig(seed=1, c5_steps=c5_steps))
+    assert called.value.args == pair
+
+
+def test_readme_lists_every_verify_knob():
+    # The README's knob sentence names exactly the VerifyConfig fields a
+    # verify command reads besides its seed.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"The knobs are the integer fields of\s+`verify\.VerifyConfig`:(.*?)\.\s",
+                         readme, re.S).group(1)
+    knobs = {f.name for f in fields(verify.VerifyConfig)} - {"seed"}
+    assert set(re.findall(r"`(\w+)`", sentence)) == knobs
+
+
 C8_STATISTIC = """
 from proplimit import verify
-(row,) = verify.check_label_dependence(verify.VerifyConfig(seed=20260810, posterior_mixing=20_000))
+(row,) = verify.check_label_dependence(verify.VerifyConfig(seed=20260810, prop_samples=20_000))
 print(repr(row.statistic))
 """
 
