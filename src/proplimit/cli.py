@@ -23,7 +23,8 @@ same config and across worker counts (only the report's timing field may
 differ).  The seed is mandatory; there is no wall-clock default.  Floats
 are written with 17 significant digits and LF line endings.
 
-Exit codes: 0 success, 1 check failure, 2 config error.
+Exit codes: 0 success, 1 check failure, 2 config error (a config too large
+to allocate included).
 """
 
 from __future__ import annotations
@@ -464,9 +465,12 @@ def main(argv=None) -> int:
             cfg["out_dir"] = args.out_dir
         return COMMANDS[args.command](_resolve(cfg, args.command))
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
-        error = {"error": str(exc), "command": args.command}
-        print(json.dumps(error), file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError as exc:
+        # A grid, chain or sample count too large to allocate.
+        message = f"not enough memory for this config: {str(exc) or 'allocation failed'}"
+    print(json.dumps({"error": message, "command": args.command}), file=sys.stderr)
+    return 2
 
 
 def entrypoint() -> None:  # console-script shim

@@ -38,13 +38,18 @@ intermediate row, O(dim^3 M) flops and O(dim^2 M) memory per draw.  Path
 enumeration (:func:`enumerate_paths`, :func:`iterated_integral`) stays as
 the reference the tests and the verify suite check it against.
 
-A draw fills all d(d+1)/2 x M increments with one ``standard_normal``
-call, then scales, sums and drifts them, and runs the program, in place
-in a :class:`Grid`: the increments, the paths, the ``(d, d, M+1)`` table
-and the row scratch of one grid shape, reused by the next draw.  The
-samplers run on :func:`montecarlo.sample_map`: a block makes one grid and
-draws its samples one at a time, in sample order, from its one stream, so
-a draw allocates nothing but the matrix it returns.
+The samplers run on :func:`montecarlo.sample_map`, and a block makes one
+:class:`Grid`: the increments and paths of a sub-batch of draws, with a
+leading sample axis, and the ``(d, d, M+1)`` table and row scratch of one
+draw.  :func:`block_draws` simulates a sub-batch with one
+:func:`simulate_paths` call: one ``standard_normal`` call fills the
+d(d+1)/2 x M increments of each of its draws, in sample order from the
+block's one stream, and one call each scales, sums and drifts them.  The program
+then runs once per draw, in place, on that draw's slice of the paths.  A
+sub-batch holds as many draws as fit ``PATH_BATCH_BYTES`` of increments
+and paths: a whole block of 64 at dim 2 and 16 steps, one draw at dim 6
+and 4096 steps.  Past the grid, a block allocates only the matrices it
+returns.
 """
 
 from __future__ import annotations
@@ -58,6 +63,10 @@ from .errors import InvalidParameter, ShapeMismatch
 
 # The path-sum program costs O(dim^3 M) per draw; refuse silly inputs.
 MAX_DIM = 32
+# Bytes of increments and paths a block simulates at a time: draws go in
+# sub-batches of as many as fit (one draw at least), which leaves their
+# values unchanged, as ``prior.DIRECT_BATCH_VALUES`` bounds the direct route.
+PATH_BATCH_BYTES = 1 << 18
 
 
 def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:
@@ -82,34 +91,48 @@ def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:
     return a, dim, steps
 
 
-class Grid:
-    """Driving Brownian paths of one limit draw on a uniform grid, and its memory.
+def batch_size(dim: int, steps: int, m: int) -> int:
+    """Draws per sub-batch of an ``m``-draw block on a ``dim`` x ``steps`` grid.
 
-    ``increments`` holds the M Brownian increments of each diagonal path
-    (one per matrix row) followed by those of each strict-lower position
-    in ``numpy.tril_indices`` order; ``offdiag_increments`` is a view of
-    the latter.  ``diag_paths[k]`` holds W_k at the M+1 grid ``times``
-    (starting at 0) and ``drifted_paths[k]`` holds
-    ``Z_k(t) = sqrt(a/2) W_k(t) - ((k+1)/2) a t`` for 0-based row k.  The
-    path-sum table ``table[r, k] = F_k^{(r)}`` and the row scratch of the
-    program complete the memory a draw needs; entries of the table with
-    r < k are never written and stay 0.  The next draw into the same grid
-    overwrites all of it.
+    As many as keep their increments and paths within ``PATH_BATCH_BYTES``,
+    at least 1 and at most ``m``.
+    """
+    per_draw = 8 * (dim * (dim + 1) // 2 * steps + 2 * dim * (steps + 1))
+    return max(1, min(m, PATH_BATCH_BYTES // per_draw))
+
+
+class Grid:
+    """Driving Brownian paths of a sub-batch of limit draws on a uniform grid.
+
+    ``batch_increments[j]`` holds the M Brownian increments of draw j: one
+    row per diagonal path (one per matrix row), then one per strict-lower
+    position in ``numpy.tril_indices`` order.  ``batch_diag_paths[j, k]``
+    holds W_k at the M+1 grid ``times`` (starting at 0) and
+    ``batch_drifted_paths[j, k]`` holds
+    ``Z_k(t) = sqrt(a/2) W_k(t) - ((k+1)/2) a t`` for 0-based row k.
+
+    :meth:`select` points ``increments``, ``offdiag_increments`` (a view of
+    the strict-lower rows), ``diag_paths`` and ``drifted_paths`` at one
+    draw of the sub-batch; the path-sum program and
+    :func:`iterated_integral` read that draw through them.  The path-sum
+    table ``table[r, k] = F_k^{(r)}`` and the row scratch of the program
+    serve one draw at a time; entries of the table with r < k are never
+    written and stay 0.  The next draw into the same grid overwrites its
+    slice and the table.  A grid made without ``batch`` holds one draw.
     """
 
-    def __init__(self, a: float, dim: int, steps: int):
+    def __init__(self, a: float, dim: int, steps: int, batch: int = 1):
         a, dim, steps = check_grid(a, dim, steps)
-        self.a, self.dim, self.steps = a, dim, steps
+        self.a, self.dim, self.steps, self.batch = a, dim, steps, batch
         n_off = dim * (dim - 1) // 2
         self.root_dt = 1.0 / np.sqrt(steps)
         self.root_half_a = np.sqrt(a / 2.0)
         self.root_a = np.sqrt(a)
-        self.increments = np.empty((dim + n_off, steps))
-        self.offdiag_increments = self.increments[dim:]
+        self.batch_increments = np.empty((batch, dim + n_off, steps))
+        self.batch_diag_paths = np.zeros((batch, dim, steps + 1))
+        self.batch_drifted_paths = np.empty((batch, dim, steps + 1))
         self.times = np.arange(steps + 1) / steps
         self.drift = ((np.arange(1, dim + 1) / 2.0) * a)[:, None] * self.times[None, :]
-        self.diag_paths = np.zeros((dim, steps + 1))
-        self.drifted_paths = np.empty((dim, steps + 1))
         self.table = np.zeros((dim, dim, steps + 1))
         self.table_diag = self.table.reshape(dim * dim, steps + 1)[:: dim + 1]
         self.ends = np.empty(dim)
@@ -129,25 +152,59 @@ class Grid:
             )
             for k in range(dim - 2, -1, -1)
         ]
+        self.select(0)
 
-    def fill_paths(self) -> Grid:
-        """Sum the diagonal increments into the paths and drift them."""
-        np.cumsum(self.increments[: self.dim], axis=1, out=self.diag_paths[:, 1:])
-        np.multiply(self.root_half_a, self.diag_paths, out=self.drifted_paths)
-        np.subtract(self.drifted_paths, self.drift, out=self.drifted_paths)
+    def select(self, j: int) -> Grid:
+        """Point the one-draw views at draw ``j`` of the sub-batch; returns the grid."""
+        self.increments = self.batch_increments[j]
+        self.offdiag_increments = self.increments[self.dim:]
+        self.diag_paths = self.batch_diag_paths[j]
+        self.drifted_paths = self.batch_drifted_paths[j]
         return self
 
+    def fill_paths(self, count: int) -> Grid:
+        """Sum the diagonal increments of the first ``count`` draws into their
+        paths and drift them; returns the grid at its first draw."""
+        diag, drifted = self.batch_diag_paths[:count], self.batch_drifted_paths[:count]
+        np.cumsum(self.batch_increments[:count, : self.dim], axis=2, out=diag[:, :, 1:])
+        np.multiply(self.root_half_a, diag, out=drifted)
+        np.subtract(drifted, self.drift, out=drifted)
+        return self.select(0)
 
-def simulate_paths(rng: np.random.Generator, grid: Grid) -> Grid:
-    """Simulate all driving paths of one draw into ``grid``; returns ``grid``.
 
+def simulate_paths(rng: np.random.Generator, grid: Grid, count: int | None = None) -> Grid:
+    """Simulate the driving paths of ``count`` draws into ``grid``; returns ``grid``.
+
+    The first ``count`` draws of the sub-batch, all of it by default.
     Increments are exact Gaussians with variance 1/steps, all drawn by one
-    call: the diagonal-path rows first, then the off-diagonal rows, so the
-    stream consumption order is canonical.
+    call: draw after draw, each draw's diagonal-path rows first, then its
+    off-diagonal rows, so the stream consumption order is canonical and
+    the same as ``count`` one-draw calls.  The grid is left at its first draw.
     """
-    rng.standard_normal(out=grid.increments)
-    np.multiply(grid.increments, grid.root_dt, out=grid.increments)
-    return grid.fill_paths()
+    increments = grid.batch_increments[:count]
+    rng.standard_normal(out=increments)
+    np.multiply(increments, grid.root_dt, out=increments)
+    return grid.fill_paths(len(increments))
+
+
+def block_draws(rng: np.random.Generator, m: int, grid: Grid, coarse: Grid | None = None):
+    """Simulate ``m`` draws from ``rng`` into ``grid``, one sub-batch per
+    :func:`simulate_paths` call, in sample order.
+
+    Yields each draw's index in the block, with ``grid`` selected at that
+    draw.  With a ``coarse`` grid of the same batch, each sub-batch is also
+    coarsened into it (:func:`_coarsened`), and it is selected at the same draw.
+    """
+    for start in range(0, m, grid.batch):
+        count = min(grid.batch, m - start)
+        simulate_paths(rng, grid, count)
+        if coarse is not None:
+            _coarsened(grid, coarse, count)
+        for j in range(count):
+            grid.select(j)
+            if coarse is not None:
+                coarse.select(j)
+            yield start + j
 
 
 def tril_position(row: int, col: int) -> int:
@@ -208,7 +265,7 @@ def iterated_integral(grid: Grid, path) -> float:
     return float(grid.a ** (hops / 2.0) * np.exp(z[path[-1], -1]) * suffix[0])
 
 
-def vbar_limit_from_grid(grid: Grid) -> np.ndarray:
+def vbar_limit_from_grid(grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Assemble the limit matrix from one simulated grid.
 
     Diagonal entries come from the grid's own endpoint values ``Z_k(1)``
@@ -216,28 +273,31 @@ def vbar_limit_from_grid(grid: Grid) -> np.ndarray:
     driving paths.  Below-diagonal entries sum the iterated integrals over
     every admissible path, through the backward program of the module
     docstring: one :func:`backend.suffix_mac` call per intermediate row,
-    computed in the grid's own table.  Only the returned matrix is new.
+    computed in the grid's own table, for the draw the grid is selected
+    at.  The matrix is written to ``out`` when given, else returned new.
     """
     z = grid.drifted_paths
     left = z[:, :-1]  # Z at the left endpoints t_0 .. t_{M-1}
     # table[r, k] = F_k^{(r)} on the grid, so table[:, :, 0] is the matrix.
     np.exp(z[:, -1], out=grid.ends)
     grid.table_diag[...] = grid.ends[:, None]
-    for k, w, dw, below, g, out in grid.rows:
+    for k, w, dw, below, g, column in grid.rows:
         np.subtract(left[k], left[k + 1:], out=w)
         np.exp(w, out=w)
         np.take(grid.offdiag_increments, below, axis=0, out=dw, mode="clip")
         np.multiply(w, dw, out=w)
-        backend.suffix_mac(w, g, out)
-        np.multiply(grid.root_a, out, out=out)
+        backend.suffix_mac(w, g, column)
+        np.multiply(grid.root_a, column, out=column)
     # + 0.0 turns the -0.0 that root_a = 0 leaves below the diagonal into 0.0.
-    return grid.table[:, :, 0] + 0.0
+    return np.add(grid.table[:, :, 0], 0.0, out=out)
 
 
 def _vbar_block(a: float, dim: int, steps: int, streams, m: int) -> np.ndarray:
-    """A block's ``m`` limit draws, one at a time from its stream, in one grid."""
-    rng, grid = streams(0), Grid(a, dim, steps)
-    return np.stack([vbar_limit_from_grid(simulate_paths(rng, grid)) for _ in range(m)])
+    """A block's ``m`` limit draws from its stream, in one grid: (m, dim, dim)."""
+    grid, out = Grid(a, dim, steps, batch_size(dim, steps, m)), np.empty((m, dim, dim))
+    for i in block_draws(streams(0), m, grid):
+        vbar_limit_from_grid(grid, out[i])
+    return out
 
 
 def vbar_limit_samples(
@@ -282,16 +342,18 @@ def prior_limit_samples(
     )
 
 
-def _coarsened(fine: Grid, coarse: Grid) -> Grid:
+def _coarsened(fine: Grid, coarse: Grid, count: int | None = None) -> Grid:
     """The paths of ``fine`` on the fewer steps of ``coarse``; returns ``coarse``.
 
-    Each coarse increment sums ``fine.steps // coarse.steps`` consecutive
-    fine increments, all d(d+1)/2 rows at once.
+    The first ``count`` draws of the sub-batch, all of it by default.  Each
+    coarse increment sums ``fine.steps // coarse.steps`` consecutive fine
+    increments, all rows of all draws at once.
     """
     ratio = fine.steps // coarse.steps
-    groups = fine.increments.reshape(len(fine.increments), coarse.steps, ratio)
-    np.sum(groups, axis=2, out=coarse.increments)
-    return coarse.fill_paths()
+    increments = fine.batch_increments[:count]
+    groups = increments.reshape(len(increments), -1, coarse.steps, ratio)
+    np.sum(groups, axis=3, out=coarse.batch_increments[: len(increments)])
+    return coarse.fill_paths(len(increments))
 
 
 def check_refinement(
@@ -328,20 +390,19 @@ def vbar_limit_refinement_pair(
     them (summing groups of ``fine/coarse`` increments) so the coarse draw
     rides the identical path.  The difference between the two isolates the
     discretization error; c5 fits its refinement constant C * M^{-1/2}
-    from it.  A block draws its samples one at a time from its stream in
-    one pair of grids.  Returns ``(coarse, fine)`` stacks of shape
-    (n, dim, dim).
+    from it.  A block draws its samples from its stream in one pair of
+    grids, a sub-batch sized by the fine grid at a time.  Returns
+    ``(coarse, fine)`` stacks of shape (n, dim, dim).
     """
     a, dim, coarse_steps, fine_steps = check_refinement(a, dim, coarse_steps, fine_steps)
 
     def draw_block(streams, m: int) -> np.ndarray:
-        rng = streams(0)
-        fine, coarse = Grid(a, dim, fine_steps), Grid(a, dim, coarse_steps)
+        batch = batch_size(dim, fine_steps, m)
+        fine, coarse = Grid(a, dim, fine_steps, batch), Grid(a, dim, coarse_steps, batch)
         both = np.empty((m, 2, dim, dim))
-        for j in range(m):
-            simulate_paths(rng, fine)
-            both[j, 0] = vbar_limit_from_grid(_coarsened(fine, coarse))
-            both[j, 1] = vbar_limit_from_grid(fine)
+        for i in block_draws(streams(0), m, fine, coarse):
+            vbar_limit_from_grid(coarse, both[i, 0])
+            vbar_limit_from_grid(fine, both[i, 1])
         return both
 
     both = montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)

@@ -783,11 +783,9 @@ def prop_iterated_integral_mean(cfg: VerifyConfig) -> list[CheckRow]:
     n = cfg.grid_samples
 
     def draw_block(streams, m):
-        rng, grid = streams(0), limit.Grid(a, dim, steps)
-        vals = np.empty((m, 2))
-        for j in range(m):
-            limit.simulate_paths(rng, grid)
-            vals[j] = [limit.iterated_integral(grid, path) for path in ((0, 2), (0, 1, 2))]
+        grid, vals = limit.Grid(a, dim, steps, limit.batch_size(dim, steps, m)), np.empty((m, 2))
+        for i in limit.block_draws(streams(0), m, grid):
+            vals[i] = [limit.iterated_integral(grid, path) for path in ((0, 2), (0, 1, 2))]
         return vals
 
     vals = montecarlo.sample_map(draw_block, n, cfg.seed, PH_ITERINT, cfg.workers)

@@ -187,6 +187,24 @@ class TestConfigHandling:
         assert "widths" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "samples.csv").exists()
 
+    # Each size is past any address space, so its first allocation fails at
+    # once on every host: a limit grid of 1e17 steps, or depth + 1 = 1e17
+    # layer precisions.
+    @pytest.mark.parametrize("command, settings", [
+        ("sample-limit", LIMIT_ARGS + ["steps=100000000000000000"]),
+        ("posterior-predict",
+         POSTERIOR_ARGS + ['mixing="limit"', "a=0.5", "n_mixing=4", "steps=1e17"]),
+        ("sample-prior", PRIOR_ARGS + ["depth=100000000000000000"]),
+    ], ids=["sample-limit", "posterior-predict", "sample-prior"])
+    def test_config_too_large_to_allocate_exits_2(self, tmp_path, capsys, command, settings):
+        args = [command, "--seed", 1, "--out-dir", tmp_path]
+        for item in settings:
+            args += ["--set", item]
+        assert run(args) == 2
+        assert "not enough memory" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_verify_key_exits_2(self, tmp_path, capsys):
         code = run(["converge-test", "--seed", 1, "--out-dir", tmp_path,
                     "--set", "bogus_knob=3"])

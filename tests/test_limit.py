@@ -402,3 +402,110 @@ class TestWorkspaceDraws:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 1024
+
+
+def pair_draw(rng, a, dim, coarse_steps, fine_steps):
+    """The next coupled (coarse, fine) pair of ``rng``, simulated into new grids."""
+    grid = limit.simulate_paths(rng, limit.Grid(a, dim, fine_steps))
+    fine = limit.vbar_limit_from_grid(grid)
+    coarse = limit.vbar_limit_from_grid(limit._coarsened(grid, limit.Grid(a, dim, coarse_steps)))
+    return np.stack([coarse, fine])
+
+
+class TestSubBatchedDraws:
+    """A block simulates its paths a sub-batch at a time: the bytes of the
+    per-draw oracle, one ``simulate_paths`` call per draw into a new grid."""
+
+    def test_sub_batch_sizes(self):
+        # The shapes below cover a whole block, one draw at a time, and a
+        # sub-batch boundary inside a block with a partial last sub-batch.
+        assert limit.batch_size(2, 16, montecarlo.BLOCK) == montecarlo.BLOCK
+        assert limit.batch_size(6, 4096, montecarlo.BLOCK) == 1
+        assert limit.batch_size(3, 8192, montecarlo.BLOCK) == 1
+        assert limit.batch_size(3, 128, montecarlo.BLOCK) == 21  # 21 + 21 + 21 + 1
+        assert limit.batch_size(2, 16, 5) == 5
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "a,dim,steps,n",
+        [(0.7, 2, 16, 150), (0.5, 6, 4096, 3), (0.7, 3, 128, 150), (0.7, 1, 16, 150),
+         (0.0, 3, 128, 70)],
+        ids=["whole-block", "one-draw", "partial-sub-batch", "dim-1", "a-zero"],
+    )
+    def test_samplers_match_per_draw_oracle(self, a, dim, steps, n, workers):
+        out = limit.vbar_limit_samples(a, dim, steps, n, SEED, 19, workers)
+        one_draw = per_draw(lambda rng: grid_draw(rng, a, dim, steps))
+        want = montecarlo.sample_map(one_draw, n, SEED, 19, workers)
+        assert digest(out) == digest(want)
+        if a == 0.0:
+            assert np.array_equal(out, np.broadcast_to(np.eye(dim), out.shape))
+            assert not np.signbit(out).any()
+        x = np.array([[1.0, -0.5, 0.2], [0.4, 0.9, -1.1]])
+        prior_out = limit.prior_limit_samples(x, a, dim, 1.5, steps, n, SEED, 20, workers)
+        prior_want = prior.mixture_samples(one_draw, x, 1.5, n, SEED, 20, workers)
+        assert digest(prior_out) == digest(prior_want)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "a,dim,coarse_steps,fine_steps,n",
+        [(0.7, 2, 4, 16, 150), (0.6, 3, 16, 128, 150), (0.5, 6, 512, 4096, 2),
+         (0.7, 1, 2, 16, 70), (0.0, 3, 16, 128, 70)],
+        ids=["whole-block", "partial-sub-batch", "one-draw", "dim-1", "a-zero"],
+    )
+    def test_refinement_pair_matches_per_draw_oracle(
+        self, a, dim, coarse_steps, fine_steps, n, workers
+    ):
+        coarse, fine = limit.vbar_limit_refinement_pair(
+            a, dim, coarse_steps, fine_steps, n, SEED, 21, workers
+        )
+        want = montecarlo.sample_map(
+            per_draw(lambda rng: pair_draw(rng, a, dim, coarse_steps, fine_steps)),
+            n, SEED, 21, workers,
+        )
+        assert digest(coarse) == digest(want[:, 0])
+        assert digest(fine) == digest(want[:, 1])
+        if a == 0.0:
+            for out in (coarse, fine):
+                assert np.array_equal(out, np.broadcast_to(np.eye(dim), out.shape))
+                assert not np.signbit(out).any()
+
+    def test_one_simulation_per_sub_batch_one_program_per_draw(self, monkeypatch):
+        calls = {"simulate_paths": 0, "vbar_limit_from_grid": 0, "suffix_mac": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((limit, "simulate_paths"), (limit, "vbar_limit_from_grid"),
+                             (backend, "suffix_mac")):
+            counted(module, name)
+        # 100 draws at dim 3 and 128 steps: blocks of 64 (21 + 21 + 21 + 1)
+        # and 36 (21 + 15), with 2 intermediate rows per program.
+        limit.vbar_limit_samples(0.5, 3, 128, 100, SEED, phase=22)
+        assert calls == {"simulate_paths": 6, "vbar_limit_from_grid": 100, "suffix_mac": 200}
+        calls.update(dict.fromkeys(calls, 0))
+        # The pair sizes its sub-batch by the fine grid and runs both programs.
+        limit.vbar_limit_refinement_pair(0.5, 3, 16, 128, 100, SEED, 23)
+        assert calls == {"simulate_paths": 6, "vbar_limit_from_grid": 200, "suffix_mac": 400}
+
+    def test_block_scratch_within_the_budget(self):
+        # dim 2, 16 steps: the whole block of 64 draws in one sub-batch.
+        def scratch(n):
+            tracemalloc.start()
+            try:
+                out = limit.vbar_limit_samples(0.5, 2, 16, n, SEED, phase=24)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 2 * out.nbytes
+
+        limit.vbar_limit_samples(0.5, 2, 16, 2, SEED, phase=24)  # lazy imports
+        one_block, ten_blocks = scratch(montecarlo.BLOCK), scratch(10 * montecarlo.BLOCK)
+        table_bytes = 8 * 2 * 2 * 17
+        assert one_block <= limit.PATH_BATCH_BYTES + table_bytes
+        assert ten_blocks <= one_block + 16 * 1024
