@@ -39,17 +39,19 @@ enumeration (:func:`enumerate_paths`, :func:`iterated_integral`) stays as
 the reference the tests and the verify suite check it against.
 
 The samplers run on :func:`montecarlo.sample_map`, and a block makes one
-:class:`Grid`: the increments and paths of a sub-batch of draws, with a
-leading sample axis, and the ``(d, d, M+1)`` table and row scratch of one
+:class:`Grid`: the increments, paths, integrand coefficients and endpoint
+factors of a sub-batch of draws, and the ``(d, d, M+1)`` table of one
 draw.  :func:`block_draws` simulates a sub-batch with one
 :func:`simulate_paths` call: one ``standard_normal`` call fills the
 d(d+1)/2 x M increments of each of its draws, in sample order from the
-block's one stream, and one call each scales, sums and drifts them.  The program
-then runs once per draw, in place, on that draw's slice of the paths.  A
-sub-batch holds as many draws as fit ``PATH_BATCH_BYTES`` of increments
-and paths: a whole block of 64 at dim 2 and 16 steps, one draw at dim 6
-and 4096 steps.  Past the grid, a block allocates only the matrices it
-returns.
+block's one stream, and :meth:`Grid.fill_paths` sums and drifts them and
+computes every draw's coefficients ``exp(Z_k(t_u) - Z_k'(t_u))
+dW^{(k',k)}_u`` and ``exp(Z(1))`` with a few calls per (k', k) pair for
+the whole sub-batch.  The program then runs once per draw, in place: the
+suffix recursion on that draw's slice of the coefficients.  A sub-batch
+holds as many draws as fit ``PATH_BATCH_BYTES``: a whole block of 64 at
+dim 2 and 16 steps, one draw at dim 6 and 4096 steps.  Past the grid, a
+block allocates only the matrices it returns.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ from .errors import InvalidParameter, ShapeMismatch
 
 # The path-sum program costs O(dim^3 M) per draw; refuse silly inputs.
 MAX_DIM = 32
-# Bytes of increments and paths a block simulates at a time: draws go in
-# sub-batches of as many as fit (one draw at least), which leaves their
-# values unchanged, as ``prior.DIRECT_BATCH_VALUES`` bounds the direct route.
+# Bytes of increments, paths and coefficients a block holds at a time:
+# draws go in sub-batches of as many as fit (one draw at least), which
+# leaves their values unchanged, as ``prior.DIRECT_BATCH_VALUES`` bounds
+# the direct route.
 PATH_BATCH_BYTES = 1 << 18
 
 
@@ -94,11 +97,14 @@ def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:
 def batch_size(dim: int, steps: int, m: int) -> int:
     """Draws per sub-batch of an ``m``-draw block on a ``dim`` x ``steps`` grid.
 
-    As many as keep their increments and paths within ``PATH_BATCH_BYTES``,
-    at least 1 and at most ``m``.
+    As many as keep everything a sub-batch holds within ``PATH_BATCH_BYTES``
+    (its increments, paths, integrand coefficients, endpoint factors and
+    the one gather row of :meth:`Grid.fill_paths`), at least 1 and at most
+    ``m``.
     """
-    per_draw = 8 * (dim * (dim + 1) // 2 * steps + 2 * dim * (steps + 1))
-    return max(1, min(m, PATH_BATCH_BYTES // per_draw))
+    n_off = dim * (dim - 1) // 2
+    words = (dim + 2 * n_off + 1) * steps + 2 * dim * (steps + 1) + dim
+    return max(1, min(m, PATH_BATCH_BYTES // (8 * words)))
 
 
 class Grid:
@@ -110,15 +116,23 @@ class Grid:
     holds W_k at the M+1 grid ``times`` (starting at 0) and
     ``batch_drifted_paths[j, k]`` holds
     ``Z_k(t) = sqrt(a/2) W_k(t) - ((k+1)/2) a t`` for 0-based row k.
+    ``batch_coefficients[:, j]`` holds the path-sum program's integrand
+    coefficients of draw j, ``exp(Z_k(t_u) - Z_r(t_u)) dW^{(r,k)}_u`` for
+    u < M, one row per strict-lower position (r, k) in the program's row
+    order (k last first, then r ascending), so that row k's pairs form one
+    slice; ``batch_ends[j]`` holds its endpoint factors ``exp(Z(1))``.
 
-    :meth:`select` points ``increments``, ``offdiag_increments`` (a view of
-    the strict-lower rows), ``diag_paths`` and ``drifted_paths`` at one
+    :meth:`fill_paths` derives the paths, coefficients and endpoint factors
+    from the increments; code that edits increments calls it again before
+    the program reads the grid.  :meth:`select` points ``increments``,
+    ``offdiag_increments`` (a view of the strict-lower rows),
+    ``diag_paths``, ``drifted_paths``, ``coefficients`` and ``ends`` at one
     draw of the sub-batch; the path-sum program and
     :func:`iterated_integral` read that draw through them.  The path-sum
-    table ``table[r, k] = F_k^{(r)}`` and the row scratch of the program
-    serve one draw at a time; entries of the table with r < k are never
-    written and stay 0.  The next draw into the same grid overwrites its
-    slice and the table.  A grid made without ``batch`` holds one draw.
+    table ``table[r, k] = F_k^{(r)}`` serves one draw at a time; entries
+    with r < k are never written and stay 0.  The next draw into the same
+    grid overwrites its slice and the table.  A grid made without
+    ``batch`` holds one draw.
     """
 
     def __init__(self, a: float, dim: int, steps: int, batch: int = 1):
@@ -131,26 +145,26 @@ class Grid:
         self.batch_increments = np.empty((batch, dim + n_off, steps))
         self.batch_diag_paths = np.zeros((batch, dim, steps + 1))
         self.batch_drifted_paths = np.empty((batch, dim, steps + 1))
+        self.batch_coefficients = np.empty((n_off, batch, steps))
+        self.batch_ends = np.empty((batch, dim))
+        self.gather = np.empty((batch, steps))
         self.times = np.arange(steps + 1) / steps
         self.drift = ((np.arange(1, dim + 1) / 2.0) * a)[:, None] * self.times[None, :]
         self.table = np.zeros((dim, dim, steps + 1))
         self.table_diag = self.table.reshape(dim * dim, steps + 1)[:: dim + 1]
-        self.ends = np.empty(dim)
-        weights = np.empty((dim - 1, steps))
-        pair_dw = np.empty((dim - 1, steps))
-        # Per intermediate row k, last first: the row's scratch, the
-        # positions of its increments (r, k), r > k, its inner suffixes
-        # table[k+1:, k+1:] as (k', r) pairs, and its output table[k+1:, k].
+        # The program's (r, k) pairs in coefficient row order, with their
+        # increment rows.  Per intermediate row k = dim - 1 - n, last first:
+        # its n coefficient rows, its inner suffixes table[k+1:, k+1:] as
+        # (k', r) pairs, and its output table[k+1:, k].
+        self.pairs = [(r, k, dim + tril_position(r, k))
+                      for k in range(dim - 2, -1, -1) for r in range(k + 1, dim)]
         self.rows = [
             (
-                k,
-                weights[: dim - k - 1],
-                pair_dw[: dim - k - 1],
-                np.array([tril_position(r, k) for r in range(k + 1, dim)]),
-                self.table[k + 1:, k + 1:].swapaxes(0, 1),
-                self.table[k + 1:, k],
+                slice(n * (n - 1) // 2, n * (n + 1) // 2),
+                self.table[dim - n:, dim - n:].swapaxes(0, 1),
+                self.table[dim - n:, dim - n - 1],
             )
-            for k in range(dim - 2, -1, -1)
+            for n in range(1, dim)
         ]
         self.select(0)
 
@@ -160,15 +174,35 @@ class Grid:
         self.offdiag_increments = self.increments[self.dim:]
         self.diag_paths = self.batch_diag_paths[j]
         self.drifted_paths = self.batch_drifted_paths[j]
+        self.coefficients = self.batch_coefficients[:, j]
+        self.ends = self.batch_ends[j]
         return self
 
     def fill_paths(self, count: int) -> Grid:
-        """Sum the diagonal increments of the first ``count`` draws into their
-        paths and drift them; returns the grid at its first draw."""
+        """Derive the paths, coefficients and endpoint factors of the first
+        ``count`` draws from their increments; returns the grid at its first draw.
+
+        Every ufunc here reads and writes same-shape contiguous operands (a
+        row across the sub-batch is first copied into ``gather``): numpy
+        buffers a broadcast or strided multi-dimensional operand in a
+        scratch of up to 64 KiB per operand.
+        """
         diag, drifted = self.batch_diag_paths[:count], self.batch_drifted_paths[:count]
         np.cumsum(self.batch_increments[:count, : self.dim], axis=2, out=diag[:, :, 1:])
         np.multiply(self.root_half_a, diag, out=drifted)
-        np.subtract(drifted, self.drift, out=drifted)
+        for z in drifted:
+            np.subtract(z, self.drift, out=z)
+        left, gather = drifted[:, :, :-1], self.gather[:count]
+        for c, (r, k, row) in zip(self.batch_coefficients[:, :count], self.pairs):
+            np.copyto(c, left[:, k])
+            np.copyto(gather, left[:, r])
+            np.subtract(c, gather, out=c)
+            np.exp(c, out=c)
+            np.copyto(gather, self.batch_increments[:count, row])
+            np.multiply(c, gather, out=c)
+        ends = self.batch_ends[:count]
+        np.copyto(ends, drifted[:, :, -1])
+        np.exp(ends, out=ends)
         return self.select(0)
 
 
@@ -266,27 +300,21 @@ def iterated_integral(grid: Grid, path) -> float:
 
 
 def vbar_limit_from_grid(grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    """Assemble the limit matrix from one simulated grid.
+    """Assemble the limit matrix of the draw the grid is selected at.
 
-    Diagonal entries come from the grid's own endpoint values ``Z_k(1)``
+    Diagonal entries are the grid's own endpoint factors ``exp(Z_k(1))``
     (not independent redraws), so all entries of one draw share the same
     driving paths.  Below-diagonal entries sum the iterated integrals over
     every admissible path, through the backward program of the module
-    docstring: one :func:`backend.suffix_mac` call per intermediate row,
-    computed in the grid's own table, for the draw the grid is selected
-    at.  The matrix is written to ``out`` when given, else returned new.
+    docstring: one :func:`backend.suffix_mac` call per intermediate row on
+    that row's slice of the coefficients :meth:`Grid.fill_paths` stored,
+    computed in the grid's own table.  The matrix is written to ``out``
+    when given, else returned new.
     """
-    z = grid.drifted_paths
-    left = z[:, :-1]  # Z at the left endpoints t_0 .. t_{M-1}
     # table[r, k] = F_k^{(r)} on the grid, so table[:, :, 0] is the matrix.
-    np.exp(z[:, -1], out=grid.ends)
     grid.table_diag[...] = grid.ends[:, None]
-    for k, w, dw, below, g, column in grid.rows:
-        np.subtract(left[k], left[k + 1:], out=w)
-        np.exp(w, out=w)
-        np.take(grid.offdiag_increments, below, axis=0, out=dw, mode="clip")
-        np.multiply(w, dw, out=w)
-        backend.suffix_mac(w, g, column)
+    for pairs, g, column in grid.rows:
+        backend.suffix_mac(grid.coefficients[pairs], g, column)
         np.multiply(grid.root_a, column, out=column)
     # + 0.0 turns the -0.0 that root_a = 0 leaves below the diagonal into 0.0.
     return np.add(grid.table[:, :, 0], 0.0, out=out)

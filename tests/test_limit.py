@@ -204,7 +204,7 @@ def limit_grids(draw):
     zeroed = draw(st.lists(st.booleans(), min_size=dim * (dim - 1) // 2,
                            max_size=dim * (dim - 1) // 2))
     grid.offdiag_increments[np.array(zeroed, dtype=bool)] = 0.0
-    return grid
+    return grid.fill_paths(1)  # the program reads coefficients, not increments
 
 
 class TestPathSumMatchesEnumeration:
@@ -422,7 +422,7 @@ class TestSubBatchedDraws:
         assert limit.batch_size(2, 16, montecarlo.BLOCK) == montecarlo.BLOCK
         assert limit.batch_size(6, 4096, montecarlo.BLOCK) == 1
         assert limit.batch_size(3, 8192, montecarlo.BLOCK) == 1
-        assert limit.batch_size(3, 128, montecarlo.BLOCK) == 21  # 21 + 21 + 21 + 1
+        assert limit.batch_size(3, 128, montecarlo.BLOCK) == 15  # 15 + 15 + 15 + 15 + 4
         assert limit.batch_size(2, 16, 5) == 5
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -469,7 +469,9 @@ class TestSubBatchedDraws:
                 assert np.array_equal(out, np.broadcast_to(np.eye(dim), out.shape))
                 assert not np.signbit(out).any()
 
-    def test_one_simulation_per_sub_batch_one_program_per_draw(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of the three traced layers of the limit sampler, by name."""
         calls = {"simulate_paths": 0, "vbar_limit_from_grid": 0, "suffix_mac": 0}
 
         def counted(module, name):
@@ -484,28 +486,74 @@ class TestSubBatchedDraws:
         for module, name in ((limit, "simulate_paths"), (limit, "vbar_limit_from_grid"),
                              (backend, "suffix_mac")):
             counted(module, name)
-        # 100 draws at dim 3 and 128 steps: blocks of 64 (21 + 21 + 21 + 1)
-        # and 36 (21 + 15), with 2 intermediate rows per program.
+        return calls
+
+    def test_one_simulation_per_sub_batch_one_program_per_draw(self, calls):
+        # 100 draws at dim 3 and 128 steps: blocks of 64 (15 + 15 + 15 + 15
+        # + 4) and 36 (15 + 15 + 6), with 2 intermediate rows per program.
         limit.vbar_limit_samples(0.5, 3, 128, 100, SEED, phase=22)
-        assert calls == {"simulate_paths": 6, "vbar_limit_from_grid": 100, "suffix_mac": 200}
+        assert calls == {"simulate_paths": 8, "vbar_limit_from_grid": 100, "suffix_mac": 200}
         calls.update(dict.fromkeys(calls, 0))
         # The pair sizes its sub-batch by the fine grid and runs both programs.
         limit.vbar_limit_refinement_pair(0.5, 3, 16, 128, 100, SEED, 23)
-        assert calls == {"simulate_paths": 6, "vbar_limit_from_grid": 200, "suffix_mac": 400}
+        assert calls == {"simulate_paths": 8, "vbar_limit_from_grid": 200, "suffix_mac": 400}
+
+    def test_posterior_mixing_draws_keep_their_traced_calls(self, calls):
+        # posterior-predict's 5,000 limit mixing draws at dim 2 and 16 steps
+        # (the posterior-collinear benchmark): one simulation per block of
+        # 64, one program and one suffix sum per draw.  Batching these
+        # layers shortens a traced invocation until cli.main's untraced
+        # time exceeds its allowed share (perfbench/workloads.py
+        # LAYER_SHARE); such a change must trace cli.main's stages first.
+        limit.vbar_limit_samples(1.0, 2, 16, 5000, SEED, phase=25)
+        assert calls == {"simulate_paths": 79, "vbar_limit_from_grid": 5000, "suffix_mac": 5000}
 
     def test_block_scratch_within_the_budget(self):
-        # dim 2, 16 steps: the whole block of 64 draws in one sub-batch.
-        def scratch(n):
+        # dim 2 / 16 steps: the whole block of 64 draws in one sub-batch;
+        # dim 3 / 128 steps: sub-batches of 15 that fill the budget.
+        def scratch(dim, steps, n):
             tracemalloc.start()
             try:
-                out = limit.vbar_limit_samples(0.5, 2, 16, n, SEED, phase=24)
+                out = limit.vbar_limit_samples(0.5, dim, steps, n, SEED, phase=24)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             return peak - 2 * out.nbytes
 
-        limit.vbar_limit_samples(0.5, 2, 16, 2, SEED, phase=24)  # lazy imports
-        one_block, ten_blocks = scratch(montecarlo.BLOCK), scratch(10 * montecarlo.BLOCK)
-        table_bytes = 8 * 2 * 2 * 17
-        assert one_block <= limit.PATH_BATCH_BYTES + table_bytes
-        assert ten_blocks <= one_block + 16 * 1024
+        for dim, steps in ((2, 16), (3, 128)):
+            limit.vbar_limit_samples(0.5, dim, steps, 2, SEED, phase=24)  # lazy imports
+            one_block = scratch(dim, steps, montecarlo.BLOCK)
+            ten_blocks = scratch(dim, steps, 10 * montecarlo.BLOCK)
+            table_bytes = 8 * dim * dim * (steps + 1)
+            assert one_block <= limit.PATH_BATCH_BYTES + table_bytes, (dim, steps)
+            assert ten_blocks <= one_block + 16 * 1024, (dim, steps)
+
+    @pytest.mark.parametrize(
+        "a,dim,coarse_steps,fine_steps,m",
+        [(0.7, 2, 4, 16, 64), (0.7, 3, 16, 128, 34), (0.7, 1, 2, 16, 64), (0.0, 3, 16, 128, 34)],
+        ids=["whole-block", "partial-sub-batch", "dim-1", "a-zero"],
+    )
+    def test_stored_coefficients_match_the_draws_own_paths(
+        self, a, dim, coarse_steps, fine_steps, m
+    ):
+        # fill_paths stores what the program reads; pin it bit for bit
+        # against the formula on the selected draw's paths and increments,
+        # for simulated (fine) and coarsened grids alike.
+        def want(grid):
+            z = grid.drifted_paths
+            rows = [np.exp(z[k, :-1] - z[r, :-1])
+                    * grid.offdiag_increments[limit.tril_position(r, k)]
+                    for k in range(dim - 2, -1, -1) for r in range(k + 1, dim)]
+            return np.array(rows).reshape(-1, grid.steps), np.exp(z[:, -1])
+
+        batch = limit.batch_size(dim, fine_steps, m)
+        fine = limit.Grid(a, dim, fine_steps, batch)
+        coarse = limit.Grid(a, dim, coarse_steps, batch)
+        seen = 0
+        for i in limit.block_draws(montecarlo.stream_for(SEED, 26, 0), m, fine, coarse):
+            for grid in (fine, coarse):
+                coefficients, ends = want(grid)
+                assert grid.coefficients.tobytes() == coefficients.tobytes()
+                assert grid.ends.tobytes() == ends.tobytes()
+            seen = i + 1
+        assert seen == m
