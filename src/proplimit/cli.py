@@ -254,6 +254,14 @@ def _sample_rows(draws: np.ndarray, route: str):
         yield template % tuple(args)
 
 
+def _nonfinite_report(*stacks) -> tuple[int, list]:
+    """Draws (first axis) with any non-finite entry over ``stacks``, and
+    the report warnings that count calls for."""
+    count = sum(int(len(s) - np.isfinite(s).reshape(len(s), -1).all(axis=1).sum())
+                for s in stacks)
+    return count, ["non-finite-draws"] if count else []
+
+
 def cmd_sample_prior(cfg: dict) -> int:
     from . import prior
 
@@ -281,8 +289,10 @@ def cmd_sample_prior(cfg: dict) -> int:
         Path(cfg["out_dir"]) / "samples.csv", ["sample_id", "route", "row", "col", "value"],
         itertools.chain.from_iterable(_sample_rows(*pair) for pair in drawn),
     )
-    _report(cfg, "sample-prior", start, {"n_samples": n_samples, "routes": routes},
-            ["samples.csv"])
+    n_nonfinite, warnings = _nonfinite_report(*(draws for draws, _ in drawn))
+    _report(cfg, "sample-prior", start,
+            {"n_samples": n_samples, "routes": routes, "n_nonfinite": n_nonfinite},
+            ["samples.csv"], warnings)
     return 0
 
 
@@ -308,8 +318,10 @@ def cmd_sample_limit(cfg: dict) -> int:
         Path(cfg["out_dir"]) / "samples.csv", ["sample_id", "route", "row", "col", "value"],
         _sample_rows(draws, f"limit-{emit}"),
     )
-    _report(cfg, "sample-limit", start, {"n_samples": n_samples, "emit": emit},
-            ["samples.csv"])
+    n_nonfinite, warnings = _nonfinite_report(draws)
+    _report(cfg, "sample-limit", start,
+            {"n_samples": n_samples, "emit": emit, "n_nonfinite": n_nonfinite},
+            ["samples.csv"], warnings)
     return 0
 
 

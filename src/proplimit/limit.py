@@ -47,11 +47,12 @@ d(d+1)/2 x M increments of each of its draws, in sample order from the
 block's one stream, and :meth:`Grid.fill_paths` sums and drifts them and
 computes every draw's coefficients ``exp(Z_k(t_u) - Z_k'(t_u))
 dW^{(k',k)}_u`` and ``exp(Z(1))`` with a few calls per (k', k) pair for
-the whole sub-batch.  The program then runs once per draw, in place: the
-suffix recursion on that draw's slice of the coefficients.  A sub-batch
-holds as many draws as fit ``PATH_BATCH_BYTES``: a whole block of 64 at
-dim 2 and 16 steps, one draw at dim 6 and 4096 steps.  Past the grid, a
-block allocates only the matrices it returns.
+the whole sub-batch.  The program then runs once per draw, named by its
+index in the sub-batch, in place: the suffix recursion on that draw's
+slice of the coefficients.  A sub-batch holds as many draws as fit
+``PATH_BATCH_BYTES``: a whole block of 64 at dim 2 and 16 steps, one
+draw at dim 6 and 4096 steps.  Past the grid, a block allocates only the
+matrices it returns.
 """
 
 from __future__ import annotations
@@ -103,36 +104,31 @@ def batch_size(dim: int, steps: int, m: int) -> int:
     ``m``.
     """
     n_off = dim * (dim - 1) // 2
-    words = (dim + 2 * n_off + 1) * steps + 2 * dim * (steps + 1) + dim
+    words = (dim + 2 * n_off + 1) * steps + dim * (steps + 1) + dim
     return max(1, min(m, PATH_BATCH_BYTES // (8 * words)))
 
 
 class Grid:
     """Driving Brownian paths of a sub-batch of limit draws on a uniform grid.
 
-    ``batch_increments[j]`` holds the M Brownian increments of draw j: one
-    row per diagonal path (one per matrix row), then one per strict-lower
-    position in ``numpy.tril_indices`` order.  ``batch_diag_paths[j, k]``
-    holds W_k at the M+1 grid ``times`` (starting at 0) and
-    ``batch_drifted_paths[j, k]`` holds
-    ``Z_k(t) = sqrt(a/2) W_k(t) - ((k+1)/2) a t`` for 0-based row k.
-    ``batch_coefficients[:, j]`` holds the path-sum program's integrand
+    Every array holds the whole sub-batch; a caller names the draw it
+    reads.  ``increments[j]`` holds the M Brownian increments of draw j:
+    one row per diagonal path (one per matrix row), then one per
+    strict-lower position in ``numpy.tril_indices`` order.
+    ``paths[j, k]`` holds ``Z_k(t) = sqrt(a/2) W_k(t) - ((k+1)/2) a t``
+    for 0-based row k at the M+1 grid times (starting at 0).
+    ``coefficients[:, j]`` holds the path-sum program's integrand
     coefficients of draw j, ``exp(Z_k(t_u) - Z_r(t_u)) dW^{(r,k)}_u`` for
     u < M, one row per strict-lower position (r, k) in the program's row
     order (k last first, then r ascending), so that row k's pairs form one
-    slice; ``batch_ends[j]`` holds its endpoint factors ``exp(Z(1))``.
+    slice; ``ends[j]`` holds its endpoint factors ``exp(Z(1))``.
 
     :meth:`fill_paths` derives the paths, coefficients and endpoint factors
     from the increments; code that edits increments calls it again before
-    the program reads the grid.  :meth:`select` points ``increments``,
-    ``offdiag_increments`` (a view of the strict-lower rows),
-    ``diag_paths``, ``drifted_paths``, ``coefficients`` and ``ends`` at one
-    draw of the sub-batch; the path-sum program and
-    :func:`iterated_integral` read that draw through them.  The path-sum
-    table ``table[r, k] = F_k^{(r)}`` serves one draw at a time; entries
-    with r < k are never written and stay 0.  The next draw into the same
-    grid overwrites its slice and the table.  A grid made without
-    ``batch`` holds one draw.
+    the program reads the grid.  The path-sum table ``table[r, k] =
+    F_k^{(r)}`` serves one draw at a time; entries with r < k are never
+    written and stay 0.  The next sub-batch into the same grid overwrites
+    its arrays and the table.  A grid made without ``batch`` holds one draw.
     """
 
     def __init__(self, a: float, dim: int, steps: int, batch: int = 1):
@@ -142,14 +138,13 @@ class Grid:
         self.root_dt = 1.0 / np.sqrt(steps)
         self.root_half_a = np.sqrt(a / 2.0)
         self.root_a = np.sqrt(a)
-        self.batch_increments = np.empty((batch, dim + n_off, steps))
-        self.batch_diag_paths = np.zeros((batch, dim, steps + 1))
-        self.batch_drifted_paths = np.empty((batch, dim, steps + 1))
-        self.batch_coefficients = np.empty((n_off, batch, steps))
-        self.batch_ends = np.empty((batch, dim))
+        self.increments = np.empty((batch, dim + n_off, steps))
+        self.paths = np.zeros((batch, dim, steps + 1))  # column 0 stays 0
+        self.coefficients = np.empty((n_off, batch, steps))
+        self.ends = np.empty((batch, dim))
         self.gather = np.empty((batch, steps))
-        self.times = np.arange(steps + 1) / steps
-        self.drift = ((np.arange(1, dim + 1) / 2.0) * a)[:, None] * self.times[None, :]
+        times = np.arange(steps + 1) / steps
+        self.drift = ((np.arange(1, dim + 1) / 2.0) * a)[:, None] * times[None, :]
         self.table = np.zeros((dim, dim, steps + 1))
         self.table_diag = self.table.reshape(dim * dim, steps + 1)[:: dim + 1]
         # The program's (r, k) pairs in coefficient row order, with their
@@ -166,44 +161,33 @@ class Grid:
             )
             for n in range(1, dim)
         ]
-        self.select(0)
-
-    def select(self, j: int) -> Grid:
-        """Point the one-draw views at draw ``j`` of the sub-batch; returns the grid."""
-        self.increments = self.batch_increments[j]
-        self.offdiag_increments = self.increments[self.dim:]
-        self.diag_paths = self.batch_diag_paths[j]
-        self.drifted_paths = self.batch_drifted_paths[j]
-        self.coefficients = self.batch_coefficients[:, j]
-        self.ends = self.batch_ends[j]
-        return self
 
     def fill_paths(self, count: int) -> Grid:
         """Derive the paths, coefficients and endpoint factors of the first
-        ``count`` draws from their increments; returns the grid at its first draw.
+        ``count`` draws from their increments; returns the grid.
 
         Every ufunc here reads and writes same-shape contiguous operands (a
         row across the sub-batch is first copied into ``gather``): numpy
         buffers a broadcast or strided multi-dimensional operand in a
         scratch of up to 64 KiB per operand.
         """
-        diag, drifted = self.batch_diag_paths[:count], self.batch_drifted_paths[:count]
-        np.cumsum(self.batch_increments[:count, : self.dim], axis=2, out=diag[:, :, 1:])
-        np.multiply(self.root_half_a, diag, out=drifted)
-        for z in drifted:
+        paths = self.paths[:count]
+        np.cumsum(self.increments[:count, : self.dim], axis=2, out=paths[:, :, 1:])
+        np.multiply(self.root_half_a, paths, out=paths)
+        for z in paths:
             np.subtract(z, self.drift, out=z)
-        left, gather = drifted[:, :, :-1], self.gather[:count]
-        for c, (r, k, row) in zip(self.batch_coefficients[:, :count], self.pairs):
+        left, gather = paths[:, :, :-1], self.gather[:count]
+        for c, (r, k, row) in zip(self.coefficients[:, :count], self.pairs):
             np.copyto(c, left[:, k])
             np.copyto(gather, left[:, r])
             np.subtract(c, gather, out=c)
             np.exp(c, out=c)
-            np.copyto(gather, self.batch_increments[:count, row])
+            np.copyto(gather, self.increments[:count, row])
             np.multiply(c, gather, out=c)
-        ends = self.batch_ends[:count]
-        np.copyto(ends, drifted[:, :, -1])
+        ends = self.ends[:count]
+        np.copyto(ends, paths[:, :, -1])
         np.exp(ends, out=ends)
-        return self.select(0)
+        return self
 
 
 def simulate_paths(rng: np.random.Generator, grid: Grid, count: int | None = None) -> Grid:
@@ -213,9 +197,9 @@ def simulate_paths(rng: np.random.Generator, grid: Grid, count: int | None = Non
     Increments are exact Gaussians with variance 1/steps, all drawn by one
     call: draw after draw, each draw's diagonal-path rows first, then its
     off-diagonal rows, so the stream consumption order is canonical and
-    the same as ``count`` one-draw calls.  The grid is left at its first draw.
+    the same as ``count`` one-draw calls.
     """
-    increments = grid.batch_increments[:count]
+    increments = grid.increments[:count]
     rng.standard_normal(out=increments)
     np.multiply(increments, grid.root_dt, out=increments)
     return grid.fill_paths(len(increments))
@@ -225,9 +209,9 @@ def block_draws(rng: np.random.Generator, m: int, grid: Grid, coarse: Grid | Non
     """Simulate ``m`` draws from ``rng`` into ``grid``, one sub-batch per
     :func:`simulate_paths` call, in sample order.
 
-    Yields each draw's index in the block, with ``grid`` selected at that
-    draw.  With a ``coarse`` grid of the same batch, each sub-batch is also
-    coarsened into it (:func:`_coarsened`), and it is selected at the same draw.
+    Yields ``(i, j)`` per draw: its index in the block and in the grid's
+    current sub-batch.  With a ``coarse`` grid of the same batch, each
+    sub-batch is also coarsened into it (:func:`_coarsened`), at the same ``j``.
     """
     for start in range(0, m, grid.batch):
         count = min(grid.batch, m - start)
@@ -235,10 +219,7 @@ def block_draws(rng: np.random.Generator, m: int, grid: Grid, coarse: Grid | Non
         if coarse is not None:
             _coarsened(grid, coarse, count)
         for j in range(count):
-            grid.select(j)
-            if coarse is not None:
-                coarse.select(j)
-            yield start + j
+            yield start + j, j
 
 
 def tril_position(row: int, col: int) -> int:
@@ -274,8 +255,8 @@ def validate_path(path, dim: int) -> tuple:
     return path
 
 
-def iterated_integral(grid: Grid, path) -> float:
-    """Discretized iterated Ito integral H(path) on the given grid.
+def iterated_integral(grid: Grid, path, draw: int = 0) -> float:
+    """Discretized iterated Ito integral H(path) of the grid's draw ``draw``.
 
     ``path`` is a strictly increasing tuple of 0-based row indices.  The
     value carries the ``a^(h/2)`` prefactor and the ``exp(Z(1))`` endpoint
@@ -287,20 +268,20 @@ def iterated_integral(grid: Grid, path) -> float:
     :func:`backend.suffix_mac` kernel it checks.
     """
     path = validate_path(path, grid.dim)
-    z = grid.drifted_paths
+    z, increments = grid.paths[draw], grid.increments[draw]
     hops = len(path) - 1
     suffix = np.ones(grid.steps + 1)
     for j in range(hops, 0, -1):
         lo, hi = path[j - 1], path[j]
         # exp(Z_lo(t_u) - Z_hi(t_u)) at the left endpoints u = 0..M-1
         w = np.exp(z[lo, :-1] - z[hi, :-1])
-        dw = grid.offdiag_increments[tril_position(hi, lo)]
+        dw = increments[grid.dim + tril_position(hi, lo)]
         suffix = np.append(np.cumsum((w * dw * suffix[1:])[::-1])[::-1], 0.0)
     return float(grid.a ** (hops / 2.0) * np.exp(z[path[-1], -1]) * suffix[0])
 
 
-def vbar_limit_from_grid(grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    """Assemble the limit matrix of the draw the grid is selected at.
+def vbar_limit_from_grid(grid: Grid, draw: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Assemble the limit matrix of the grid's draw ``draw``.
 
     Diagonal entries are the grid's own endpoint factors ``exp(Z_k(1))``
     (not independent redraws), so all entries of one draw share the same
@@ -312,9 +293,10 @@ def vbar_limit_from_grid(grid: Grid, out: np.ndarray | None = None) -> np.ndarra
     when given, else returned new.
     """
     # table[r, k] = F_k^{(r)} on the grid, so table[:, :, 0] is the matrix.
-    grid.table_diag[...] = grid.ends[:, None]
+    grid.table_diag[...] = grid.ends[draw, :, None]
+    coefficients = grid.coefficients[:, draw]
     for pairs, g, column in grid.rows:
-        backend.suffix_mac(grid.coefficients[pairs], g, column)
+        backend.suffix_mac(coefficients[pairs], g, column)
         np.multiply(grid.root_a, column, out=column)
     # + 0.0 turns the -0.0 that root_a = 0 leaves below the diagonal into 0.0.
     return np.add(grid.table[:, :, 0], 0.0, out=out)
@@ -323,8 +305,8 @@ def vbar_limit_from_grid(grid: Grid, out: np.ndarray | None = None) -> np.ndarra
 def _vbar_block(a: float, dim: int, steps: int, streams, m: int) -> np.ndarray:
     """A block's ``m`` limit draws from its stream, in one grid: (m, dim, dim)."""
     grid, out = Grid(a, dim, steps, batch_size(dim, steps, m)), np.empty((m, dim, dim))
-    for i in block_draws(streams(0), m, grid):
-        vbar_limit_from_grid(grid, out[i])
+    for i, j in block_draws(streams(0), m, grid):
+        vbar_limit_from_grid(grid, j, out[i])
     return out
 
 
@@ -378,9 +360,9 @@ def _coarsened(fine: Grid, coarse: Grid, count: int | None = None) -> Grid:
     increments, all rows of all draws at once.
     """
     ratio = fine.steps // coarse.steps
-    increments = fine.batch_increments[:count]
+    increments = fine.increments[:count]
     groups = increments.reshape(len(increments), -1, coarse.steps, ratio)
-    np.sum(groups, axis=3, out=coarse.batch_increments[: len(increments)])
+    np.sum(groups, axis=3, out=coarse.increments[: len(increments)])
     return coarse.fill_paths(len(increments))
 
 
@@ -428,9 +410,9 @@ def vbar_limit_refinement_pair(
         batch = batch_size(dim, fine_steps, m)
         fine, coarse = Grid(a, dim, fine_steps, batch), Grid(a, dim, coarse_steps, batch)
         both = np.empty((m, 2, dim, dim))
-        for i in block_draws(streams(0), m, fine, coarse):
-            vbar_limit_from_grid(coarse, both[i, 0])
-            vbar_limit_from_grid(fine, both[i, 1])
+        for i, j in block_draws(streams(0), m, fine, coarse):
+            vbar_limit_from_grid(coarse, j, both[i, 0])
+            vbar_limit_from_grid(fine, j, both[i, 1])
         return both
 
     both = montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)

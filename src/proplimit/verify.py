@@ -784,8 +784,8 @@ def prop_iterated_integral_mean(cfg: VerifyConfig) -> list[CheckRow]:
 
     def draw_block(streams, m):
         grid, vals = limit.Grid(a, dim, steps, limit.batch_size(dim, steps, m)), np.empty((m, 2))
-        for i in limit.block_draws(streams(0), m, grid):
-            vals[i] = [limit.iterated_integral(grid, path) for path in ((0, 2), (0, 1, 2))]
+        for i, j in limit.block_draws(streams(0), m, grid):
+            vals[i] = [limit.iterated_integral(grid, path, j) for path in ((0, 2), (0, 1, 2))]
         return vals
 
     vals = montecarlo.sample_map(draw_block, n, cfg.seed, PH_ITERINT, cfg.workers)

@@ -260,6 +260,8 @@ class TestSampleCommands:
         # 5 samples x 2 routes x (2 x 2) entries
         assert len(lines) == 1 + 5 * 2 * 4
         assert {line.split(",")[1] for line in lines[1:]} == {"direct", "mixture"}
+        report = read_report(tmp_path / "report.json")
+        assert report["results"]["n_nonfinite"] == 0 and report["warnings"] == []
 
     def test_sample_prior_rerun_byte_identical(self, tmp_path):
         args = [
@@ -316,6 +318,29 @@ class TestSampleCommands:
         assert code == 0
         lines = (tmp_path / "samples.csv").read_text().splitlines()
         assert lines[1].split(",")[1] == "limit-prior"
+        report = read_report(tmp_path / "report.json")
+        assert report["results"]["n_nonfinite"] == 0 and report["warnings"] == []
+
+    # numpy's overflow warnings are the expected symptom of these configs.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command,settings", [
+        ("sample-limit", ["a=1e300", "dim=2", "steps=16", "n_samples=3"]),
+        ("sample-prior", ["x=[[1e308]]", "n_out=1", "depth=1", "width=2", "n_samples=50"]),
+    ], ids=["sample-limit", "sample-prior"])
+    def test_non_finite_draws_are_counted_and_flagged(self, tmp_path, command, settings):
+        args = [command, "--seed", 1, "--out-dir", tmp_path]
+        for item in settings:
+            args += ["--set", item]
+        assert run(args) == 0
+        bad = set()
+        for line in (tmp_path / "samples.csv").read_text().splitlines()[1:]:
+            sample_id, route, _, _, value = line.split(",")
+            if not np.isfinite(float(value)):
+                bad.add((route, sample_id))
+        report = read_report(tmp_path / "report.json")
+        assert report["results"]["n_nonfinite"] == len(bad) > 0
+        assert report["warnings"] == ["non-finite-draws"]
 
 
 class TestPosteriorPredict:

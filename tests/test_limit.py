@@ -23,6 +23,11 @@ def per_draw(fn):
     return draw_block
 
 
+def w_at_one(grid):
+    """W_k(1) of the grid's first draw: the sum of its diagonal increments."""
+    return grid.increments[0, : grid.dim].sum(axis=1)
+
+
 def grid_draw(rng, a, dim, steps):
     """The next limit draw of ``rng``, simulated into a new grid."""
     return limit.vbar_limit_from_grid(limit.simulate_paths(rng, limit.Grid(a, dim, steps)))
@@ -31,12 +36,12 @@ def grid_draw(rng, a, dim, steps):
 class TestSimulatePaths:
     def test_paths_start_at_zero(self, rng):
         grid = limit.simulate_paths(rng, limit.Grid(0.5, 3, 128))
-        np.testing.assert_array_equal(grid.diag_paths[:, 0], np.zeros(3))
+        np.testing.assert_array_equal(grid.paths[0, :, 0], np.zeros(3))
 
     def test_increment_variance(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            per_draw(lambda r: limit.simulate_paths(r, limit.Grid(1.0, 2, 16)).diag_paths[:, -1]),
+            per_draw(lambda r: w_at_one(limit.simulate_paths(r, limit.Grid(1.0, 2, 16)))),
             n, SEED, phase=1,
         )
         var = ends.var(axis=0, ddof=1)
@@ -46,7 +51,7 @@ class TestSimulatePaths:
     def test_cross_path_independence(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            per_draw(lambda r: limit.simulate_paths(r, limit.Grid(1.0, 3, 16)).diag_paths[:, -1]),
+            per_draw(lambda r: w_at_one(limit.simulate_paths(r, limit.Grid(1.0, 3, 16)))),
             n, SEED, phase=2,
         )
         corr = np.corrcoef(ends, rowvar=False)
@@ -56,7 +61,7 @@ class TestSimulatePaths:
         n = 20_000
         ends = montecarlo.sample_map(
             per_draw(
-                lambda r: limit.simulate_paths(r, limit.Grid(0.8, 2, 16)).drifted_paths[:, -1]
+                lambda r: limit.simulate_paths(r, limit.Grid(0.8, 2, 16)).paths[0, :, -1]
             ),
             n, SEED, phase=3,
         )
@@ -67,8 +72,10 @@ class TestSimulatePaths:
     def test_drifted_recomputable(self, rng):
         grid = limit.simulate_paths(rng, limit.Grid(0.7, 3, 64))
         rates = np.arange(1, 4) / 2.0 * grid.a
-        redone = np.sqrt(grid.a / 2.0) * grid.diag_paths - rates[:, None] * grid.times
-        assert np.max(np.abs(redone - grid.drifted_paths)) < 1e-12
+        times = np.arange(65) / 64
+        brownian = np.hstack([np.zeros((3, 1)), np.cumsum(grid.increments[0, :3], axis=1)])
+        redone = np.sqrt(grid.a / 2.0) * brownian - rates[:, None] * times
+        assert np.max(np.abs(redone - grid.paths[0])) < 1e-12
 
     @pytest.mark.parametrize(
         "a,dim,steps",
@@ -107,7 +114,7 @@ class TestIteratedIntegral:
 
     def test_zeroed_increments_give_zero(self, rng):
         grid = limit.simulate_paths(rng, limit.Grid(1.0, 3, 64))
-        grid.offdiag_increments[...] = 0.0
+        grid.increments[0, 3:] = 0.0
         assert limit.iterated_integral(grid, (0, 2)) == 0.0
         assert limit.iterated_integral(grid, (0, 1, 2)) == 0.0
 
@@ -179,7 +186,7 @@ class TestVbarLimit:
 
 def enumerated_vbar(grid) -> np.ndarray:
     """Oracle: every below-diagonal entry summed path by path."""
-    out = np.diag(np.exp(grid.drifted_paths[:, -1]))
+    out = np.diag(np.exp(grid.paths[0, :, -1]))
     for row in range(1, grid.dim):
         for col in range(row):
             out[row, col] = sum(
@@ -203,7 +210,7 @@ def limit_grids(draw):
         grid = limit._coarsened(grid, limit.Grid(a, dim, steps))
     zeroed = draw(st.lists(st.booleans(), min_size=dim * (dim - 1) // 2,
                            max_size=dim * (dim - 1) // 2))
-    grid.offdiag_increments[np.array(zeroed, dtype=bool)] = 0.0
+    grid.increments[0, dim:][np.array(zeroed, dtype=bool)] = 0.0
     return grid.fill_paths(1)  # the program reads coefficients, not increments
 
 
@@ -216,7 +223,8 @@ class TestPathSumMatchesEnumeration:
         # Rounding in either order is bounded by the same sums taken over
         # |dW|, where nothing cancels.  In the subnormal range (a tiny
         # ``a``) rounding is absolute instead: a few smallest subnormals.
-        np.abs(grid.offdiag_increments, out=grid.offdiag_increments)
+        off_diagonal = grid.increments[0, grid.dim:]
+        np.abs(off_diagonal, out=off_diagonal)
         scale = enumerated_vbar(grid)
         floor = 4 * np.finfo(float).smallest_subnormal
         assert np.all(np.abs(out - ref) <= 1e-13 * scale + floor)
@@ -387,7 +395,7 @@ class TestWorkspaceDraws:
 
         limit.vbar_limit_samples(0.5, 4, 1024, 2, SEED, phase=18)  # lazy imports
         small, large = scratch(20), scratch(400)
-        grid_bytes = 8 * (10 * 1024 + 3 * 4 * 1025 + 16 * 1025 + 2 * 3 * 1024)
+        grid_bytes = 8 * (10 * 1024 + 2 * 4 * 1025 + 16 * 1025 + 2 * 3 * 1024)
         assert large <= small + 16 * 1024
         assert large <= 1.5 * grid_bytes
 
@@ -422,8 +430,21 @@ class TestSubBatchedDraws:
         assert limit.batch_size(2, 16, montecarlo.BLOCK) == montecarlo.BLOCK
         assert limit.batch_size(6, 4096, montecarlo.BLOCK) == 1
         assert limit.batch_size(3, 8192, montecarlo.BLOCK) == 1
-        assert limit.batch_size(3, 128, montecarlo.BLOCK) == 15  # 15 + 15 + 15 + 15 + 4
+        assert limit.batch_size(3, 128, montecarlo.BLOCK) == 19  # 19 + 19 + 19 + 7
         assert limit.batch_size(2, 16, 5) == 5
+
+    @pytest.mark.parametrize("dim,steps", [(1, 16), (2, 16), (3, 128), (4, 1024), (6, 4096)])
+    def test_budget_counts_what_a_draw_allocates(self, dim, steps):
+        # batch_size's word count must match the arrays one more draw adds
+        # to a grid; dim 3 / 128 steps is a shape where the budget binds.
+        def nbytes(batch):
+            grid = limit.Grid(0.5, dim, steps, batch)
+            return sum(getattr(grid, name).nbytes
+                       for name in ("increments", "paths", "coefficients", "ends", "gather"))
+
+        per_draw = nbytes(2) - nbytes(1)
+        want = max(1, limit.PATH_BATCH_BYTES // per_draw)
+        assert limit.batch_size(dim, steps, 10**6) == want
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
@@ -489,14 +510,14 @@ class TestSubBatchedDraws:
         return calls
 
     def test_one_simulation_per_sub_batch_one_program_per_draw(self, calls):
-        # 100 draws at dim 3 and 128 steps: blocks of 64 (15 + 15 + 15 + 15
-        # + 4) and 36 (15 + 15 + 6), with 2 intermediate rows per program.
+        # 100 draws at dim 3 and 128 steps: blocks of 64 (19 + 19 + 19 + 7)
+        # and 36 (19 + 17), with 2 intermediate rows per program.
         limit.vbar_limit_samples(0.5, 3, 128, 100, SEED, phase=22)
-        assert calls == {"simulate_paths": 8, "vbar_limit_from_grid": 100, "suffix_mac": 200}
+        assert calls == {"simulate_paths": 6, "vbar_limit_from_grid": 100, "suffix_mac": 200}
         calls.update(dict.fromkeys(calls, 0))
         # The pair sizes its sub-batch by the fine grid and runs both programs.
         limit.vbar_limit_refinement_pair(0.5, 3, 16, 128, 100, SEED, 23)
-        assert calls == {"simulate_paths": 8, "vbar_limit_from_grid": 200, "suffix_mac": 400}
+        assert calls == {"simulate_paths": 6, "vbar_limit_from_grid": 200, "suffix_mac": 400}
 
     def test_posterior_mixing_draws_keep_their_traced_calls(self, calls):
         # posterior-predict's 5,000 limit mixing draws at dim 2 and 16 steps
@@ -508,9 +529,31 @@ class TestSubBatchedDraws:
         limit.vbar_limit_samples(1.0, 2, 16, 5000, SEED, phase=25)
         assert calls == {"simulate_paths": 79, "vbar_limit_from_grid": 5000, "suffix_mac": 5000}
 
+    def test_deep_grid_draws_keep_their_traced_calls(self, calls):
+        # sample-limit's dim 6 / 4096-step draws (the limit-deep-grid
+        # benchmark): one draw per sub-batch, 5 intermediate rows per program.
+        limit.vbar_limit_samples(0.5, 6, 4096, 3, SEED, phase=27)
+        assert calls == {"simulate_paths": 3, "vbar_limit_from_grid": 3, "suffix_mac": 15}
+
+    def test_iterated_integral_at_each_draw_of_a_sub_batch(self):
+        # 34 draws in sub-batches of 19 and 15: each draw's integrals, read
+        # at its index in the batched grid, are the per-draw oracle's bytes.
+        a, dim, steps, m = 0.7, 3, 128, 34
+        paths = limit.enumerate_paths(2, 0) + [(0, 1), (1, 2)]
+        grid = limit.Grid(a, dim, steps, limit.batch_size(dim, steps, m))
+        assert grid.batch < m
+        oracle = montecarlo.stream_for(SEED, 28, 0)
+        seen = 0
+        for i, j in limit.block_draws(montecarlo.stream_for(SEED, 28, 0), m, grid):
+            one = limit.simulate_paths(oracle, limit.Grid(a, dim, steps))
+            assert ([limit.iterated_integral(grid, p, j) for p in paths]
+                    == [limit.iterated_integral(one, p) for p in paths]), i
+            seen = i + 1
+        assert seen == m
+
     def test_block_scratch_within_the_budget(self):
         # dim 2 / 16 steps: the whole block of 64 draws in one sub-batch;
-        # dim 3 / 128 steps: sub-batches of 15 that fill the budget.
+        # dim 3 / 128 steps: sub-batches of 19 that fill the budget.
         def scratch(dim, steps, n):
             tracemalloc.start()
             try:
@@ -537,12 +580,12 @@ class TestSubBatchedDraws:
         self, a, dim, coarse_steps, fine_steps, m
     ):
         # fill_paths stores what the program reads; pin it bit for bit
-        # against the formula on the selected draw's paths and increments,
-        # for simulated (fine) and coarsened grids alike.
-        def want(grid):
-            z = grid.drifted_paths
+        # against the formula on each draw's own paths and increments, for
+        # simulated (fine) and coarsened grids alike.
+        def want(grid, j):
+            z = grid.paths[j]
             rows = [np.exp(z[k, :-1] - z[r, :-1])
-                    * grid.offdiag_increments[limit.tril_position(r, k)]
+                    * grid.increments[j, dim + limit.tril_position(r, k)]
                     for k in range(dim - 2, -1, -1) for r in range(k + 1, dim)]
             return np.array(rows).reshape(-1, grid.steps), np.exp(z[:, -1])
 
@@ -550,10 +593,10 @@ class TestSubBatchedDraws:
         fine = limit.Grid(a, dim, fine_steps, batch)
         coarse = limit.Grid(a, dim, coarse_steps, batch)
         seen = 0
-        for i in limit.block_draws(montecarlo.stream_for(SEED, 26, 0), m, fine, coarse):
+        for i, j in limit.block_draws(montecarlo.stream_for(SEED, 26, 0), m, fine, coarse):
             for grid in (fine, coarse):
-                coefficients, ends = want(grid)
-                assert grid.coefficients.tobytes() == coefficients.tobytes()
-                assert grid.ends.tobytes() == ends.tobytes()
+                coefficients, ends = want(grid, j)
+                assert grid.coefficients[:, j].tobytes() == coefficients.tobytes()
+                assert grid.ends[j].tobytes() == ends.tobytes()
             seen = i + 1
         assert seen == m
