@@ -1,20 +1,14 @@
 """The two hot numpy kernels: lower-triangular chain products and backward suffix sums.
 
 They stay in this module rather than inlined at their call sites because
-``perfbench/tracing.py`` times them under these two names.
+``perfbench/tracing.py`` times them under these two names.  Neither
+splits its input: each works on the whole batch it is given, and its
+caller bounds the memory by the size of that batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-# Bytes of factor stack assembled at a time: the kernel walks the samples
-# in blocks of this size, so its scratch memory does not grow with the
-# batch and a block stays cache-sized.  On a 1024 x 200-layer x 3 x 3
-# chunk, 2 MiB blocks raised a process's peak RSS 2.6 MiB above the
-# layer-by-layer product; 1 MiB blocks, 0.3 MiB, and ran no slower.
-CHAIN_BLOCK_BYTES = 1 << 20
 
 
 def lt_chain_multiply(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -38,30 +32,24 @@ def lt_chain_multiply(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
     "Prefix sums and their applications"): each level multiplies adjacent
     pairs of the ``(b, L, D, D)`` factor stack in one batched matmul, and
     an odd last factor carries up to the next level, for about log2(L)
-    calls.  Samples are processed in blocks of ``CHAIN_BLOCK_BYTES`` of
-    stack.  Rounding differs from a left-to-right product only in the
-    last bits.
+    calls.  The whole batch is one stack, so its scratch memory is about
+    twice ``B * L * D * D`` floats: a caller bounds it by the batch it
+    passes (``prior.CHAIN_BATCH_BYTES``).  Rounding differs from a
+    left-to-right product only in the last bits.
     """
     n_samples, n_layers, dim = diag.shape
     rows, cols = np.tril_indices(dim, -1)
-    diag_at = np.arange(dim) * (dim + 1)
-    low_at = rows * dim + cols
-    block = max(1, CHAIN_BLOCK_BYTES // (n_layers * dim * dim * 8))
-    out = np.empty((n_samples, dim, dim))
-    for lo in range(0, n_samples, block):
-        hi = min(lo + block, n_samples)
-        flat = np.zeros((hi - lo, n_layers, dim * dim))
-        flat[:, :, diag_at] = diag[lo:hi]
-        flat[:, :, low_at] = low[lo:hi]
-        stack = flat.reshape(hi - lo, n_layers, dim, dim)
-        while stack.shape[1] > 1:
-            even = stack.shape[1] & ~1
-            paired = np.matmul(stack[:, 1:even:2], stack[:, 0:even:2])
-            if even < stack.shape[1]:
-                paired = np.concatenate([paired, stack[:, even:]], axis=1)
-            stack = paired
-        out[lo:hi] = stack[:, 0]
-    return out
+    flat = np.zeros((n_samples, n_layers, dim * dim))
+    flat[:, :, np.arange(dim) * (dim + 1)] = diag
+    flat[:, :, rows * dim + cols] = low
+    stack = flat.reshape(n_samples, n_layers, dim, dim)
+    while stack.shape[1] > 1:
+        even = stack.shape[1] & ~1
+        paired = np.matmul(stack[:, 1:even:2], stack[:, 0:even:2])
+        if even < stack.shape[1]:
+            paired = np.concatenate([paired, stack[:, even:]], axis=1)
+        stack = paired
+    return stack[:, 0]
 
 
 def suffix_mac(c: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,6 +1,3 @@
-import tracemalloc
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,42 +89,19 @@ class TestTreeKernel:
                          st.integers(3, 24)),
         dim=st.integers(1, 8),
         exponent=st.floats(0.0, 150.0),
-        block=st.integers(1, 4),
         n=st.integers(1, 13),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_sequential_product(self, layers, dim, exponent, block, n, seed):
+    def test_matches_sequential_product(self, layers, dim, exponent, n, seed):
         # Diagonals are 10**e with |e| up to 150; the exponent budget is
         # shared across layers so that no partial product leaves float64.
         rng = np.random.default_rng(seed)
         top = min(exponent, 300.0 / layers)
         diag = 10.0 ** rng.uniform(-top, top, (n, layers, dim))
         low = rng.standard_normal((n, layers, dim * (dim - 1) // 2))
-        # Blocks of `block` samples, so the batch falls on both sides of one.
-        budget = block * layers * dim * dim * 8
-        with mock.patch.object(backend, "CHAIN_BLOCK_BYTES", budget):
-            out = backend.lt_chain_multiply(diag, low)
-        assert_close_per_draw(out, sequential_chain(diag, low))
+        assert_close_per_draw(backend.lt_chain_multiply(diag, low), sequential_chain(diag, low))
 
-    def test_batch_crossing_the_block_budget(self, np_rng):
-        # finite-chain's factor shape; 300 samples need three blocks.
-        layers, dim = 200, 3
-        per_block = backend.CHAIN_BLOCK_BYTES // (layers * dim * dim * 8)
-        n = 2 * per_block + 10
-        diag, low = random_chain_inputs(np_rng, n=n, layers=layers, dim=dim)
-        out = backend.lt_chain_multiply(diag, low)
-        assert_close_per_draw(out, sequential_chain(diag, low))
-        np.testing.assert_array_equal(out[per_block:per_block + 3],
-                                      backend.lt_chain_multiply(diag[per_block:per_block + 3],
-                                                                low[per_block:per_block + 3]))
-
-    def test_scratch_memory_bounded_by_block_budget(self, np_rng):
-        # The whole (2000, 200, 3, 3) factor stack would be 27 budgets.
-        diag, low = random_chain_inputs(np_rng, n=2000, layers=200, dim=3)
-        tracemalloc.start()
-        try:
-            out = backend.lt_chain_multiply(diag, low)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - out.nbytes < 3 * backend.CHAIN_BLOCK_BYTES
+    def test_deep_chains_match_sequential_product(self, np_rng):
+        # finite-chain's factor shape, 200 layers of 3 x 3 factors.
+        diag, low = random_chain_inputs(np_rng, n=100, layers=200, dim=3)
+        assert_close_per_draw(backend.lt_chain_multiply(diag, low), sequential_chain(diag, low))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,16 +91,41 @@ class TestForwardDirect:
         np.testing.assert_array_equal(prior.forward_direct_samples(x, shape, 5, SEED, 8), batch)
 
 
-def chain_streams(seed, phase):
-    """The gamma and lower-normal streams of block 0, as the finite samplers key them."""
-    return (montecarlo.stream_for(seed, phase, 0, prior.FAMILY_GAMMA),
-            montecarlo.stream_for(seed, phase, 0, prior.FAMILY_LOW))
+def chain_streams(seed, phase, block=0):
+    """The gamma and lower-normal streams of a block, as the finite samplers key them."""
+    return (montecarlo.stream_for(seed, phase, block, prior.FAMILY_GAMMA),
+            montecarlo.stream_for(seed, phase, block, prior.FAMILY_LOW))
 
 
 def chain_from_streams(depth, width, dim, streams):
     """The next Bartlett-chain product of a block, drawn and multiplied on its own."""
     diag, low = prior.bartlett_chain_draws(width, dim, depth, *streams)
     return backend.lt_chain_multiply(diag[None], low[None])[0]
+
+
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """The ``(block, family)`` key of every ``montecarlo.stream_for`` call."""
+    keys = []
+    make = montecarlo.stream_for
+
+    def counted(seed, phase, block, family=0):
+        keys.append((block, family))
+        return make(seed, phase, block, family)
+
+    monkeypatch.setattr(montecarlo, "stream_for", counted)
+    return keys
+
+
+# Chains per sub-batch at depth 7 and dim 3, the split tests' shape: one,
+# 5 (a block of 64 is 12 x 5 + 4, the last block's 22 is 4 x 5 + 2) and
+# the whole block.
+SPLITS = [1, 5, 64]
+
+
+def split_budget(per_batch, depth=7, dim=3):
+    """A ``CHAIN_BATCH_BYTES`` giving ``per_batch`` chains per sub-batch."""
+    return per_batch * depth * dim * dim * 8
 
 
 class TestVbarFinite:
@@ -147,6 +174,54 @@ class TestVbarFinite:
         for i in range(4):
             np.testing.assert_array_equal(batch[i], chain_from_streams(5, 8, 3, streams))
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("per_batch", SPLITS)
+    def test_same_bytes_at_every_split(self, monkeypatch, stream_keys, per_batch, workers):
+        # 150 chains (blocks of 64, 64 and 22) at every sub-batch size are
+        # the single-chain draws' bytes, and each block takes its gamma
+        # and lower-normal streams once.
+        monkeypatch.setattr(prior, "CHAIN_BATCH_BYTES", split_budget(per_batch))
+        batch = prior.vbar_finite_samples(7, 8, 3, 150, SEED, phase=10, workers=workers)
+        assert sorted(stream_keys) == [(b, f) for b in range(3)
+                                       for f in (prior.FAMILY_GAMMA, prior.FAMILY_LOW)]
+        for b, lo in enumerate(range(0, 150, 64)):
+            streams = chain_streams(SEED, 10, b)
+            for i in range(lo, min(lo + 64, 150)):
+                np.testing.assert_array_equal(batch[i], chain_from_streams(7, 8, 3, streams))
+
+    def test_sub_batch_sizes(self):
+        # As many chains as fit the budget's factor stack, within [1, m].
+        stack = 200 * 3 * 3 * 8
+        assert prior.chain_batch_size(3, 200, 64) == prior.CHAIN_BATCH_BYTES // stack == 36
+        assert prior.chain_batch_size(3, 200, 20) == 20
+        assert prior.chain_batch_size(3, 7, 64) == 64
+        assert prior.chain_batch_size(3, 10**6, 64) == 1
+
+    def test_block_crossing_the_batch_budget(self):
+        # finite-chain's factor shape: a block of 64 chains in sub-batches
+        # of 36 and 28 has the bytes of one kernel call on the whole
+        # block's draws, and the chains either side of the boundary those
+        # of the kernel on them alone.
+        depth, width, dim = 200, 64, 3
+        batch = prior.vbar_finite_samples(depth, width, dim, 64, SEED, phase=11)
+        diag, low = prior.bartlett_chain_draws(width, dim, (64, depth), *chain_streams(SEED, 11))
+        np.testing.assert_array_equal(batch, backend.lt_chain_multiply(diag, low))
+        np.testing.assert_array_equal(batch[34:38],
+                                      backend.lt_chain_multiply(diag[34:38], low[34:38]))
+
+    def test_scratch_memory_bounded_by_batch_budget(self):
+        # At depth 2000 one block's (64, 2000, 3, 3) factor stack would be
+        # 17.6 budgets; a sub-batch's draws, stack and tree levels stay
+        # within three.
+        prior.vbar_finite_samples(3, 8, 3, 2, SEED)  # first-call allocations
+        tracemalloc.start()
+        try:
+            out = prior.vbar_finite_samples(2000, 8, 3, 64, SEED, phase=12, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 3 * prior.CHAIN_BATCH_BYTES
+
 
 class TestPriorMixture:
     def test_zero_input(self):
@@ -163,6 +238,39 @@ class TestPriorMixture:
             vbar = chain_from_streams(3, 8, 2, streams)
             z = z_rng.standard_normal((2, 3))
             np.testing.assert_allclose(batch[i], vbar @ z @ x / np.sqrt(3.0), rtol=1e-13)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("per_batch", SPLITS)
+    def test_same_bytes_at_every_split(self, monkeypatch, stream_keys, per_batch, workers):
+        # 150 draws (blocks of 64, 64 and 22) at every sub-batch size are
+        # the whole-block draws' bytes, and each block takes each of its
+        # three family streams once.
+        x = np.array([[1.0, 0.2], [0.0, -1.0], [0.5, 0.3]])
+        shape = make_shape(n_out=3, depth=7)
+        monkeypatch.setattr(prior, "CHAIN_BATCH_BYTES", split_budget(64))
+        whole = prior.prior_mixture_samples(x, shape, 150, SEED, phase=13, workers=1)
+        stream_keys.clear()
+        monkeypatch.setattr(prior, "CHAIN_BATCH_BYTES", split_budget(per_batch))
+        batch = prior.prior_mixture_samples(x, shape, 150, SEED, phase=13, workers=workers)
+        assert sorted(stream_keys) == [(b, f) for b in range(3) for f in range(3)]
+        assert batch.tobytes() == whole.tobytes()
+
+    def test_finite_chain_draws_keep_their_traced_calls(self, monkeypatch, stream_keys):
+        # sample-prior's mixture route at the finite-chain benchmark's shape
+        # (depth 200, width 64, n_out 3, 4,000 draws): 63 blocks take three
+        # streams each, and each full block draws and multiplies its chains
+        # in sub-batches of 36 and 28, the last block's 32 in one.
+        calls = {"bartlett_chain_draws": 0, "lt_chain_multiply": 0}
+        for module, name in ((prior, "bartlett_chain_draws"), (backend, "lt_chain_multiply")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        shape = prior.NetworkShape(n_in=3, n_out=3, depth=200, width=64)
+        prior.prior_mixture_samples(np.eye(3)[:, :2], shape, 4000, SEED, phase=14, workers=1)
+        assert len(stream_keys) == 189
+        assert calls == {"bartlett_chain_draws": 125, "lt_chain_multiply": 125}
 
     def test_covariance_against_direct_route(self):
         # Moderate-scale smoke version of the sampler-equivalence criterion.
