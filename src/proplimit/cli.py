@@ -326,6 +326,7 @@ def cmd_sample_limit(cfg: dict) -> int:
 
 
 def _mixing_draws(cfg: dict, n_out: int) -> np.ndarray:
+    """The (n, n_out, n_out) mixing factors Vbar the config's ``mixing`` names."""
     source, seed, workers = cfg["mixing"], cfg["seed"], cfg.get("workers")
     if source == "nngp":
         from . import posterior
@@ -335,19 +336,17 @@ def _mixing_draws(cfg: dict, n_out: int) -> np.ndarray:
         from . import prior
 
         _need(cfg, "posterior-predict", "n_mixing", "depth", "width")
-        vbars = prior.vbar_finite_samples(
+        return prior.vbar_finite_samples(
             cfg["depth"], cfg["width"], n_out, cfg["n_mixing"], seed, PH_MIXING, workers
         )
-    elif source == "limit":
+    if source == "limit":
         from . import limit
 
         _need(cfg, "posterior-predict", "n_mixing", "a")
-        vbars = limit.vbar_limit_samples(
+        return limit.vbar_limit_samples(
             cfg["a"], n_out, cfg["steps"], cfg["n_mixing"], seed, PH_MIXING, workers
         )
-    else:
-        raise ConfigError(f"mixing must be finite/limit/nngp, got {source!r}")
-    return np.einsum("nij,nkj->nik", vbars, vbars)
+    raise ConfigError(f"mixing must be finite/limit/nngp, got {source!r}")
 
 
 def cmd_posterior_predict(cfg: dict) -> int:
@@ -355,8 +354,7 @@ def cmd_posterior_predict(cfg: dict) -> int:
 
     data = posterior.Dataset(x=cfg["x"], y=cfg["y"], x0=cfg["x0"], beta=cfg["beta"])
     start = time.perf_counter()
-    qs = _mixing_draws(cfg, data.n_out)
-    mix = posterior.posterior_mixture(qs, data)
+    mix = posterior.posterior_mixture(_mixing_draws(cfg, data.n_out), data)
     mean, cov = posterior.predictive_moments(mix)
     results = {
         "predictive_mean": mean.tolist(),

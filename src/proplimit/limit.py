@@ -77,7 +77,8 @@ def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:
     """Reject a limit ratio, dimension or grid size no draw accepts.
 
     Returns ``(a, dim, steps)`` as a float and ints (``montecarlo.real``,
-    ``montecarlo.whole``).
+    ``montecarlo.whole``).  A ratio at which the drift alone overflows the
+    integrand, ``exp(a (dim - 1) / 2)``, is refused: every draw would be NaN.
     """
     a = montecarlo.real(a, "limit ratio")
     dim, steps = montecarlo.whole(dim, "dim"), montecarlo.whole(steps, "steps")
@@ -85,6 +86,8 @@ def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:
         raise InvalidParameter(f"limit ratio must be finite and >= 0, got {a}")
     if dim < 1:
         raise InvalidParameter(f"dim must be >= 1, got {dim}")
+    if a * (dim - 1) / 2 > np.log(np.finfo(np.float64).max):
+        raise InvalidParameter(f"limit ratio {a} overflows exp(a (dim - 1) / 2) at dim={dim}")
     if dim > MAX_DIM:
         raise InvalidParameter(
             f"dim={dim} exceeds MAX_DIM={MAX_DIM}; "
@@ -100,8 +103,8 @@ def batch_size(dim: int, steps: int, m: int) -> int:
 
     As many as keep everything a sub-batch holds within ``PATH_BATCH_BYTES``
     (its increments, paths, integrand coefficients, endpoint factors and
-    the one gather row of :meth:`Grid.fill_paths`), at least 1 and at most
-    ``m``.
+    the row numpy buffers for the strided operand of a ufunc in
+    :meth:`Grid.fill_paths`), at least 1 and at most ``m``.
     """
     n_off = dim * (dim - 1) // 2
     words = (dim + 2 * n_off + 1) * steps + dim * (steps + 1) + dim
@@ -142,7 +145,6 @@ class Grid:
         self.paths = np.zeros((batch, dim, steps + 1))  # column 0 stays 0
         self.coefficients = np.empty((n_off, batch, steps))
         self.ends = np.empty((batch, dim))
-        self.gather = np.empty((batch, steps))
         times = np.arange(steps + 1) / steps
         self.drift = ((np.arange(1, dim + 1) / 2.0) * a)[:, None] * times[None, :]
         self.table = np.zeros((dim, dim, steps + 1))
@@ -166,24 +168,22 @@ class Grid:
         """Derive the paths, coefficients and endpoint factors of the first
         ``count`` draws from their increments; returns the grid.
 
-        Every ufunc here reads and writes same-shape contiguous operands (a
-        row across the sub-batch is first copied into ``gather``): numpy
-        buffers a broadcast or strided multi-dimensional operand in a
-        scratch of up to 64 KiB per operand.
+        numpy buffers a broadcast or strided multi-dimensional ufunc
+        operand in a scratch of up to 64 KiB, so the drift is subtracted
+        draw by draw and each ufunc here has at most one strided operand
+        (``np.copyto`` copies without a buffer).
         """
         paths = self.paths[:count]
         np.cumsum(self.increments[:count, : self.dim], axis=2, out=paths[:, :, 1:])
         np.multiply(self.root_half_a, paths, out=paths)
         for z in paths:
             np.subtract(z, self.drift, out=z)
-        left, gather = paths[:, :, :-1], self.gather[:count]
+        left = paths[:, :, :-1]
         for c, (r, k, row) in zip(self.coefficients[:, :count], self.pairs):
             np.copyto(c, left[:, k])
-            np.copyto(gather, left[:, r])
-            np.subtract(c, gather, out=c)
+            np.subtract(c, left[:, r], out=c)
             np.exp(c, out=c)
-            np.copyto(gather, self.increments[:count, row])
-            np.multiply(c, gather, out=c)
+            np.multiply(c, self.increments[:count, row], out=c)
         ends = self.ends[:count]
         np.copyto(ends, paths[:, :, -1])
         np.exp(ends, out=ends)

@@ -6,8 +6,9 @@ from Kronecker blocks of the input Gram matrix and Q.  Observing labels y
 with precision beta turns the prior mixture over Q into a reweighted
 mixture: each component keeps a Gaussian law with starred moments
 (m*(Q), Sigma*(Q)), and Q is reweighted by exp(-Psi(Q)/2).  This module
-computes those quantities, performs self-normalized importance weighting
-over mixing draws, and reduces mixtures to predictive moments.
+computes those quantities, weights the samplers' mixing factors Vbar (with
+Q = Vbar Vbar.T) by self-normalized importance sampling, and reduces
+mixtures to predictive moments.
 
 The training block is s11 = G11 kron Q, so every starred quantity is
 diagonal in the product eigenbasis U kron V of G11 = U diag(lam) U.T and
@@ -291,7 +292,8 @@ class _Components:
 def _components(mixing, data: Dataset) -> _Components:
     """Weight exponents and starred moments of every mixing draw at once.
 
-    ``mixing`` is a sequence or (n, d, d) stack of Q draws.
+    ``mixing`` is a sequence or (n, d, d) stack of mixing factors Vbar; one
+    batched Cholesky checks every Q = Vbar Vbar.T positive definite.
 
     With x0 / sqrt(n_in) = W a + e (e orthogonal to the left singular
     vectors W of the training inputs), ``a`` holds the test input's
@@ -311,15 +313,16 @@ def _components(mixing, data: Dataset) -> _Components:
     large, and can turn the variance negative.
     """
     try:
-        qs = np.asarray(mixing, dtype=np.float64)
-    except ValueError as exc:  # ragged: some Q has another size
+        vbars = np.asarray(mixing, dtype=np.float64)
+    except ValueError as exc:  # ragged: some factor has another size
         raise ShapeMismatch(f"mixing draws do not stack to (n, d, d): {exc}") from exc
-    if qs.shape[:1] == (0,):
+    if vbars.shape[:1] == (0,):
         raise EmptyMixing("a posterior mixture needs at least one mixing draw")
     d = data.n_out
-    if qs.ndim != 3:
-        raise ShapeMismatch(f"Q stack has shape {qs.shape}, expected (n, {d}, {d})")
-    qs = _check_q(qs, d)
+    if vbars.ndim != 3 or vbars.shape[1:] != (d, d):
+        raise ShapeMismatch(f"mixing stack has shape {vbars.shape}, expected (n, {d}, {d})")
+    qs = np.einsum("nij,nkj->nik", vbars, vbars)
+    cholesky(qs, name="Q")  # mixing matrices must be strictly positive definite
     beta, root_n = data.beta, np.sqrt(data.n_in)
     w, sing, ut = np.linalg.svd(data.x / root_n, full_matrices=False)
     lam = sing**2
@@ -345,8 +348,9 @@ def _components(mixing, data: Dataset) -> _Components:
 def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
     """Self-normalized importance-weighted posterior mixture.
 
-    ``mixing`` is a sequence (or (n, d, d) stack) of Q draws from the prior
-    mixing law.  Each component gets log-weight ``-Psi(Q)/2``; weights are
+    ``mixing`` is a sequence (or (n, d, d) stack) of mixing factors Vbar,
+    as the samplers and :func:`nngp_mixing` draw them.  Component i, with
+    Q = Vbar_i Vbar_i.T, gets log-weight ``-Psi(Q)/2``; weights are
     max-subtracted before exponentiation and normalized to sum to one.  The
     effective sample size is always reported; degenerate weightings are
     flagged in ``warnings`` rather than raised.
@@ -386,7 +390,7 @@ def posterior_mixture(mixing, data: Dataset) -> PosteriorMixture:
 
 
 def joint_moments(mixing, data: Dataset):
-    """Starred moments of the full joint outputs, one row per Q draw.
+    """Starred moments of the full joint outputs, one row per mixing factor.
 
     Returns ``(means, covariances)`` of shapes (n, k) and (n, k, k) with
     k = n_out (P + 1), test block leading: the batched counterpart of the
@@ -436,5 +440,5 @@ def predictive_moments(mix: PosteriorMixture):
 
 
 def nngp_mixing(n_out: int) -> np.ndarray:
-    """The point-mass mixing of the infinite-width regime: one identity Q."""
+    """The point-mass mixing of the infinite-width regime: one identity factor, so Q = I."""
     return np.eye(n_out)[None, :, :]

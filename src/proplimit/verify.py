@@ -437,17 +437,14 @@ def check_nngp_degeneracy(cfg: VerifyConfig) -> list[CheckRow]:
 
 
 def _scalar_limit_mixing(cfg: VerifyConfig, n: int, phase: int) -> np.ndarray:
-    draws = limit.vbar_limit_samples(
-        1.0, 1, MIXING_STEPS, n, cfg.seed, phase, cfg.workers
-    )
-    return np.einsum("nij,nkj->nik", draws, draws)
+    return limit.vbar_limit_samples(1.0, 1, MIXING_STEPS, n, cfg.seed, phase, cfg.workers)
 
 
 def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
     """Importance-sampled predictive moments match the quadrature oracle."""
-    qs = _scalar_limit_mixing(cfg, cfg.prop_samples, PH_C7)
+    vbars = _scalar_limit_mixing(cfg, cfg.prop_samples, PH_C7)
     data = posterior.Dataset(x=[[1.0]], y=[[2.0]], x0=[1.0], beta=1.0)
-    mix = posterior.posterior_mixture(qs, data)
+    mix = posterior.posterior_mixture(vbars, data)
     mean, cov = posterior.predictive_moments(mix)
     oracle_mean, oracle_var = analysis.quadrature_predictive_1d(1.0, 1.0, 1.0, 2.0, 1.0)
     rows = [
@@ -472,8 +469,8 @@ def check_posterior_oracle(cfg: VerifyConfig) -> list[CheckRow]:
 
 def check_label_dependence(cfg: VerifyConfig) -> list[CheckRow]:
     """Predictive variance at a=1 responds to the labels (non-NNGP learning)."""
-    qs = _scalar_limit_mixing(cfg, cfg.prop_samples, PH_C8)
-    edges = np.linspace(0, qs.shape[0], C8_BATCHES + 1).astype(int)
+    vbars = _scalar_limit_mixing(cfg, cfg.prop_samples, PH_C8)
+    edges = np.linspace(0, vbars.shape[0], C8_BATCHES + 1).astype(int)
     variances = {}
     batch_vars = {}
     for label in (0.0, 5.0):
@@ -482,7 +479,7 @@ def check_label_dependence(cfg: VerifyConfig) -> list[CheckRow]:
         # renormalizes the batch's own weights.
         var = [
             float(posterior.predictive_moments(posterior.posterior_mixture(mixing, data))[1][0, 0])
-            for mixing in (qs, *np.split(qs, edges[1:-1]))
+            for mixing in (vbars, *np.split(vbars, edges[1:-1]))
         ]
         variances[label], batch_vars[label] = var[0], np.array(var[1:])
     se = float(montecarlo.mean_and_se(batch_vars[5.0] - batch_vars[0.0])[1])
@@ -878,10 +875,10 @@ def prop_appendix_round_trip(cfg: VerifyConfig) -> list[CheckRow]:
     n_bin = emp.shape[0]
     emp_mean, emp_mean_se = montecarlo.mean_and_se(emp)
 
-    qs = _scalar_limit_mixing(cfg, max(cfg.prop_samples, 50_000), PH_APPENDIX_MIX)
+    vbars = _scalar_limit_mixing(cfg, max(cfg.prop_samples, 50_000), PH_APPENDIX_MIX)
     data = posterior.Dataset(x=[[x1v]], y=[[y_star]], x0=[x0v], beta=beta)
-    w = posterior.posterior_mixture(qs, data).weights
-    means, covs = posterior.joint_moments(qs, data)
+    w = posterior.posterior_mixture(vbars, data).weights
+    means, covs = posterior.joint_moments(vbars, data)
     mix_mean = np.einsum("n,ni->i", w, means)
     mix_second = np.einsum("n,nij->ij", w, covs) + np.einsum(
         "n,ni,nj->ij", w, means, means

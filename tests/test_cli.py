@@ -133,6 +133,14 @@ class TestConfigHandling:
         assert "finite" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "samples.csv").exists()
 
+    def test_overflowing_ratio_exits_2(self, tmp_path, capsys):
+        # exp(a / 2) overflows at dim 2: every draw would be NaN.
+        code = run(["sample-limit", "--seed", 1, "--out-dir", tmp_path, "--set", "a=1e300",
+                    "--set", "dim=2", "--set", "steps=16", "--set", "n_samples=3"])
+        assert code == 2
+        assert "overflows" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_infinite_beta_exits_2(self, tmp_path, capsys):
         args = ["posterior-predict", "--out-dir", tmp_path]
         for key, value in {**SCALAR_CFG, "beta": float("inf")}.items():
@@ -322,10 +330,12 @@ class TestSampleCommands:
         assert report["results"]["n_nonfinite"] == 0 and report["warnings"] == []
 
     # numpy's overflow warnings are the expected symptom of these configs.
+    # The limit ratio is just under check_grid's bound, where the Brownian
+    # part of Z_0 - Z_1 still overflows exp in one of the three draws.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("command,settings", [
-        ("sample-limit", ["a=1e300", "dim=2", "steps=16", "n_samples=3"]),
+        ("sample-limit", ["a=1419.5", "dim=2", "steps=1024", "n_samples=3"]),
         ("sample-prior", ["x=[[1e308]]", "n_out=1", "depth=1", "width=2", "n_samples=50"]),
     ], ids=["sample-limit", "sample-prior"])
     def test_non_finite_draws_are_counted_and_flagged(self, tmp_path, command, settings):
@@ -417,6 +427,27 @@ class TestPosteriorPredict:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run(["posterior-predict", "--config", path, "--out-dir", tmp_path]) == 0
+
+    @pytest.mark.parametrize("mixing, digest", [
+        ({"mixing": "limit", "a": 1.0, "steps": 16, "n_mixing": 300}, "d4edbe004289"),
+        ({"mixing": "finite", "depth": 6, "width": 8, "n_mixing": 300}, "c0c1a7b8734d"),
+        ({"mixing": "nngp"}, "ba7231a6a7b7"),
+    ], ids=["limit", "finite", "nngp"])
+    def test_collinear_results_pinned(self, tmp_path, mixing, digest):
+        # The posterior-collinear benchmark's shape: three input rows, four
+        # free columns and two linear combinations of them (rank 3).
+        rng = np.random.default_rng(20261020)
+        base = rng.standard_normal((3, 4))
+        x = np.column_stack([base, base[:, 0] + base[:, 1], base[:, 2] - 0.5 * base[:, 3]])
+        settings = {"x": x.tolist(), "y": rng.standard_normal((2, 6)).tolist(),
+                    "x0": rng.standard_normal(3).tolist(), "beta": 1.0, **mixing}
+        args = ["posterior-predict", "--seed", 4242, "--out-dir", tmp_path]
+        for key, value in settings.items():
+            args += ["--set", f"{key}={json.dumps(value)}"]
+        assert run(args) == 0
+        results = read_report(tmp_path / "report.json")["results"]
+        text = json.dumps(results, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest()[:12] == digest
 
 
 class TestConvergeTest:

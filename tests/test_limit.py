@@ -85,6 +85,17 @@ class TestSimulatePaths:
         with pytest.raises(InvalidParameter):
             limit.Grid(a, dim, steps)
 
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_ratio_bound_where_the_drift_overflows(self, dim):
+        # exp(a (dim - 1) / 2) is the largest drift factor of the integrand.
+        bound = 2 * np.log(np.finfo(np.float64).max) / (dim - 1)
+        assert limit.check_grid(bound, dim, 16) == (bound, dim, 16)
+        with pytest.raises(InvalidParameter, match="overflows"):
+            limit.check_grid(np.nextafter(bound, np.inf), dim, 16)
+        with pytest.raises(InvalidParameter, match="overflows"):
+            limit.vbar_limit_samples(1e300, dim, 16, 3, SEED)
+        assert limit.check_grid(1e300, 1, 16)[0] == 1e300
+
 
 class TestPathEnumeration:
     def test_counts_are_powers_of_two(self):
@@ -436,13 +447,14 @@ class TestSubBatchedDraws:
     @pytest.mark.parametrize("dim,steps", [(1, 16), (2, 16), (3, 128), (4, 1024), (6, 4096)])
     def test_budget_counts_what_a_draw_allocates(self, dim, steps):
         # batch_size's word count must match the arrays one more draw adds
-        # to a grid; dim 3 / 128 steps is a shape where the budget binds.
+        # to a grid, plus the row numpy buffers for a strided ufunc operand
+        # in fill_paths; dim 3 / 128 steps is a shape where the budget binds.
         def nbytes(batch):
             grid = limit.Grid(0.5, dim, steps, batch)
             return sum(getattr(grid, name).nbytes
-                       for name in ("increments", "paths", "coefficients", "ends", "gather"))
+                       for name in ("increments", "paths", "coefficients", "ends"))
 
-        per_draw = nbytes(2) - nbytes(1)
+        per_draw = nbytes(2) - nbytes(1) + 8 * steps
         want = max(1, limit.PATH_BATCH_BYTES // per_draw)
         assert limit.batch_size(dim, steps, 10**6) == want
 

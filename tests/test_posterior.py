@@ -24,6 +24,19 @@ def scalar_data(**overrides):
     return posterior.Dataset(**cfg)
 
 
+def lower_factors(rng, n, d):
+    """``n`` mixing factors shaped like the samplers' draws: lower
+    triangular, normal below the diagonal, the diagonal in [0.5, 1.5]."""
+    factors = np.tril(rng.standard_normal((n, d, d)), -1)
+    factors[:, np.arange(d), np.arange(d)] = rng.uniform(0.5, 1.5, (n, d))
+    return factors
+
+
+def q_of(factors):
+    """The mixing matrices Q = F F.T of a stack of factors, as the oracles take them."""
+    return np.einsum("nij,nkj->nik", factors, factors)
+
+
 class TestDataset:
     def test_derived_quantities(self):
         data = posterior.Dataset(
@@ -186,11 +199,8 @@ class TestPosteriorMixture:
         assert mix.ess == pytest.approx(1.0)
 
     def test_beta_zero_uniform_weights(self, np_rng):
-        qs = [
-            m @ m.T + 0.2 * np.eye(1)
-            for m in np_rng.standard_normal((6, 1, 1))
-        ]
-        mix = posterior.posterior_mixture(qs, scalar_data(beta=0.0))
+        factors = lower_factors(np_rng, 6, 1)
+        mix = posterior.posterior_mixture(factors, scalar_data(beta=0.0))
         np.testing.assert_allclose(mix.weights, np.full(6, 1 / 6), rtol=1e-14)
         assert mix.ess == pytest.approx(6.0)
 
@@ -203,7 +213,7 @@ class TestPosteriorMixture:
         # x0 lies in the span of the training inputs; the exact test-block
         # variance is s / (1 + 1.25 s) for Q = s I.
         data = posterior.Dataset(x=[[1.0, 0.5]], y=[[1.0, -1.0]], x0=[1.0], beta=1.0)
-        mix = posterior.posterior_mixture([scale * np.eye(1)], data)
+        mix = posterior.posterior_mixture([np.sqrt(scale) * np.eye(1)], data)
         var = mix.covariances[0, 0, 0]
         exact = scale / (1.0 + 1.25 * scale)
         assert var >= 0.0
@@ -211,7 +221,7 @@ class TestPosteriorMixture:
 
     def test_degenerate_weights_flagged_not_raised(self):
         # Psi is about 4 at Q = 1e-6 and about 69 at Q = 1e30.
-        mix = posterior.posterior_mixture([1e-6 * np.eye(1), 1e30 * np.eye(1)], scalar_data())
+        mix = posterior.posterior_mixture([1e-3 * np.eye(1), 1e15 * np.eye(1)], scalar_data())
         assert np.ptp(mix.psi) > 60
         assert "degenerate-weights" in mix.warnings
         assert mix.ess < 1.5
@@ -231,8 +241,7 @@ class TestPredictiveMoments:
         assert cov[0, 0] == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_labels_zero_mean(self, np_rng):
-        qs = [m @ m.T + 0.2 * np.eye(1) for m in np_rng.standard_normal((5, 1, 1))]
-        mix = posterior.posterior_mixture(qs, scalar_data(y=[[0.0]]))
+        mix = posterior.posterior_mixture(lower_factors(np_rng, 5, 1), scalar_data(y=[[0.0]]))
         mean, _ = posterior.predictive_moments(mix)
         np.testing.assert_array_equal(mean, [0.0])
 
@@ -250,7 +259,7 @@ class TestPredictiveMoments:
         # 0, and its mean is NaN.  The mixture is the first component alone.
         data = scalar_data(x=[[1e150]], y=[[1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            mix = posterior.posterior_mixture([np.eye(1), 1e160 * np.eye(1)], data)
+            mix = posterior.posterior_mixture([np.eye(1), 1e80 * np.eye(1)], data)
         np.testing.assert_array_equal(mix.weights, [1.0, 0.0])
         assert np.isnan(mix.means[1, 0])
         mean, cov = posterior.predictive_moments(mix)
@@ -265,7 +274,7 @@ DATASET_KINDS = ("random", "repeated", "collinear", "outside-span", "beta-zero")
 
 @st.composite
 def spectral_instances(draw):
-    """A Dataset plus a list of SPD Q draws, built from a hypothesis seed."""
+    """A Dataset plus a list of mixing factors, built from a hypothesis seed."""
     d = draw(st.integers(1, 3))
     p = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(DATASET_KINDS))
@@ -294,11 +303,7 @@ def spectral_instances(draw):
     data = posterior.Dataset(
         x=x, y=rng.standard_normal((d, p)), x0=x0, beta=beta
     )
-    qs = []
-    for _ in range(n_q):
-        m = rng.standard_normal((d, d))
-        qs.append(m @ m.T + 0.3 * np.eye(d))
-    return data, qs
+    return data, list(lower_factors(rng, n_q, d))
 
 
 def _condition(data, q) -> float:
@@ -318,13 +323,13 @@ class TestSpectralCoreMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(spectral_instances())
     def test_moments_and_psi(self, instance):
-        data, qs = instance
+        data, factors = instance
         d = data.n_out
-        mix = posterior.posterior_mixture(qs, data)
-        means, covs = posterior.joint_moments(qs, data)
-        assert means.shape == (len(qs), d * (data.n_train + 1))
-        assert mix.means.shape == (len(qs), d)
-        for i, q in enumerate(qs):
+        mix = posterior.posterior_mixture(factors, data)
+        means, covs = posterior.joint_moments(factors, data)
+        assert means.shape == (len(factors), d * (data.n_train + 1))
+        assert mix.means.shape == (len(factors), d)
+        for i, q in enumerate(q_of(np.array(factors))):
             blocks, mean, psi_value = posterior.starred(q, data)
             full = blocks.full()
             # 1e-13 per unit of condition: double-precision round-off in the
@@ -340,28 +345,35 @@ class TestSpectralCoreMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         spectral_instances(),
-        st.sampled_from(["asymmetric", "not-pd", "wrong-size"]),
+        st.sampled_from(["asymmetric", "singular", "wrong-size"]),
         st.integers(0, 3),
     )
     def test_bad_q_raises_like_oracle(self, instance, fault, where):
-        data, qs = instance
+        # The batched routes take factors, whose Q = F F.T is symmetric by
+        # construction: an asymmetric Q reaches the oracle alone.
+        data, factors = instance
         d = data.n_out
-        i = where % len(qs)
+        i = where % len(factors)
+        qs = list(q_of(np.array(factors)))
         if fault == "asymmetric":
             assume(d > 1)
             skew = np.zeros((d, d))
             skew[0, 1] = 1e-3 * np.abs(qs[i]).max()
             qs[i] = qs[i] + skew
-        elif fault == "not-pd":
-            qs[i] = qs[i] - 2.0 * np.linalg.eigvalsh(qs[i])[0] * np.eye(d)
+        elif fault == "singular":
+            factors[i][-1] = 0.0
+            qs[i] = q_of(factors[i][None])[0]
         else:
-            qs[i] = np.eye(d + 1)
+            factors[i] = qs[i] = np.eye(d + 1)
         with pytest.raises(ProplimitError) as oracle:
             for q in qs:
                 posterior.starred(q, data)
+        if fault == "asymmetric":
+            assert type(oracle.value) is InvalidParameter
+            return
         for batched in (posterior.posterior_mixture, posterior.joint_moments):
             with pytest.raises(ProplimitError) as caught:
-                batched(qs, data)
+                batched(factors, data)
             assert type(caught.value) is type(oracle.value)
 
 
@@ -373,11 +385,10 @@ def test_memory_follows_the_span_not_the_training_count():
         x=rng.standard_normal((3, 1000)), y=rng.standard_normal((2, 1000)),
         x0=rng.standard_normal(3), beta=1.0,
     )
-    ms = rng.standard_normal((10_000, 2, 2))
-    qs = ms @ np.swapaxes(ms, 1, 2) + 0.3 * np.eye(2)
+    factors = lower_factors(rng, 10_000, 2)
     tracemalloc.start()
     try:
-        mix = posterior.posterior_mixture(qs, data)
+        mix = posterior.posterior_mixture(factors, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,8 +397,7 @@ def test_memory_follows_the_span_not_the_training_count():
 
 class TestMixtureDiagnostics:
     def test_even_weights(self, np_rng):
-        qs = [m @ m.T + 0.2 * np.eye(1) for m in np_rng.standard_normal((4, 1, 1))]
-        mix = posterior.posterior_mixture(qs, scalar_data(beta=0.0))
+        mix = posterior.posterior_mixture(lower_factors(np_rng, 4, 1), scalar_data(beta=0.0))
         assert mix.max_weight == pytest.approx(0.25)
         assert mix.psi_range == (0.0, 0.0)
         assert mix.n_nonfinite == 0
@@ -397,14 +407,14 @@ class TestMixtureDiagnostics:
         data = scalar_data(x=[[1e2]])
         with np.errstate(over="ignore", invalid="ignore"):
             mix = posterior.posterior_mixture(
-                [np.eye(1), 2 * np.eye(1), 1e306 * np.eye(1)], data
+                [np.eye(1), 2 * np.eye(1), 1e153 * np.eye(1)], data
             )
         assert mix.psi_range[0] == pytest.approx(posterior.starred(np.eye(1), data)[2])
         assert mix.n_nonfinite == 1
         assert mix.weights[2] == 0.0
         assert mix.max_weight == pytest.approx(mix.weights[:2].max())
         # The range covers the finite exponents only.
-        assert mix.psi_range[1] == pytest.approx(posterior.starred(2 * np.eye(1), data)[2])
+        assert mix.psi_range[1] == pytest.approx(posterior.starred(4 * np.eye(1), data)[2])
 
     def test_nan_psi_gets_zero_weight(self):
         # Along [1, 1] the second Q's eigenvalue 1e10 overflows denom and
@@ -412,7 +422,7 @@ class TestMixtureDiagnostics:
         data = posterior.Dataset(x=[[1e150]], y=[[1.3e154], [1.3e154]], x0=[1.0], beta=1.0)
         r = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            mix = posterior.posterior_mixture([np.eye(2), r @ np.diag([1e10, 1.0]) @ r.T], data)
+            mix = posterior.posterior_mixture([np.eye(2), r @ np.diag([1e5, 1.0])], data)
         assert np.isnan(mix.psi[1])
         np.testing.assert_array_equal(mix.weights, [1.0, 0.0])
         assert mix.ess == 1.0 and mix.n_nonfinite == 1
@@ -427,18 +437,26 @@ class TestMixtureDiagnostics:
                 posterior.posterior_mixture([np.eye(1), 2 * np.eye(1)], data)
 
     def test_invalid_stacks_raise_typed_errors(self):
+        two = posterior.Dataset(x=[[1.0]], y=[[2.0], [1.0]], x0=[1.0], beta=1.0)
         with pytest.raises(ShapeMismatch):
             posterior.posterior_mixture([np.eye(1), np.eye(2)], scalar_data())
         with pytest.raises(ShapeMismatch):
             posterior.posterior_mixture(2.0, scalar_data())
+        with pytest.raises(ShapeMismatch):
+            posterior.posterior_mixture(np.ones((3, 2, 2)), scalar_data())
+        with pytest.raises(ShapeMismatch):
+            posterior.posterior_mixture(np.ones((3, 2, 1)), two)
         with pytest.raises(NotPositiveDefinite):
             posterior.posterior_mixture(np.zeros((2, 1, 1)), scalar_data())
-        with pytest.raises(InvalidParameter):
-            posterior.posterior_mixture([[[np.nan]]], scalar_data())
+        with pytest.raises(NotPositiveDefinite):
+            posterior.posterior_mixture([np.eye(2), [[1.0, 0.0], [2.0, 0.0]]], two)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameter):
+                posterior.posterior_mixture([[[bad]]], scalar_data())
 
 
 def _pinned_instance(kind):
-    """A dataset and eight SPD Q draws at d = 2, from a fixed seed.
+    """A dataset and eight mixing factors at d = 2, from a fixed seed.
 
     ``collinear`` is shaped like the benchmark's ``posterior-collinear``:
     n_in = 3 < P = 6, with two columns linear combinations of the others
@@ -453,8 +471,7 @@ def _pinned_instance(kind):
     data = posterior.Dataset(
         x=x, y=rng.standard_normal((2, 6)), x0=rng.standard_normal(x.shape[0]), beta=1.0
     )
-    ms = rng.standard_normal((8, 2, 2))
-    return data, ms @ np.swapaxes(ms, 1, 2) + 0.3 * np.eye(2)
+    return data, lower_factors(rng, 8, 2)
 
 
 def _digest(*arrays) -> str:
@@ -465,22 +482,21 @@ def _digest(*arrays) -> str:
 
 
 @pytest.mark.parametrize("kind, mixture_digest, joint_digest", [
-    ("collinear", "66bd732b9e8c", "aacd00c049ad"),
-    ("full-rank", "ad7167d4bdfc", "793d690eccde"),
+    ("collinear", "61cf957fecf0", "743cbda00603"),
+    ("full-rank", "7a4388009b34", "94f3aa11692f"),
 ])
 def test_posterior_bytes_pinned(kind, mixture_digest, joint_digest):
-    data, qs = _pinned_instance(kind)
-    mix = posterior.posterior_mixture(qs, data)
+    data, factors = _pinned_instance(kind)
+    mix = posterior.posterior_mixture(factors, data)
     assert _digest(mix.psi, mix.weights, mix.means, mix.covariances) == mixture_digest
-    assert _digest(*posterior.joint_moments(qs, data)) == joint_digest
+    assert _digest(*posterior.joint_moments(factors, data)) == joint_digest
 
 
 @pytest.mark.parametrize("seed", range(1, 13))
 def test_predictive_covariance_exactly_symmetric(seed):
     # The einsum reduces (i, j) and (j, i) in different orders; without the
-    # symmetrization cov[0, 1] != cov[1, 0] in the last digit at 5 of these seeds.
+    # symmetrization cov[0, 1] != cov[1, 0] in the last digit at 3 of these seeds.
     data, _ = _pinned_instance("collinear")
-    ms = np.random.default_rng(seed).standard_normal((200, 2, 2))
-    qs = ms @ np.swapaxes(ms, 1, 2) + 0.3 * np.eye(2)
-    _, cov = posterior.predictive_moments(posterior.posterior_mixture(qs, data))
+    factors = lower_factors(np.random.default_rng(seed), 200, 2)
+    _, cov = posterior.predictive_moments(posterior.posterior_mixture(factors, data))
     assert cov.tobytes() == cov.T.tobytes()
