@@ -3,7 +3,8 @@
 They stay in this module rather than inlined at their call sites because
 ``perfbench/tracing.py`` times them under these two names.  Neither
 splits its input: each works on the whole batch it is given, and its
-caller bounds the memory by the size of that batch.
+caller bounds the memory by the size of that batch: a sub-batch of
+chains (``montecarlo.sub_batch``) or one limit draw's rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def lt_chain_multiply(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
     an odd last factor carries up to the next level, for about log2(L)
     calls.  The whole batch is one stack, so its scratch memory is about
     twice ``B * L * D * D`` floats: a caller bounds it by the batch it
-    passes (``prior.CHAIN_BATCH_BYTES``).  Rounding differs from a
+    passes (``montecarlo.sub_batch``).  Rounding differs from a
     left-to-right product only in the last bits.
     """
     n_samples, n_layers, dim = diag.shape

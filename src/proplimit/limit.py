@@ -34,9 +34,9 @@ over the intermediate rows instead of path by path:
 
 (the endpoint factor enters as the terminal value, by linearity), with
 the terminal row r as an array axis: one stacked suffix sum per
-intermediate row, O(dim^3 M) flops and O(dim^2 M) memory per draw.  Path
-enumeration (:func:`enumerate_paths`, :func:`iterated_integral`) stays as
-the reference the tests and the verify suite check it against.
+intermediate row, O(dim^3 M) flops and O(dim^2 M) memory per draw.  The
+path-by-path :func:`iterated_integral` stays as the reference the tests
+and the verify suite check it against.
 
 The samplers run on :func:`montecarlo.sample_map`, and a block makes one
 :class:`Grid`: the increments, paths, integrand coefficients and endpoint
@@ -49,15 +49,13 @@ computes every draw's coefficients ``exp(Z_k(t_u) - Z_k'(t_u))
 dW^{(k',k)}_u`` and ``exp(Z(1))`` with a few calls per (k', k) pair for
 the whole sub-batch.  The program then runs once per draw, named by its
 index in the sub-batch, in place: the suffix recursion on that draw's
-slice of the coefficients.  A sub-batch holds as many draws as fit
-``PATH_BATCH_BYTES``: a whole block of 64 at dim 2 and 16 steps, one
-draw at dim 6 and 4096 steps.  Past the grid, a block allocates only the
-matrices it returns.
+slice of the coefficients.  A grid sizes its own sub-batch, as many
+draws as ``montecarlo.sub_batch`` fits: a whole block of 64 at dim 2 and
+16 steps, one draw at dim 6 and 4096 steps.  Past the grid, a block
+allocates only the matrices it returns.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -66,11 +64,6 @@ from .errors import InvalidParameter, ShapeMismatch
 
 # The path-sum program costs O(dim^3 M) per draw; refuse silly inputs.
 MAX_DIM = 32
-# Bytes of increments, paths and coefficients a block holds at a time:
-# draws go in sub-batches of as many as fit (one draw at least), which
-# leaves their values unchanged, as ``prior.DIRECT_BATCH_VALUES`` bounds
-# the direct route.
-PATH_BATCH_BYTES = 1 << 18
 
 
 def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:
@@ -98,19 +91,6 @@ def check_grid(a: float, dim: int, steps: int) -> tuple[float, int, int]:
     return a, dim, steps
 
 
-def batch_size(dim: int, steps: int, m: int) -> int:
-    """Draws per sub-batch of an ``m``-draw block on a ``dim`` x ``steps`` grid.
-
-    As many as keep everything a sub-batch holds within ``PATH_BATCH_BYTES``
-    (its increments, paths, integrand coefficients, endpoint factors and
-    the row numpy buffers for the strided operand of a ufunc in
-    :meth:`Grid.fill_paths`), at least 1 and at most ``m``.
-    """
-    n_off = dim * (dim - 1) // 2
-    words = (dim + 2 * n_off + 1) * steps + dim * (steps + 1) + dim
-    return max(1, min(m, PATH_BATCH_BYTES // (8 * words)))
-
-
 class Grid:
     """Driving Brownian paths of a sub-batch of limit draws on a uniform grid.
 
@@ -131,13 +111,21 @@ class Grid:
     the program reads the grid.  The path-sum table ``table[r, k] =
     F_k^{(r)}`` serves one draw at a time; entries with r < k are never
     written and stay 0.  The next sub-batch into the same grid overwrites
-    its arrays and the table.  A grid made without ``batch`` holds one draw.
+    its arrays and the table.
+
+    A grid for an ``m``-draw block holds a sub-batch of as many draws as
+    ``montecarlo.sub_batch`` fits (``batch``): per draw, its increments,
+    paths, coefficients and endpoint factors, and as many words again as
+    its paths for the buffer numpy takes to subtract the drift in
+    :meth:`fill_paths`.  A grid made without ``m`` holds one draw.
     """
 
-    def __init__(self, a: float, dim: int, steps: int, batch: int = 1):
+    def __init__(self, a: float, dim: int, steps: int, m: int = 1):
         a, dim, steps = check_grid(a, dim, steps)
-        self.a, self.dim, self.steps, self.batch = a, dim, steps, batch
         n_off = dim * (dim - 1) // 2
+        words = (dim + 2 * n_off) * steps + 2 * dim * (steps + 1) + dim
+        batch = montecarlo.sub_batch(m, 8 * words)
+        self.a, self.dim, self.steps, self.batch = a, dim, steps, batch
         self.root_dt = 1.0 / np.sqrt(steps)
         self.root_half_a = np.sqrt(a / 2.0)
         self.root_a = np.sqrt(a)
@@ -169,15 +157,15 @@ class Grid:
         ``count`` draws from their increments; returns the grid.
 
         numpy buffers a broadcast or strided multi-dimensional ufunc
-        operand in a scratch of up to 64 KiB, so the drift is subtracted
-        draw by draw and each ufunc here has at most one strided operand
-        (``np.copyto`` copies without a buffer).
+        operand in a scratch of up to 64 KiB: the drift subtraction's
+        buffer is in the grid's budget, and each coefficient row is copied
+        first (``np.copyto`` copies without a buffer) so that no ufunc
+        there has two strided operands.
         """
         paths = self.paths[:count]
         np.cumsum(self.increments[:count, : self.dim], axis=2, out=paths[:, :, 1:])
         np.multiply(self.root_half_a, paths, out=paths)
-        for z in paths:
-            np.subtract(z, self.drift, out=z)
+        np.subtract(paths, self.drift, out=paths)
         left = paths[:, :, :-1]
         for c, (r, k, row) in zip(self.coefficients[:, :count], self.pairs):
             np.copyto(c, left[:, k])
@@ -229,21 +217,6 @@ def tril_position(row: int, col: int) -> int:
     return row * (row - 1) // 2 + col
 
 
-def enumerate_paths(row: int, col: int) -> list:
-    """All strictly increasing index paths from ``col`` to ``row`` (0-based).
-
-    A path visits any subset of the intermediate indices, so there are
-    ``2**(row-col-1)`` paths, listed by hop count then lexicographically.
-    """
-    if not 0 <= col < row:
-        raise InvalidParameter(f"need 0 <= col < row, got ({row}, {col})")
-    paths = []
-    for hops in range(1, row - col + 1):
-        for mids in combinations(range(col + 1, row), hops - 1):
-            paths.append((col,) + mids + (row,))
-    return paths
-
-
 def validate_path(path, dim: int) -> tuple:
     path = tuple(int(r) for r in path)
     if len(path) < 2:
@@ -262,10 +235,10 @@ def iterated_integral(grid: Grid, path, draw: int = 0) -> float:
     value carries the ``a^(h/2)`` prefactor and the ``exp(Z(1))`` endpoint
     factor, so it is exactly one summand of a below-diagonal limit entry.
     Zero off-diagonal increments (or a = 0) give exactly 0.  Summed over
-    :func:`enumerate_paths`, it is the path-by-path reference for
-    :func:`vbar_limit_from_grid`, so it forms its suffix sums itself (a
-    reversed cumulative sum per hop) rather than through the
-    :func:`backend.suffix_mac` kernel it checks.
+    every path from ``col`` to ``row``, it is the path-by-path reference
+    for entry (row, col) of :func:`vbar_limit_from_grid`, so it forms its
+    suffix sums itself (a reversed cumulative sum per hop) rather than
+    through the :func:`backend.suffix_mac` kernel it checks.
     """
     path = validate_path(path, grid.dim)
     z, increments = grid.paths[draw], grid.increments[draw]
@@ -304,7 +277,7 @@ def vbar_limit_from_grid(grid: Grid, draw: int = 0, out: np.ndarray | None = Non
 
 def _vbar_block(a: float, dim: int, steps: int, streams, m: int) -> np.ndarray:
     """A block's ``m`` limit draws from its stream, in one grid: (m, dim, dim)."""
-    grid, out = Grid(a, dim, steps, batch_size(dim, steps, m)), np.empty((m, dim, dim))
+    grid, out = Grid(a, dim, steps, m), np.empty((m, dim, dim))
     for i, j in block_draws(streams(0), m, grid):
         vbar_limit_from_grid(grid, j, out[i])
     return out
@@ -407,8 +380,8 @@ def vbar_limit_refinement_pair(
     a, dim, coarse_steps, fine_steps = check_refinement(a, dim, coarse_steps, fine_steps)
 
     def draw_block(streams, m: int) -> np.ndarray:
-        batch = batch_size(dim, fine_steps, m)
-        fine, coarse = Grid(a, dim, fine_steps, batch), Grid(a, dim, coarse_steps, batch)
+        fine = Grid(a, dim, fine_steps, m)
+        coarse = Grid(a, dim, coarse_steps, fine.batch)
         both = np.empty((m, 2, dim, dim))
         for i, j in block_draws(streams(0), m, fine, coarse):
             vbar_limit_from_grid(coarse, j, both[i, 0])

@@ -12,13 +12,13 @@ oracles for the same distribution.
 Both routes run on :func:`montecarlo.sample_map` a block of samples at a
 time; neither has a one-draw entry point.  A mixture block takes each
 variate family's stream once.  It draws and multiplies its chains a
-sub-batch of samples at a time (``CHAIN_BATCH_BYTES``), one
-:func:`bartlett_chain_draws` and one :func:`backend.lt_chain_multiply`
-call each, with the same values as one whole-block call, and draws all
-its ``Z`` in one call.  :func:`mixture_samples` is the
-one ``Vbar @ Z @ X`` route: the proportional-limit prior
-(``limit.prior_limit_samples``) passes it limit matrices instead of
-Bartlett chains.
+sub-batch of samples at a time (``montecarlo.sub_batch`` of their factor
+stacks), one :func:`bartlett_chain_draws` and one
+:func:`backend.lt_chain_multiply` call each, with the same values as one
+whole-block call, and draws all its ``Z`` in one call.
+:func:`mixture_samples` is the one ``Vbar @ Z @ X`` route: the
+proportional-limit prior (``limit.prior_limit_samples``) passes it limit
+matrices instead of Bartlett chains.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ FAMILY_GAMMA, FAMILY_LOW, FAMILY_Z = 0, 1, 2
 # Normals the direct route draws at a time: a block of wide networks is
 # drawn in sub-batches of samples, which leaves its values unchanged.
 DIRECT_BATCH_VALUES = 1 << 19
-# Bytes of factor stack a finite-chain sub-batch multiplies at a time: a
-# block's chains are drawn and multiplied in sub-batches of samples, which
-# leaves their values unchanged.  At depth 200 and dim 3 that is 36 of a
-# block's 64 chains; their draws, stack and tree levels (about 1.4 MB)
-# stay cache-sized and reuse freed memory, where a whole block's (2.4 MB)
-# made a sample-prior run take twice the page faults and ~20% longer.
-CHAIN_BATCH_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -240,28 +233,19 @@ def bartlett_chain_draws(
     return diag, low
 
 
-def chain_batch_size(dim: int, depth: int, m: int) -> int:
-    """Chains per sub-batch of an ``m``-sample block of ``depth`` factors.
-
-    As many as keep a sub-batch's factor stack, ``depth`` dim x dim
-    factors per chain, within ``CHAIN_BATCH_BYTES``, at least 1 and at
-    most ``m``.
-    """
-    return max(1, min(m, CHAIN_BATCH_BYTES // (8 * depth * dim * dim)))
-
-
 def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
     """A block's ``m`` Bartlett-chain products: (m, dim, dim).
 
     The block takes its gamma and lower-normal streams once and draws and
-    multiplies its chains a sub-batch of :func:`chain_batch_size` samples
-    at a time, one :func:`bartlett_chain_draws` and one
+    multiplies its chains a sub-batch at a time, as many as
+    ``montecarlo.sub_batch`` fits by their factor stacks (``depth`` dim x
+    dim factors per chain), one :func:`bartlett_chain_draws` and one
     :func:`backend.lt_chain_multiply` call each.  Each family is drawn in
     C order, so the sub-batches read the same values as one whole-block
     call would.
     """
     gamma_rng, low_rng = streams(FAMILY_GAMMA), streams(FAMILY_LOW)
-    batch = chain_batch_size(dim, depth, m)
+    batch = montecarlo.sub_batch(m, 8 * depth * dim * dim)
     out = np.empty((m, dim, dim))
     for lo in range(0, m, batch):
         hi = min(lo + batch, m)

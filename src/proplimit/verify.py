@@ -689,7 +689,7 @@ def prop_diag_product_identity(cfg: VerifyConfig) -> list[CheckRow]:
 
 def prop_zero_mean(cfg: VerifyConfig) -> list[CheckRow]:
     shape = prior.NetworkShape(n_in=3, n_out=2, depth=3, width=8)
-    n = max(cfg.prop_samples // 5, 1000)
+    n = cfg.prop_samples // 5
     rows = []
     for name, phase, sampler in (
         ("direct", PH_ZERO_MEAN_DIRECT, prior.forward_direct_samples),
@@ -780,7 +780,7 @@ def prop_iterated_integral_mean(cfg: VerifyConfig) -> list[CheckRow]:
     n = cfg.grid_samples
 
     def draw_block(streams, m):
-        grid, vals = limit.Grid(a, dim, steps, limit.batch_size(dim, steps, m)), np.empty((m, 2))
+        grid, vals = limit.Grid(a, dim, steps, m), np.empty((m, 2))
         for i, j in limit.block_draws(streams(0), m, grid):
             vals[i] = [limit.iterated_integral(grid, path, j) for path in ((0, 2), (0, 1, 2))]
         return vals
@@ -875,7 +875,7 @@ def prop_appendix_round_trip(cfg: VerifyConfig) -> list[CheckRow]:
     n_bin = emp.shape[0]
     emp_mean, emp_mean_se = montecarlo.mean_and_se(emp)
 
-    vbars = _scalar_limit_mixing(cfg, max(cfg.prop_samples, 50_000), PH_APPENDIX_MIX)
+    vbars = _scalar_limit_mixing(cfg, cfg.prop_samples, PH_APPENDIX_MIX)
     data = posterior.Dataset(x=[[x1v]], y=[[y_star]], x0=[x0v], beta=beta)
     w = posterior.posterior_mixture(vbars, data).weights
     means, covs = posterior.joint_moments(vbars, data)

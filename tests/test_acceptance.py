@@ -107,7 +107,7 @@ def test_c10_cli_byte_identical_and_worker_invariant(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(csv_a.decode())))
     assert {row["pass"] for row in rows} <= {"true", "false"}
     # The 57 smoke-scale rows, pinned byte for byte.
-    assert hashlib.sha256(csv_a).hexdigest()[:12] == "7ff20ab8a1da"
+    assert hashlib.sha256(csv_a).hexdigest()[:12] == "87248f58a2b7"
 
     code_c = _verify_all(tmp_path / "c", "workers=3")
     assert code_c == code_a

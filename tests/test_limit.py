@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,6 +22,21 @@ def per_draw(fn):
         return np.stack([fn(rng) for _ in range(m)])
 
     return draw_block
+
+
+def enumerate_paths(row: int, col: int) -> list:
+    """All strictly increasing index paths from ``col`` to ``row`` (0-based).
+
+    A path visits any subset of the intermediate indices, so there are
+    ``2**(row-col-1)`` paths, listed by hop count then lexicographically.
+    """
+    if not 0 <= col < row:
+        raise InvalidParameter(f"need 0 <= col < row, got ({row}, {col})")
+    paths = []
+    for hops in range(1, row - col + 1):
+        for mids in combinations(range(col + 1, row), hops - 1):
+            paths.append((col,) + mids + (row,))
+    return paths
 
 
 def w_at_one(grid):
@@ -101,13 +117,13 @@ class TestPathEnumeration:
     def test_counts_are_powers_of_two(self):
         for row in range(1, 6):
             for col in range(row):
-                assert len(limit.enumerate_paths(row, col)) == 2 ** (row - col - 1)
+                assert len(enumerate_paths(row, col)) == 2 ** (row - col - 1)
 
     def test_adjacent_single_path(self):
-        assert limit.enumerate_paths(1, 0) == [(0, 1)]
+        assert enumerate_paths(1, 0) == [(0, 1)]
 
     def test_gap_two(self):
-        assert limit.enumerate_paths(2, 0) == [(0, 2), (0, 1, 2)]
+        assert enumerate_paths(2, 0) == [(0, 2), (0, 1, 2)]
 
     def test_validate_path_rejects_nonmonotone(self):
         with pytest.raises(InvalidParameter):
@@ -146,7 +162,7 @@ class TestIteratedIntegral:
         # The oracle of TestPathSumMatchesEnumeration must not run through
         # the DP's suffix kernel, or a fault there would pass unseen.
         grid = limit.simulate_paths(rng, limit.Grid(0.8, 4, 64))
-        paths = limit.enumerate_paths(3, 0)
+        paths = enumerate_paths(3, 0)
         before = [limit.iterated_integral(grid, p) for p in paths]
 
         def broken(*args, **kwargs):
@@ -202,7 +218,7 @@ def enumerated_vbar(grid) -> np.ndarray:
         for col in range(row):
             out[row, col] = sum(
                 limit.iterated_integral(grid, path)
-                for path in limit.enumerate_paths(row, col)
+                for path in enumerate_paths(row, col)
             )
     return out
 
@@ -406,7 +422,10 @@ class TestWorkspaceDraws:
 
         limit.vbar_limit_samples(0.5, 4, 1024, 2, SEED, phase=18)  # lazy imports
         small, large = scratch(20), scratch(400)
-        grid_bytes = 8 * (10 * 1024 + 2 * 4 * 1025 + 16 * 1025 + 2 * 3 * 1024)
+        # A sub-batch's increments, paths and coefficients, then the drift
+        # and the table.
+        batch = limit.Grid(0.5, 4, 1024, montecarlo.BLOCK).batch
+        grid_bytes = 8 * (batch * (10 * 1024 + 4 * 1025 + 6 * 1024) + 4 * 1025 + 16 * 1025)
         assert large <= small + 16 * 1024
         assert large <= 1.5 * grid_bytes
 
@@ -438,25 +457,27 @@ class TestSubBatchedDraws:
     def test_sub_batch_sizes(self):
         # The shapes below cover a whole block, one draw at a time, and a
         # sub-batch boundary inside a block with a partial last sub-batch.
-        assert limit.batch_size(2, 16, montecarlo.BLOCK) == montecarlo.BLOCK
-        assert limit.batch_size(6, 4096, montecarlo.BLOCK) == 1
-        assert limit.batch_size(3, 8192, montecarlo.BLOCK) == 1
-        assert limit.batch_size(3, 128, montecarlo.BLOCK) == 19  # 19 + 19 + 19 + 7
-        assert limit.batch_size(2, 16, 5) == 5
+        def batch(dim, steps, m):
+            return limit.Grid(0.5, dim, steps, m).batch
+
+        assert batch(2, 16, montecarlo.BLOCK) == montecarlo.BLOCK
+        assert batch(6, 4096, montecarlo.BLOCK) == 1
+        assert batch(3, 8192, montecarlo.BLOCK) == 1
+        assert batch(3, 128, montecarlo.BLOCK) == 33  # 33 + 31
+        assert batch(2, 16, 5) == 5
+        assert limit.Grid(0.5, 2, 16).batch == 1
 
     @pytest.mark.parametrize("dim,steps", [(1, 16), (2, 16), (3, 128), (4, 1024), (6, 4096)])
     def test_budget_counts_what_a_draw_allocates(self, dim, steps):
-        # batch_size's word count must match the arrays one more draw adds
-        # to a grid, plus the row numpy buffers for a strided ufunc operand
-        # in fill_paths; dim 3 / 128 steps is a shape where the budget binds.
-        def nbytes(batch):
-            grid = limit.Grid(0.5, dim, steps, batch)
-            return sum(getattr(grid, name).nbytes
-                       for name in ("increments", "paths", "coefficients", "ends"))
-
-        per_draw = nbytes(2) - nbytes(1) + 8 * steps
-        want = max(1, limit.PATH_BATCH_BYTES // per_draw)
-        assert limit.batch_size(dim, steps, 10**6) == want
+        # The grid's word count must match the arrays it holds per draw,
+        # plus a copy of a draw's paths for the buffer numpy takes to
+        # subtract the drift in fill_paths; dim 3 / 128 steps is a shape
+        # where the budget binds.
+        grid = limit.Grid(0.5, dim, steps, 10**6)
+        held = sum(getattr(grid, name).nbytes
+                   for name in ("increments", "paths", "coefficients", "ends"))
+        per_draw = held // grid.batch + 8 * dim * (steps + 1)
+        assert grid.batch == max(1, montecarlo.SUB_BATCH_BYTES // per_draw)
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
@@ -522,14 +543,14 @@ class TestSubBatchedDraws:
         return calls
 
     def test_one_simulation_per_sub_batch_one_program_per_draw(self, calls):
-        # 100 draws at dim 3 and 128 steps: blocks of 64 (19 + 19 + 19 + 7)
-        # and 36 (19 + 17), with 2 intermediate rows per program.
+        # 100 draws at dim 3 and 128 steps: blocks of 64 (33 + 31) and 36
+        # (33 + 3), with 2 intermediate rows per program.
         limit.vbar_limit_samples(0.5, 3, 128, 100, SEED, phase=22)
-        assert calls == {"simulate_paths": 6, "vbar_limit_from_grid": 100, "suffix_mac": 200}
+        assert calls == {"simulate_paths": 4, "vbar_limit_from_grid": 100, "suffix_mac": 200}
         calls.update(dict.fromkeys(calls, 0))
         # The pair sizes its sub-batch by the fine grid and runs both programs.
         limit.vbar_limit_refinement_pair(0.5, 3, 16, 128, 100, SEED, 23)
-        assert calls == {"simulate_paths": 6, "vbar_limit_from_grid": 200, "suffix_mac": 400}
+        assert calls == {"simulate_paths": 4, "vbar_limit_from_grid": 200, "suffix_mac": 400}
 
     def test_posterior_mixing_draws_keep_their_traced_calls(self, calls):
         # posterior-predict's 5,000 limit mixing draws at dim 2 and 16 steps
@@ -548,11 +569,11 @@ class TestSubBatchedDraws:
         assert calls == {"simulate_paths": 3, "vbar_limit_from_grid": 3, "suffix_mac": 15}
 
     def test_iterated_integral_at_each_draw_of_a_sub_batch(self):
-        # 34 draws in sub-batches of 19 and 15: each draw's integrals, read
+        # 34 draws in sub-batches of 33 and 1: each draw's integrals, read
         # at its index in the batched grid, are the per-draw oracle's bytes.
         a, dim, steps, m = 0.7, 3, 128, 34
-        paths = limit.enumerate_paths(2, 0) + [(0, 1), (1, 2)]
-        grid = limit.Grid(a, dim, steps, limit.batch_size(dim, steps, m))
+        paths = enumerate_paths(2, 0) + [(0, 1), (1, 2)]
+        grid = limit.Grid(a, dim, steps, m)
         assert grid.batch < m
         oracle = montecarlo.stream_for(SEED, 28, 0)
         seen = 0
@@ -565,7 +586,7 @@ class TestSubBatchedDraws:
 
     def test_block_scratch_within_the_budget(self):
         # dim 2 / 16 steps: the whole block of 64 draws in one sub-batch;
-        # dim 3 / 128 steps: sub-batches of 19 that fill the budget.
+        # dim 3 / 128 steps: sub-batches of 33 that fill the budget.
         def scratch(dim, steps, n):
             tracemalloc.start()
             try:
@@ -580,7 +601,7 @@ class TestSubBatchedDraws:
             one_block = scratch(dim, steps, montecarlo.BLOCK)
             ten_blocks = scratch(dim, steps, 10 * montecarlo.BLOCK)
             table_bytes = 8 * dim * dim * (steps + 1)
-            assert one_block <= limit.PATH_BATCH_BYTES + table_bytes, (dim, steps)
+            assert one_block <= montecarlo.SUB_BATCH_BYTES + table_bytes, (dim, steps)
             assert ten_blocks <= one_block + 16 * 1024, (dim, steps)
 
     @pytest.mark.parametrize(
@@ -601,9 +622,8 @@ class TestSubBatchedDraws:
                     for k in range(dim - 2, -1, -1) for r in range(k + 1, dim)]
             return np.array(rows).reshape(-1, grid.steps), np.exp(z[:, -1])
 
-        batch = limit.batch_size(dim, fine_steps, m)
-        fine = limit.Grid(a, dim, fine_steps, batch)
-        coarse = limit.Grid(a, dim, coarse_steps, batch)
+        fine = limit.Grid(a, dim, fine_steps, m)
+        coarse = limit.Grid(a, dim, coarse_steps, fine.batch)
         seen = 0
         for i, j in limit.block_draws(montecarlo.stream_for(SEED, 26, 0), m, fine, coarse):
             for grid in (fine, coarse):

@@ -169,6 +169,39 @@ class TestStreamKeys:
         assert digest(both) == "c6afdbc13a0a"
 
 
+class TestSubBatchBudget:
+    def test_one_budget_splits_every_block_sampler(self, monkeypatch):
+        # Blocks of 64 and 36 draws.  Under a 4 KiB budget a depth-7 dim-3
+        # chain's 504-byte factor stack goes 8 to a sub-batch, and a dim-2
+        # 16-step limit draw's 1,072 bytes 3 to a grid (the pair's coarse
+        # grid follows its fine one); every byte stays.
+        calls = {"bartlett_chain_draws": 0, "simulate_paths": 0}
+        for module, name in ((prior, "bartlett_chain_draws"), (limit, "simulate_paths")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        def run():
+            calls.update(dict.fromkeys(calls, 0))
+            draws = (prior.vbar_finite_samples(7, 8, 3, 100, 5, phase=1),
+                     limit.vbar_limit_samples(0.7, 2, 16, 100, 5, phase=2),
+                     *limit.vbar_limit_refinement_pair(0.7, 2, 4, 16, 100, 5, phase=3))
+            return [d.tobytes() for d in draws], dict(calls)
+
+        def sub_batches(per_batch):
+            return -(-64 // per_batch) + -(-36 // per_batch)
+
+        whole, whole_calls = run()
+        assert whole_calls == {"bartlett_chain_draws": 2, "simulate_paths": 4}
+        monkeypatch.setattr(montecarlo, "SUB_BATCH_BYTES", 4096)
+        split, split_calls = run()
+        assert split_calls == {"bartlett_chain_draws": sub_batches(8),
+                               "simulate_paths": 2 * sub_batches(3)}
+        assert split == whole
+
+
 def test_verify_phase_ids_distinct():
     # Each verify stage must draw from its own streams; c4 uses four phases.
     phases = [v for k, v in vars(verify).items() if k.startswith("PH_") and k != "PH_C4_BASE"]

@@ -124,7 +124,7 @@ SPLITS = [1, 5, 64]
 
 
 def split_budget(per_batch, depth=7, dim=3):
-    """A ``CHAIN_BATCH_BYTES`` giving ``per_batch`` chains per sub-batch."""
+    """A ``montecarlo.SUB_BATCH_BYTES`` giving ``per_batch`` chains per sub-batch."""
     return per_batch * depth * dim * dim * 8
 
 
@@ -180,7 +180,7 @@ class TestVbarFinite:
         # 150 chains (blocks of 64, 64 and 22) at every sub-batch size are
         # the single-chain draws' bytes, and each block takes its gamma
         # and lower-normal streams once.
-        monkeypatch.setattr(prior, "CHAIN_BATCH_BYTES", split_budget(per_batch))
+        monkeypatch.setattr(montecarlo, "SUB_BATCH_BYTES", split_budget(per_batch))
         batch = prior.vbar_finite_samples(7, 8, 3, 150, SEED, phase=10, workers=workers)
         assert sorted(stream_keys) == [(b, f) for b in range(3)
                                        for f in (prior.FAMILY_GAMMA, prior.FAMILY_LOW)]
@@ -192,10 +192,10 @@ class TestVbarFinite:
     def test_sub_batch_sizes(self):
         # As many chains as fit the budget's factor stack, within [1, m].
         stack = 200 * 3 * 3 * 8
-        assert prior.chain_batch_size(3, 200, 64) == prior.CHAIN_BATCH_BYTES // stack == 36
-        assert prior.chain_batch_size(3, 200, 20) == 20
-        assert prior.chain_batch_size(3, 7, 64) == 64
-        assert prior.chain_batch_size(3, 10**6, 64) == 1
+        assert montecarlo.sub_batch(64, stack) == montecarlo.SUB_BATCH_BYTES // stack == 36
+        assert montecarlo.sub_batch(20, stack) == 20
+        assert montecarlo.sub_batch(64, 7 * 3 * 3 * 8) == 64
+        assert montecarlo.sub_batch(64, 10**6 * 3 * 3 * 8) == 1
 
     def test_block_crossing_the_batch_budget(self):
         # finite-chain's factor shape: a block of 64 chains in sub-batches
@@ -220,7 +220,7 @@ class TestVbarFinite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes < 3 * prior.CHAIN_BATCH_BYTES
+        assert peak - out.nbytes < 3 * montecarlo.SUB_BATCH_BYTES
 
 
 class TestPriorMixture:
@@ -247,10 +247,10 @@ class TestPriorMixture:
         # three family streams once.
         x = np.array([[1.0, 0.2], [0.0, -1.0], [0.5, 0.3]])
         shape = make_shape(n_out=3, depth=7)
-        monkeypatch.setattr(prior, "CHAIN_BATCH_BYTES", split_budget(64))
+        monkeypatch.setattr(montecarlo, "SUB_BATCH_BYTES", split_budget(64))
         whole = prior.prior_mixture_samples(x, shape, 150, SEED, phase=13, workers=1)
         stream_keys.clear()
-        monkeypatch.setattr(prior, "CHAIN_BATCH_BYTES", split_budget(per_batch))
+        monkeypatch.setattr(montecarlo, "SUB_BATCH_BYTES", split_budget(per_batch))
         batch = prior.prior_mixture_samples(x, shape, 150, SEED, phase=13, workers=workers)
         assert sorted(stream_keys) == [(b, f) for b in range(3) for f in range(3)]
         assert batch.tobytes() == whole.tobytes()
