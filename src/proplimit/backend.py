@@ -1,4 +1,4 @@
-"""The two hot numpy kernels: lower-triangular chain products and backward suffix sums.
+"""The two hot numpy kernels: chain products of factor stacks and backward suffix sums.
 
 They stay in this module rather than inlined at their call sites because
 ``perfbench/tracing.py`` times them under these two names.  Neither
@@ -12,45 +12,38 @@ from __future__ import annotations
 import numpy as np
 
 
-def lt_chain_multiply(diag: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Multiply chains of lower-triangular matrices, batched over samples.
+def lt_chain_multiply(factors: np.ndarray) -> np.ndarray:
+    """Multiply chains of square matrices, batched over samples.
 
     Parameters
     ----------
-    diag : (B, L, D) array
-        Diagonal entries of factor ``l`` of sample ``b``.
-    low : (B, L, T) array, T = D*(D-1)/2
-        Strict lower-triangle entries in ``numpy.tril_indices`` order.
+    factors : (B, L, D, D) array
+        Factor ``l`` of sample ``b``: the Bartlett factors of
+        ``prior.bartlett_chain_draws``, or any square matrices.
 
     Returns
     -------
     (B, D, D) array
-        For each sample, ``V_L @ ... @ V_2 @ V_1`` where ``V_l`` is the
-        factor assembled from layer index ``l-1`` (layer axis ascending =
-        applied first).
+        For each sample, ``V_L @ ... @ V_2 @ V_1`` where ``V_l`` is
+        ``factors[:, l-1]`` (layer axis ascending = applied first).
 
     The product is associative, so it is reduced as a tree (Blelloch 1990,
     "Prefix sums and their applications"): each level multiplies adjacent
-    pairs of the ``(b, L, D, D)`` factor stack in one batched matmul, and
-    an odd last factor carries up to the next level, for about log2(L)
-    calls.  The whole batch is one stack, so its scratch memory is about
-    twice ``B * L * D * D`` floats: a caller bounds it by the batch it
-    passes (``montecarlo.sub_batch``).  Rounding differs from a
-    left-to-right product only in the last bits.
+    pairs of the stack in one batched matmul, and an odd last factor
+    carries up to the next level, for about log2(L) calls.  Each level
+    replaces ``factors``, so a stack its caller does not hold is freed
+    after the first level, and the scratch memory is about one and a half
+    stacks: a caller bounds it by the batch it passes
+    (``montecarlo.sub_batch``).  Rounding differs from a left-to-right
+    product only in the last bits.
     """
-    n_samples, n_layers, dim = diag.shape
-    rows, cols = np.tril_indices(dim, -1)
-    flat = np.zeros((n_samples, n_layers, dim * dim))
-    flat[:, :, np.arange(dim) * (dim + 1)] = diag
-    flat[:, :, rows * dim + cols] = low
-    stack = flat.reshape(n_samples, n_layers, dim, dim)
-    while stack.shape[1] > 1:
-        even = stack.shape[1] & ~1
-        paired = np.matmul(stack[:, 1:even:2], stack[:, 0:even:2])
-        if even < stack.shape[1]:
-            paired = np.concatenate([paired, stack[:, even:]], axis=1)
-        stack = paired
-    return stack[:, 0]
+    while factors.shape[1] > 1:
+        even = factors.shape[1] & ~1
+        paired = np.matmul(factors[:, 1:even:2], factors[:, 0:even:2])
+        if even < factors.shape[1]:
+            paired = np.concatenate([paired, factors[:, even:]], axis=1)
+        factors = paired
+    return factors[:, 0]
 
 
 def suffix_mac(c: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -254,12 +254,19 @@ def _sample_rows(draws: np.ndarray, route: str):
         yield template % tuple(args)
 
 
-def _nonfinite_report(*stacks) -> tuple[int, list]:
-    """Draws (first axis) with any non-finite entry over ``stacks``, and
-    the report warnings that count calls for."""
-    count = sum(int(len(s) - np.isfinite(s).reshape(len(s), -1).all(axis=1).sum())
-                for s in stacks)
-    return count, ["non-finite-draws"] if count else []
+def _write_samples(cfg: dict, command: str, start: float, drawn, results: dict) -> int:
+    """Write ``samples.csv`` from ``(draws, route)`` pairs, then the report:
+    ``results`` plus ``n_nonfinite``, the draws (first axis) with any
+    non-finite entry, which also raises a warning."""
+    _write_csv(
+        Path(cfg["out_dir"]) / "samples.csv", ["sample_id", "route", "row", "col", "value"],
+        itertools.chain.from_iterable(_sample_rows(*pair) for pair in drawn),
+    )
+    count = sum(int(len(d) - np.isfinite(d).reshape(len(d), -1).all(axis=1).sum())
+                for d, _ in drawn)
+    _report(cfg, command, start, {**results, "n_nonfinite": count}, ["samples.csv"],
+            ["non-finite-draws"] if count else [])
+    return 0
 
 
 def cmd_sample_prior(cfg: dict) -> int:
@@ -284,16 +291,8 @@ def cmd_sample_prior(cfg: dict) -> int:
         else:
             draws = prior.prior_mixture_samples(x, shape, n_samples, seed, PH_MIXTURE, workers)
         drawn.append((draws, route))
-
-    _write_csv(
-        Path(cfg["out_dir"]) / "samples.csv", ["sample_id", "route", "row", "col", "value"],
-        itertools.chain.from_iterable(_sample_rows(*pair) for pair in drawn),
-    )
-    n_nonfinite, warnings = _nonfinite_report(*(draws for draws, _ in drawn))
-    _report(cfg, "sample-prior", start,
-            {"n_samples": n_samples, "routes": routes, "n_nonfinite": n_nonfinite},
-            ["samples.csv"], warnings)
-    return 0
+    return _write_samples(cfg, "sample-prior", start, drawn,
+                          {"n_samples": n_samples, "routes": routes})
 
 
 def cmd_sample_limit(cfg: dict) -> int:
@@ -313,16 +312,8 @@ def cmd_sample_limit(cfg: dict) -> int:
             cfg["x"], a, dim, cfg["lambda_star"], steps, n_samples, seed,
             PH_LIMIT_PRIOR, workers,
         )
-
-    _write_csv(
-        Path(cfg["out_dir"]) / "samples.csv", ["sample_id", "route", "row", "col", "value"],
-        _sample_rows(draws, f"limit-{emit}"),
-    )
-    n_nonfinite, warnings = _nonfinite_report(draws)
-    _report(cfg, "sample-limit", start,
-            {"n_samples": n_samples, "emit": emit, "n_nonfinite": n_nonfinite},
-            ["samples.csv"], warnings)
-    return 0
+    return _write_samples(cfg, "sample-limit", start, [(draws, f"limit-{emit}")],
+                          {"n_samples": n_samples, "emit": emit})
 
 
 def _mixing_draws(cfg: dict, n_out: int) -> np.ndarray:

@@ -13,9 +13,10 @@ Both routes run on :func:`montecarlo.sample_map` a block of samples at a
 time; neither has a one-draw entry point.  A mixture block takes each
 variate family's stream once.  It draws and multiplies its chains a
 sub-batch of samples at a time (``montecarlo.sub_batch`` of their factor
-stacks), one :func:`bartlett_chain_draws` and one
-:func:`backend.lt_chain_multiply` call each, with the same values as one
-whole-block call, and draws all its ``Z`` in one call.
+stacks): :func:`bartlett_chain_draws`, the one owner of the factor
+layout, returns the sub-batch's lower-triangular factor stack, and
+:func:`backend.lt_chain_multiply` multiplies it, with the same values as
+one whole-block call.  The block draws all its ``Z`` in one call.
 :func:`mixture_samples` is the one ``Vbar @ Z @ X`` route: the
 proportional-limit prior (``limit.prior_limit_samples``) passes it limit
 matrices instead of Bartlett chains.
@@ -197,18 +198,16 @@ def forward_direct_samples(
 
 def bartlett_chain_draws(
     dof: int, dim: int, size, gamma_rng: np.random.Generator, low_rng: np.random.Generator
-):
-    """Raw randomness for independent Bartlett factors, ``size`` of them.
+) -> np.ndarray:
+    """Independent Bartlett factors, ``size`` of them: ``size + (dim, dim)``.
 
     A Bartlett factor ``V`` is lower triangular with ``V @ V.T`` distributed
     Wishart(dof, I/dof).  ``size`` is an int or a tuple: ``n_layers``
     factors of one chain, or ``(n_samples, n_layers)`` for a block of
-    chains.  Returns ``(diag, low)`` of shapes ``size + (dim,)`` and
-    ``size + (T,)``, T = dim*(dim-1)/2, where ``diag[..., i]`` is the
-    (strictly positive) diagonal entry of 0-based row ``i`` -- the square
-    root of a Gamma((dof - i) / 2, dof / 2) draw -- and ``low[..., t]`` the
-    strict lower-triangle entries, i.i.d. N(0, 1/dof), in
-    ``numpy.tril_indices`` (row-major) order.
+    chains.  The (strictly positive) diagonal entry of 0-based row ``i``
+    is the square root of a Gamma((dof - i) / 2, dof / 2) draw; the strict
+    lower-triangle entries are i.i.d. N(0, 1/dof), drawn in
+    ``numpy.tril_indices`` (row-major) order; above the diagonal is 0.
 
     Each family is one generator call in C order, so a block's draws are
     sample-major: the gammas from ``gamma_rng``, then the normals from
@@ -230,7 +229,11 @@ def bartlett_chain_draws(
     np.sqrt(diag, out=diag)
     low = low_rng.standard_normal(lead + (dim * (dim - 1) // 2,))
     low /= np.sqrt(dof)
-    return diag, low
+    rows, cols = np.tril_indices(dim, -1)
+    flat = np.zeros(lead + (dim * dim,))
+    flat[..., :: dim + 1] = diag
+    flat[..., rows * dim + cols] = low
+    return flat.reshape(lead + (dim, dim))
 
 
 def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
@@ -239,18 +242,22 @@ def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
     The block takes its gamma and lower-normal streams once and draws and
     multiplies its chains a sub-batch at a time, as many as
     ``montecarlo.sub_batch`` fits by their factor stacks (``depth`` dim x
-    dim factors per chain), one :func:`bartlett_chain_draws` and one
-    :func:`backend.lt_chain_multiply` call each.  Each family is drawn in
-    C order, so the sub-batches read the same values as one whole-block
-    call would.
+    dim factors per chain): one :func:`bartlett_chain_draws` stack per
+    sub-batch, multiplied by one :func:`backend.lt_chain_multiply` call.
+    Each family is drawn in C order, so the sub-batches read the same
+    values as one whole-block call would.
     """
     gamma_rng, low_rng = streams(FAMILY_GAMMA), streams(FAMILY_LOW)
     batch = montecarlo.sub_batch(m, 8 * depth * dim * dim)
     out = np.empty((m, dim, dim))
     for lo in range(0, m, batch):
         hi = min(lo + batch, m)
-        diag, low = bartlett_chain_draws(width, dim, (hi - lo, depth), gamma_rng, low_rng)
-        out[lo:hi] = backend.lt_chain_multiply(diag, low)
+        # The stack goes straight into the product, never into a local:
+        # the product frees it after the first tree level, and one held
+        # here would stay alive through the whole product.
+        out[lo:hi] = backend.lt_chain_multiply(
+            bartlett_chain_draws(width, dim, (hi - lo, depth), gamma_rng, low_rng)
+        )
     return out
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import analysis, backend, limit, linalg, montecarlo, posterior, prior
+from . import analysis, limit, linalg, montecarlo, posterior, prior
 from .errors import InvalidParameter
 
 # Stream phase ids: one per independent sampling stage.
@@ -613,8 +613,9 @@ def prop_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
 
 def prop_bartlett_independence(cfg: VerifyConfig) -> list[CheckRow]:
     rng = montecarlo.stream_for(cfg.seed, PH_BARTLETT_IND, 0)
-    diag, low = prior.bartlett_chain_draws(10, 3, cfg.prop_samples, rng, rng)
-    entries = np.column_stack([diag, low])
+    factors = prior.bartlett_chain_draws(10, 3, cfg.prop_samples, rng, rng)
+    rows, cols = np.tril_indices(3, -1)
+    entries = np.column_stack([np.diagonal(factors, axis1=1, axis2=2), factors[:, rows, cols]])
     corr = np.corrcoef(entries, rowvar=False)
     off = corr[np.triu_indices(entries.shape[1], 1)]
     stat = float(np.max(np.abs(off)))
@@ -629,8 +630,7 @@ def prop_bartlett_independence(cfg: VerifyConfig) -> list[CheckRow]:
 def prop_bartlett_wishart_moments(cfg: VerifyConfig) -> list[CheckRow]:
     n, dof, dim = cfg.prop_samples, 10, 2
     rng_b = montecarlo.stream_for(cfg.seed, PH_WISHART_BART, 0)
-    # Chains of one factor: the product is the Bartlett factor itself.
-    factors = backend.lt_chain_multiply(*prior.bartlett_chain_draws(dof, dim, (n, 1), rng_b, rng_b))
+    factors = prior.bartlett_chain_draws(dof, dim, n, rng_b, rng_b)
     bart = np.einsum("nij,nkj->nik", factors, factors)
 
     rng_o = montecarlo.stream_for(cfg.seed, PH_WISHART_OUTER, 0)
@@ -665,7 +665,7 @@ def prop_wishart_gamma_ks(cfg: VerifyConfig) -> list[CheckRow]:
     rng = montecarlo.stream_for(cfg.seed, PH_WISHART_KS, 0)
     # At dim 1 the Wishart draw V @ V.T is the squared Bartlett diagonal.
     n = cfg.prop_samples // WISHART_KS_SHARE
-    draws = prior.bartlett_chain_draws(8, 1, n, rng, rng)[0][:, 0] ** 2
+    draws = prior.bartlett_chain_draws(8, 1, n, rng, rng)[:, 0, 0] ** 2
     return [
         _ks_row("wishart-d1-gamma-ks", draws, lambda x: gammainc(4.0, 4.0 * x),
                 f"Gamma(4, rate 4) at alpha={WISHART_KS_ALPHA}", alpha=WISHART_KS_ALPHA, width=8)

@@ -1,39 +1,31 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proplimit import backend
+from proplimit import backend, prior
 
 
-def random_chain_inputs(np_rng, n=40, layers=30, dim=4):
-    n_low = dim * (dim - 1) // 2
-    diag = np.abs(np_rng.standard_normal((n, layers, dim))) + 0.1
-    low = np_rng.standard_normal((n, layers, n_low)) * 0.3
-    return np.ascontiguousarray(diag), np.ascontiguousarray(low)
+def bartlett_stack(np_rng, n=40, layers=30, dim=4, dof=20):
+    """``n`` chains of ``layers`` Bartlett factors: a (n, layers, dim, dim) stack."""
+    return prior.bartlett_chain_draws(dof, dim, (n, layers), np_rng, np_rng)
 
 
 class TestFallbackKernels:
     def test_chain_single_layer_assembles_factor(self, np_rng):
-        diag, low = random_chain_inputs(np_rng, n=3, layers=1, dim=3)
-        out = backend.lt_chain_multiply(diag, low)
-        expected = np.zeros((3, 3, 3))
-        for b in range(3):
-            expected[b][np.diag_indices(3)] = diag[b, 0]
-            expected[b][np.tril_indices(3, -1)] = low[b, 0]
-        np.testing.assert_array_equal(out, expected)
+        # A chain of one factor is that factor, bit for bit.
+        factors = bartlett_stack(np_rng, n=3, layers=1, dim=3)
+        np.testing.assert_array_equal(backend.lt_chain_multiply(factors), factors[:, 0])
 
     def test_chain_matches_dense_product(self, np_rng):
         # dim 17 checks that the kernel has no dimension cap.
         for dim in (3, 17):
-            diag, low = random_chain_inputs(np_rng, n=5, layers=6, dim=dim)
-            out = backend.lt_chain_multiply(diag, low)
+            factors = bartlett_stack(np_rng, n=5, layers=6, dim=dim)
+            out = backend.lt_chain_multiply(factors)
             for b in range(5):
-                acc = None
-                for l in range(6):
-                    mat = np.zeros((dim, dim))
-                    mat[np.diag_indices(dim)] = diag[b, l]
-                    mat[np.tril_indices(dim, -1)] = low[b, l]
-                    acc = mat if acc is None else mat @ acc
+                acc = factors[b, 0]
+                for l in range(1, 6):
+                    acc = factors[b, l] @ acc
                 np.testing.assert_allclose(out[b], acc, rtol=1e-12, atol=1e-14)
 
     def test_suffix_mac_definition(self, np_rng):
@@ -64,25 +56,20 @@ class TestFallbackKernels:
             np.testing.assert_array_equal(table[:, 1], out)
 
 
-def sequential_chain(diag, low):
+def sequential_chain(factors):
     """``V_L @ ... @ V_1`` by a left-to-right loop of dense products."""
-    n, layers, dim = diag.shape
-    rows, cols = np.tril_indices(dim, -1)
-    acc = np.broadcast_to(np.eye(dim), (n, dim, dim))
-    for l in range(layers):
-        mat = np.zeros((n, dim, dim))
-        mat[:, np.arange(dim), np.arange(dim)] = diag[:, l]
-        mat[:, rows, cols] = low[:, l]
-        acc = mat @ acc
+    acc = factors[:, 0]
+    for l in range(1, factors.shape[1]):
+        acc = factors[:, l] @ acc
     return acc
 
 
-def assert_matches_sequential_product(diag, low, rtol=1e-13):
-    # Rounding in either order is bounded by the same products taken over
-    # |diag| and |low|, where nothing cancels; a product whose entries
-    # cancel can have rounding far above its own largest entry.
-    out, ref = backend.lt_chain_multiply(diag, low), sequential_chain(diag, low)
-    scale = sequential_chain(np.abs(diag), np.abs(low))
+def assert_matches_sequential_product(factors, rtol=1e-13):
+    # Rounding in either order is bounded by the same product taken over
+    # |factors|, where nothing cancels; a product whose entries cancel can
+    # have rounding far above its own largest entry.
+    out, ref = backend.lt_chain_multiply(factors), sequential_chain(factors)
+    scale = sequential_chain(np.abs(factors))
     assert np.all(np.abs(out - ref) <= rtol * scale)
 
 
@@ -97,15 +84,20 @@ class TestTreeKernel:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_sequential_product(self, layers, dim, exponent, n, seed):
-        # Diagonals are 10**e with |e| up to 150; the exponent budget is
-        # shared across layers so that no partial product leaves float64.
+        # Lower-triangular factors with rows scaled by 10**e, |e| up to
+        # 150; the exponent budget is shared across layers so that no
+        # partial product leaves float64.
         rng = np.random.default_rng(seed)
         top = min(exponent, 300.0 / layers)
-        diag = 10.0 ** rng.uniform(-top, top, (n, layers, dim))
-        low = rng.standard_normal((n, layers, dim * (dim - 1) // 2))
-        assert_matches_sequential_product(diag, low)
+        factors = np.tril(rng.standard_normal((n, layers, dim, dim)))
+        factors *= 10.0 ** rng.uniform(-top, top, (n, layers, dim, 1))
+        assert_matches_sequential_product(factors)
 
     def test_deep_chains_match_sequential_product(self, np_rng):
         # finite-chain's factor shape, 200 layers of 3 x 3 factors.
-        diag, low = random_chain_inputs(np_rng, n=100, layers=200, dim=3)
-        assert_matches_sequential_product(diag, low)
+        assert_matches_sequential_product(bartlett_stack(np_rng, n=100, layers=200, dim=3, dof=64))
+
+    @pytest.mark.parametrize("layers", [1, 2, 7, 16])
+    def test_general_stack_matches_sequential_product(self, np_rng, layers):
+        # The product takes any square factors, not only triangular ones.
+        assert_matches_sequential_product(np_rng.standard_normal((6, layers, 4, 4)))

@@ -285,15 +285,10 @@ class TestSampleCommands:
     def test_sample_prior_csv_bytes_pinned(self, tmp_path, monkeypatch):
         # With the chain product held to a left-to-right einsum loop, the
         # two-route CSV (direct draws, mixture draws, formatting) is pinned.
-        def sequential_chain(diag, low):
-            n, layers, dim = diag.shape
-            rows, cols = np.tril_indices(dim, -1)
-            out = None
-            for l in range(layers):
-                mat = np.zeros((n, dim, dim))
-                mat[:, np.arange(dim), np.arange(dim)] = diag[:, l, :]
-                mat[:, rows, cols] = low[:, l, :]
-                out = mat if out is None else np.einsum("nij,njk->nik", mat, out)
+        def sequential_chain(factors):
+            out = factors[:, 0]
+            for l in range(1, factors.shape[1]):
+                out = np.einsum("nij,njk->nik", factors[:, l], out)
             return out
 
         monkeypatch.setattr(backend, "lt_chain_multiply", sequential_chain)

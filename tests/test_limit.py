@@ -39,9 +39,19 @@ def enumerate_paths(row: int, col: int) -> list:
     return paths
 
 
-def w_at_one(grid):
-    """W_k(1) of the grid's first draw: the sum of its diagonal increments."""
-    return grid.increments[0, : grid.dim].sum(axis=1)
+def per_grid_draw(fn, a, dim, steps):
+    """A block function: ``fn(grid, j)`` per draw of a block grid, in sample
+    order, with the draws' values as ``per_draw`` simulates them one by one."""
+    def draw_block(streams, m):
+        grid = limit.Grid(a, dim, steps, m)
+        return np.stack([fn(grid, j) for _, j in limit.block_draws(streams(0), m, grid)])
+
+    return draw_block
+
+
+def w_at_one(grid, j):
+    """W_k(1) of the grid's draw ``j``: the sum of its diagonal increments."""
+    return grid.increments[j, : grid.dim].sum(axis=1)
 
 
 def grid_draw(rng, a, dim, steps):
@@ -56,30 +66,21 @@ class TestSimulatePaths:
 
     def test_increment_variance(self):
         n = 20_000
-        ends = montecarlo.sample_map(
-            per_draw(lambda r: w_at_one(limit.simulate_paths(r, limit.Grid(1.0, 2, 16)))),
-            n, SEED, phase=1,
-        )
+        ends = montecarlo.sample_map(per_grid_draw(w_at_one, 1.0, 2, 16), n, SEED, phase=1)
         var = ends.var(axis=0, ddof=1)
         se = np.sqrt(2.0 / n)  # Var(s^2) ~ 2 sigma^4 / n for normals
         assert np.all(np.abs(var - 1.0) < 4 * se)
 
     def test_cross_path_independence(self):
         n = 20_000
-        ends = montecarlo.sample_map(
-            per_draw(lambda r: w_at_one(limit.simulate_paths(r, limit.Grid(1.0, 3, 16)))),
-            n, SEED, phase=2,
-        )
+        ends = montecarlo.sample_map(per_grid_draw(w_at_one, 1.0, 3, 16), n, SEED, phase=2)
         corr = np.corrcoef(ends, rowvar=False)
         assert np.max(np.abs(corr[np.triu_indices(3, 1)])) < 4 / np.sqrt(n)
 
     def test_drift_endpoint_mean(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            per_draw(
-                lambda r: limit.simulate_paths(r, limit.Grid(0.8, 2, 16)).paths[0, :, -1]
-            ),
-            n, SEED, phase=3,
+            per_grid_draw(lambda grid, j: grid.paths[j, :, -1], 0.8, 2, 16), n, SEED, phase=3
         )
         mean, se = montecarlo.mean_and_se(ends)
         target = -0.8 * np.array([1.0, 2.0]) / 2.0
@@ -148,13 +149,10 @@ class TestIteratedIntegral:
     def test_zero_mean(self):
         n = 20_000
 
-        def one(r):
-            grid = limit.simulate_paths(r, limit.Grid(0.5, 3, 64))
-            return np.array(
-                [limit.iterated_integral(grid, p) for p in ((0, 1), (0, 2), (0, 1, 2))]
-            )
+        def one(grid, j):
+            return [limit.iterated_integral(grid, p, j) for p in ((0, 1), (0, 2), (0, 1, 2))]
 
-        vals = montecarlo.sample_map(per_draw(one), n, SEED, phase=4)
+        vals = montecarlo.sample_map(per_grid_draw(one, 0.5, 3, 64), n, SEED, phase=4)
         mean, se = montecarlo.mean_and_se(vals)
         assert np.all(np.abs(mean) < 4 * se)
 

@@ -153,13 +153,15 @@ class TestStreamKeys:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_raw_chain_draw_digest(self, workers):
         # Pinned bytes of a block's Bartlett draws, gammas and lower
-        # normals from their own streams: the diagonals alone, then
-        # diagonals and lower entries side by side.
+        # normals from their own streams, read back out of the factors:
+        # the diagonals alone, then diagonals and lower entries side by side.
         def draw(streams, m):
-            diag, low = prior.bartlett_chain_draws(
+            factors = prior.bartlett_chain_draws(
                 64, 3, (m, 200), streams(prior.FAMILY_GAMMA), streams(prior.FAMILY_LOW)
             )
-            return np.concatenate([diag, low], axis=2)
+            rows, cols = np.tril_indices(3, -1)
+            diag = np.diagonal(factors, axis1=2, axis2=3)
+            return np.concatenate([diag, factors[:, :, rows, cols]], axis=2)
 
         def digest(out):
             return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:12]

@@ -99,8 +99,8 @@ def chain_streams(seed, phase, block=0):
 
 def chain_from_streams(depth, width, dim, streams):
     """The next Bartlett-chain product of a block, drawn and multiplied on its own."""
-    diag, low = prior.bartlett_chain_draws(width, dim, depth, *streams)
-    return backend.lt_chain_multiply(diag[None], low[None])[0]
+    factors = prior.bartlett_chain_draws(width, dim, (1, depth), *streams)
+    return backend.lt_chain_multiply(factors)[0]
 
 
 @pytest.fixture
@@ -131,9 +131,7 @@ def split_budget(per_batch, depth=7, dim=3):
 class TestVbarFinite:
     def test_single_layer_equals_bartlett_factor(self):
         chain = prior.vbar_finite_samples(1, 10, 3, 1, 7)[0]
-        diag, low = prior.bartlett_chain_draws(10, 3, 1, *chain_streams(7, 0))
-        factor = np.diag(diag[0])
-        factor[np.tril_indices(3, -1)] = low[0]
+        factor = prior.bartlett_chain_draws(10, 3, 1, *chain_streams(7, 0))[0]
         np.testing.assert_array_equal(chain, factor)
 
     def test_triangular_with_positive_diagonal(self):
@@ -204,10 +202,9 @@ class TestVbarFinite:
         # of the kernel on them alone.
         depth, width, dim = 200, 64, 3
         batch = prior.vbar_finite_samples(depth, width, dim, 64, SEED, phase=11)
-        diag, low = prior.bartlett_chain_draws(width, dim, (64, depth), *chain_streams(SEED, 11))
-        np.testing.assert_array_equal(batch, backend.lt_chain_multiply(diag, low))
-        np.testing.assert_array_equal(batch[34:38],
-                                      backend.lt_chain_multiply(diag[34:38], low[34:38]))
+        factors = prior.bartlett_chain_draws(width, dim, (64, depth), *chain_streams(SEED, 11))
+        np.testing.assert_array_equal(batch, backend.lt_chain_multiply(factors))
+        np.testing.assert_array_equal(batch[34:38], backend.lt_chain_multiply(factors[34:38]))
 
     def test_scratch_memory_bounded_by_batch_budget(self):
         # At depth 2000 one block's (64, 2000, 3, 3) factor stack would be
@@ -221,6 +218,20 @@ class TestVbarFinite:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes < 3 * montecarlo.SUB_BATCH_BYTES
+
+    def test_finite_chain_block_scratch_within_two_budgets(self):
+        # finite-chain's shape (depth 200, width 64, dim 3), one block of
+        # 64 chains in sub-batches of 36 and 28: a sub-batch's draws and
+        # factor stack, then the stack and its first tree level, stay
+        # under two budgets, as the product frees each level's input.
+        prior.vbar_finite_samples(3, 8, 3, 2, SEED)  # first-call allocations
+        tracemalloc.start()
+        try:
+            out = prior.vbar_finite_samples(200, 64, 3, 64, SEED, phase=15, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 2 * montecarlo.SUB_BATCH_BYTES
 
 
 class TestPriorMixture:

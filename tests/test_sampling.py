@@ -17,18 +17,8 @@ from proplimit import analysis, montecarlo, prior
 from proplimit.errors import InvalidParameter
 
 
-def bartlett_factors(dof, dim, n, rng):
-    """``n`` lower-triangular Bartlett factors (n, dim, dim), both families from ``rng``."""
-    diag, low = prior.bartlett_chain_draws(dof, dim, n, rng, rng)
-    factors = np.zeros((n, dim, dim))
-    factors[:, np.arange(dim), np.arange(dim)] = diag
-    rows, cols = np.tril_indices(dim, -1)
-    factors[:, rows, cols] = low
-    return factors
-
-
 def wisharts(dof, dim, n, rng):
-    factors = bartlett_factors(dof, dim, n, rng)
+    factors = prior.bartlett_chain_draws(dof, dim, n, rng, rng)
     return np.einsum("nij,nkj->nik", factors, factors)
 
 
@@ -81,13 +71,13 @@ class TestGamma:
 
     def test_exponential_mean(self, rng):
         # dof 2, dim 1: Gamma(1, rate 1), the unit exponential.
-        draws = prior.bartlett_chain_draws(2, 1, 1_000_000, rng, rng)[0][:, 0] ** 2
+        draws = prior.bartlett_chain_draws(2, 1, 1_000_000, rng, rng)[:, 0, 0] ** 2
         assert abs(draws.mean() - 1.0) < 0.004
 
     def test_shape_rate_mean(self, rng):
         # dof 10, row 3: Gamma(3.5, rate 5), mean 0.7.
         n = 200_000
-        draws = prior.bartlett_chain_draws(10, 4, n, rng, rng)[0][:, 3] ** 2
+        draws = prior.bartlett_chain_draws(10, 4, n, rng, rng)[:, 3, 3] ** 2
         se = draws.std(ddof=1) / np.sqrt(n)
         assert abs(draws.mean() - 0.7) < 3 * se
 
@@ -95,14 +85,13 @@ class TestGamma:
 class TestBartlett:
     def test_d1_second_moment(self, rng):
         n = 100_000
-        draws = prior.bartlett_chain_draws(12, 1, n, rng, rng)[0][:, 0] ** 2
+        draws = prior.bartlett_chain_draws(12, 1, n, rng, rng)[:, 0, 0] ** 2
         se = draws.std(ddof=1) / np.sqrt(n)
         assert abs(draws.mean() - 1.0) < 4 * se
 
     def test_d2_last_diagonal_moment(self, rng):
         n = 100_000
-        diag, _ = prior.bartlett_chain_draws(10, 2, n, rng, rng)
-        sq = diag[:, 1] ** 2
+        sq = prior.bartlett_chain_draws(10, 2, n, rng, rng)[:, 1, 1] ** 2
         se = sq.std(ddof=1) / np.sqrt(n)
         assert abs(sq.mean() - 0.9) < 4 * se
 
@@ -111,14 +100,25 @@ class TestBartlett:
             prior.bartlett_chain_draws(2, 2, 1, rng, rng)
 
     def test_structure(self, rng):
-        for v in bartlett_factors(10, 4, 5, rng):
+        for v in prior.bartlett_chain_draws(10, 4, 5, rng, rng):
             assert np.allclose(np.triu(v, 1), 0.0)
             assert (np.diag(v) > 0).all()
 
+    @pytest.mark.parametrize("size, lead", [(5, (5,)), ((4, 5), (4, 5))])
+    def test_draws_lower_triangular_factor_stack(self, rng, size, lead):
+        # The draw returns the factors themselves, exactly zero above the
+        # diagonal, for one chain's layers or a block of chains.
+        factors = prior.bartlett_chain_draws(10, 3, size, rng, rng)
+        assert factors.shape == lead + (3, 3)
+        assert not np.triu(factors, 1).any()
+
     def test_same_generator_order_pinned(self):
-        # One generator passed twice: all gammas, then all lower normals.
+        # One generator passed twice: all gammas, then all lower normals,
+        # read back out of the factors as diagonals, then lower entries.
         r = montecarlo.make_stream(7, 0)
-        diag, low = prior.bartlett_chain_draws(10, 3, (4, 5), r, r)
+        factors = prior.bartlett_chain_draws(10, 3, (4, 5), r, r)
+        rows, cols = np.tril_indices(3, -1)
+        diag, low = np.diagonal(factors, axis1=2, axis2=3), factors[:, :, rows, cols]
         digest = hashlib.sha256(diag.tobytes() + low.tobytes()).hexdigest()[:12]
         assert digest == "6a2f79e1017c"
 
