@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .montecarlo import real, whole, worker_count
+from .montecarlo import BLOCK, real, whole, worker_count
 
 # Stream phases for CLI sampling stages.
 PH_DIRECT, PH_MIXTURE, PH_LIMIT_PRIOR, PH_LIMIT_VBAR, PH_MIXING = 1, 2, 3, 4, 5
@@ -240,18 +240,25 @@ def _report(cfg: dict, command: str, start: float, results: dict, outputs=(),
 
 
 def _sample_rows(draws: np.ndarray, route: str):
-    """Lazy CSV text of ``sample_id,route,row,col,value`` rows, one block per sample.
+    """Lazy CSV text of ``sample_id,route,row,col,value`` rows, one string
+    per ``BLOCK`` of draws, in sample, row, column order.
 
-    Values take 17 significant digits, as ``_fmt`` writes them; route
-    names are plain words, so no field needs quoting.
+    Each string is formatted from its own draws' ``tolist()``, so no
+    Python copy of the whole stack is ever held.  Values take 17
+    significant digits, as ``_fmt`` writes them; route names are plain
+    words, so no field needs quoting.
     """
     n, n_rows, n_cols = draws.shape
+    cells = n_rows * n_cols
     template = "".join(f"%d,{route},{r},{c},%.17g\n" for r in range(n_rows) for c in range(n_cols))
-    args = [0] * (2 * n_rows * n_cols)
-    for idx, values in enumerate(draws.reshape(n, -1).tolist()):
-        args[0::2] = [idx] * len(values)
-        args[1::2] = values
-        yield template % tuple(args)
+    flat = draws.reshape(n, cells)
+    for lo in range(0, n, BLOCK):
+        block = flat[lo:lo + BLOCK]
+        m = len(block)
+        args = [0] * (2 * m * cells)
+        args[0::2] = np.repeat(np.arange(lo, lo + m), cells).tolist()
+        args[1::2] = block.ravel().tolist()
+        yield template * m % tuple(args)
 
 
 def _write_samples(cfg: dict, command: str, start: float, drawn, results: dict) -> int:

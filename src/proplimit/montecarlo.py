@@ -29,11 +29,11 @@ values outside their fields.  Streams are single-owner: a block's
 generators never cross threads.
 
 :func:`sample_map` is the only sampler driver and the only partitioner:
-it cuts ``range(n)`` into blocks of ``BLOCK`` and stacks the rows each
-block returns, in block order, whether the blocks run in the caller's
-thread (one worker) or on a thread pool.  The pool is imported on the
-first map with more than one worker, so a single-worker run never loads
-``concurrent.futures``.  A block whose draws need more memory than
+it cuts ``range(n)`` into blocks of ``BLOCK`` and copies the rows each
+block returns into one output, in block order, as each block arrives,
+whether the blocks run in the caller's thread (one worker) or on a
+thread pool.  The pool is imported on the first map with more than one
+worker, so a single-worker run never loads ``concurrent.futures``.  A block whose draws need more memory than
 ``SUB_BATCH_BYTES`` cuts them into sub-batches of :func:`sub_batch`
 samples; it still draws each family sample-major from one stream, so the
 cut leaves every value unchanged.  Moment reductions collect per-sample
@@ -163,11 +163,24 @@ def sample_map(
 
     blocks = range(-(-n_samples // BLOCK))
     if workers == 1:
-        return np.concatenate([block(b) for b in blocks])
+        return _gather(map(block, blocks), n_samples)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(block, blocks)))
+        return _gather(pool.map(block, blocks), n_samples)
+
+
+def _gather(rows, n_samples: int) -> np.ndarray:
+    """The ``(n_samples, ...)`` stack of the blocks that ``rows`` yields in
+    block order, each copied, as it arrives, into one output made from the
+    first block's shape and dtype.  With one worker no block outlives its
+    copy; a pool's finished blocks wait in their futures for their turn."""
+    out = None
+    for b, block in enumerate(rows):
+        if out is None:
+            out = np.empty((n_samples, *block.shape[1:]), block.dtype)
+        out[b * BLOCK:b * BLOCK + len(block)] = block
+    return out
 
 
 def mean_and_se(values: np.ndarray):

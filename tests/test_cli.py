@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proplimit import backend, cli, posterior, prior, verify
+from proplimit import backend, cli, montecarlo, posterior, prior, verify
 
 SCALAR_CFG = {
     "seed": 13,
@@ -530,6 +531,39 @@ def test_write_csv_golden(tmp_path):
     data = path.read_bytes()
     assert hashlib.sha256(data).hexdigest()[:12] == "3700d41c43e4"
     assert b"\n1,mixture,0,0,inf\n" in data and b"\n0,mixture,0,0,-0\n" in data
+
+
+def test_samples_csv_across_block_boundaries(tmp_path):
+    # Two full blocks of draws plus two, for both routes, against the
+    # plain text of each value in sample, row, column order.
+    rng = np.random.default_rng(3)
+    drawn = [(rng.standard_normal((2 * montecarlo.BLOCK + 2, 2, 3)), route)
+             for route in ("direct", "mixture")]
+    draws = drawn[1][0]
+    draws[0, 0, 0], draws[63, 1, 2], draws[129, 1, 0] = np.nan, np.inf, -np.inf
+    draws[64, 0, 1] = -0.0
+    cli._write_samples({"out_dir": str(tmp_path), "seed": 1}, "sample-prior", 0.0, drawn, {})
+    want = "sample_id,route,row,col,value\n" + "".join(
+        "%d,%s,%d,%d,%.17g\n" % (i, route, r, c, d[i, r, c])
+        for d, route in drawn for i in range(d.shape[0])
+        for r in range(d.shape[1]) for c in range(d.shape[2])
+    )
+    assert (tmp_path / "samples.csv").read_bytes() == want.encode()
+    assert read_report(tmp_path / "report.json")["results"]["n_nonfinite"] == 3
+
+
+def test_samples_csv_holds_no_copy_of_the_draws(tmp_path):
+    # The text is formatted a block of draws at a time: no Python copy of
+    # the whole stack, whose objects take about five times its bytes.
+    draws = np.random.default_rng(4).standard_normal((20000, 3, 2))
+    cfg = {"out_dir": str(tmp_path), "seed": 1}
+    tracemalloc.start()
+    try:
+        cli._write_samples(cfg, "sample-prior", 0.0, [(draws, "mixture")], {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < draws.nbytes
 
 
 # Modules of proplimit that some command runs; importing the CLI loads none.

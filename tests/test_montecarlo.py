@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ class TestSampleMap:
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameter):
             montecarlo.sample_map(draw3, 0, seed=1, phase=0)
+
+    def test_blocks_written_into_one_output(self):
+        # 100 blocks of depth-2 chains, whose per-block scratch is small:
+        # each block is copied into the output as it arrives, so the peak
+        # stays near one output, not one output plus every block.
+        prior.vbar_finite_samples(2, 5, 2, 2, 1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            out = prior.vbar_finite_samples(2, 5, 2, 100 * BLOCK, 1, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (100 * BLOCK, 2, 2)
+        assert peak < 1.5 * out.nbytes
 
 
 class TestBlocks:
