@@ -33,7 +33,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import sys
 import time
@@ -79,11 +78,13 @@ def _create(path: Path):
 
 def _write_csv(path: Path, header, lines) -> None:
     """Write the ``header`` row, then ``lines``: CSV text, one or more rows per item.
+    With no ``header``, append ``lines`` to the file.
 
     ``lines`` may be lazy; it is consumed, and so formatted, here.
     """
-    with _create(path) as handle:
-        handle.write(",".join(header) + "\n")
+    with _create(path) if header else open(path, "a", newline="") as handle:
+        if header:
+            handle.write(",".join(header) + "\n")
         handle.writelines(lines)
 
 
@@ -264,13 +265,20 @@ def _sample_rows(draws: np.ndarray, route: str):
 def _write_samples(cfg: dict, command: str, start: float, drawn, results: dict) -> int:
     """Write ``samples.csv`` from ``(draws, route)`` pairs, then the report:
     ``results`` plus ``n_nonfinite``, the draws (first axis) with any
-    non-finite entry, which also raises a warning."""
-    _write_csv(
-        Path(cfg["out_dir"]) / "samples.csv", ["sample_id", "route", "row", "col", "value"],
-        itertools.chain.from_iterable(_sample_rows(*pair) for pair in drawn),
-    )
-    count = sum(int(len(d) - np.isfinite(d).reshape(len(d), -1).all(axis=1).sum())
-                for d, _ in drawn)
+    non-finite entry, which also raises a warning.  Each route is written
+    and dropped before a lazy ``drawn`` draws the next; a route that fails
+    removes the rows written before it."""
+    path, count = Path(cfg["out_dir"]) / "samples.csv", 0
+    header = ["sample_id", "route", "row", "col", "value"]
+    try:
+        for draws, route in drawn:
+            count += int((~np.isfinite(draws).reshape(len(draws), -1).all(axis=1)).sum())
+            _write_csv(path, header, _sample_rows(draws, route))
+            header = draws = None  # later routes append; this one is freed
+    except BaseException:
+        if header is None:
+            path.unlink()
+        raise
     _report(cfg, command, start, {**results, "n_nonfinite": count}, ["samples.csv"],
             ["non-finite-draws"] if count else [])
     return 0
@@ -291,14 +299,13 @@ def cmd_sample_prior(cfg: dict) -> int:
     )
     cfg.update(lambdas=list(shape.lambdas), widths=list(shape.layer_widths))
     start = time.perf_counter()
-    drawn = []
-    for route in routes:
+
+    def sample(route):
         if route == "direct":
-            draws = prior.forward_direct_samples(x, shape, n_samples, seed, PH_DIRECT, workers)
-        else:
-            draws = prior.prior_mixture_samples(x, shape, n_samples, seed, PH_MIXTURE, workers)
-        drawn.append((draws, route))
-    return _write_samples(cfg, "sample-prior", start, drawn,
+            return prior.forward_direct_samples(x, shape, n_samples, seed, PH_DIRECT, workers)
+        return prior.prior_mixture_samples(x, shape, n_samples, seed, PH_MIXTURE, workers)
+
+    return _write_samples(cfg, "sample-prior", start, ((sample(r), r) for r in routes),
                           {"n_samples": n_samples, "routes": routes})
 
 

@@ -52,7 +52,7 @@ index in the sub-batch, in place: the suffix recursion on that draw's
 slice of the coefficients.  A grid sizes its own sub-batch, as many
 draws as ``montecarlo.sub_batch`` fits: a whole block of 64 at dim 2 and
 16 steps, one draw at dim 6 and 4096 steps.  Past the grid, a block
-allocates only the matrices it returns.
+allocates nothing: it writes its own rows of ``sample_map``'s output.
 """
 
 from __future__ import annotations
@@ -275,12 +275,11 @@ def vbar_limit_from_grid(grid: Grid, draw: int = 0, out: np.ndarray | None = Non
     return np.add(grid.table[:, :, 0], 0.0, out=out)
 
 
-def _vbar_block(a: float, dim: int, steps: int, streams, m: int) -> np.ndarray:
-    """A block's ``m`` limit draws from its stream, in one grid: (m, dim, dim)."""
-    grid, out = Grid(a, dim, steps, m), np.empty((m, dim, dim))
-    for i, j in block_draws(streams(0), m, grid):
+def _vbar_block(a: float, dim: int, steps: int, streams, out: np.ndarray) -> None:
+    """A block's limit draws from its stream, in one grid, into its rows ``out`` (m, dim, dim)."""
+    grid = Grid(a, dim, steps, len(out))
+    for i, j in block_draws(streams(0), len(out), grid):
         vbar_limit_from_grid(grid, j, out[i])
-    return out
 
 
 def vbar_limit_samples(
@@ -295,8 +294,8 @@ def vbar_limit_samples(
     """Stack of independent limit-matrix draws: (n, dim, dim)."""
     a, dim, steps = check_grid(a, dim, steps)
     return montecarlo.sample_map(
-        lambda streams, m: _vbar_block(a, dim, steps, streams, m),
-        n_samples, seed, phase, workers,
+        lambda streams, out: _vbar_block(a, dim, steps, streams, out),
+        n_samples, (dim, dim), seed, phase, workers,
     )
 
 
@@ -320,8 +319,8 @@ def prior_limit_samples(
     """
     a, dim, steps = check_grid(a, dim, steps)
     return prior.mixture_samples(
-        lambda streams, m: _vbar_block(a, dim, steps, streams, m),
-        x, lambda_star, n_samples, seed, phase, workers,
+        lambda streams, out: _vbar_block(a, dim, steps, streams, out),
+        dim, x, lambda_star, n_samples, seed, phase, workers,
     )
 
 
@@ -379,14 +378,12 @@ def vbar_limit_refinement_pair(
     """
     a, dim, coarse_steps, fine_steps = check_refinement(a, dim, coarse_steps, fine_steps)
 
-    def draw_block(streams, m: int) -> np.ndarray:
-        fine = Grid(a, dim, fine_steps, m)
+    def draw_block(streams, both: np.ndarray) -> None:
+        fine = Grid(a, dim, fine_steps, len(both))
         coarse = Grid(a, dim, coarse_steps, fine.batch)
-        both = np.empty((m, 2, dim, dim))
-        for i, j in block_draws(streams(0), m, fine, coarse):
+        for i, j in block_draws(streams(0), len(both), fine, coarse):
             vbar_limit_from_grid(coarse, j, both[i, 0])
             vbar_limit_from_grid(fine, j, both[i, 1])
-        return both
 
-    both = montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)
+    both = montecarlo.sample_map(draw_block, n_samples, (2, dim, dim), seed, phase, workers)
     return both[:, 0], both[:, 1]

@@ -28,18 +28,18 @@ that many samples is 2**40, the largest run).  Distinct
 values outside their fields.  Streams are single-owner: a block's
 generators never cross threads.
 
-:func:`sample_map` is the only sampler driver and the only partitioner:
-it cuts ``range(n)`` into blocks of ``BLOCK`` and copies the rows each
-block returns into one output, in block order, as each block arrives,
-whether the blocks run in the caller's thread (one worker) or on a
-thread pool.  The pool is imported on the first map with more than one
-worker, so a single-worker run never loads ``concurrent.futures``.  A block whose draws need more memory than
-``SUB_BATCH_BYTES`` cuts them into sub-batches of :func:`sub_batch`
-samples; it still draws each family sample-major from one stream, so the
-cut leaves every value unchanged.  Moment reductions collect per-sample
-values into index-ordered arrays and reduce with numpy, which is
-deterministic for a fixed array; worker count therefore changes wall
-time only.
+:func:`sample_map` is the only sampler driver, the only partitioner and
+the only owner of a sampler's output: it allocates the output once and
+each block of ``BLOCK`` samples writes its own rows of it, in the
+caller's thread (one worker) or on a thread pool, one strided run of
+blocks per thread.  The pool is imported on the first map with more
+than one worker, so a single-worker run never loads ``concurrent.futures``.
+A block whose draws need more memory than ``SUB_BATCH_BYTES`` cuts them
+into sub-batches of :func:`sub_batch` samples; it still draws each family
+sample-major from one stream, so the cut leaves every value unchanged.
+Moment reductions collect per-sample values into index-ordered arrays
+and reduce with numpy, which is deterministic for a fixed array; worker
+count therefore changes wall time only.
 """
 
 from __future__ import annotations
@@ -141,45 +141,39 @@ def stream_for(seed: int, phase: int, block: int, family: int = 0) -> np.random.
 
 
 def sample_map(
-    draw_block, n_samples: int, seed: int, phase: int, workers: int | None = None
+    draw_block, n_samples: int, row_shape, seed: int, phase: int, workers: int | None = None
 ) -> np.ndarray:
-    """The rows of samples ``0 .. n_samples - 1``, drawn block by block.
+    """The ``(n_samples, *row_shape)`` stack of samples ``0 .. n_samples - 1``.
 
     Block ``b`` holds the ``m <= BLOCK`` samples from ``b * BLOCK`` on;
-    ``draw_block(streams, m)`` returns their ``(m, ...)`` rows, where
-    ``streams(family)`` is a new generator for that family of the block.
-    It must draw sample-major (see the module docstring) and take each
-    family's generator once.  One worker runs the blocks in the caller's
-    thread; more run them on a thread pool, ``workers`` blocks at a time.
+    ``draw_block(streams, out)`` writes them into ``out``, their own
+    ``(m, *row_shape)`` rows of the stack, where ``streams(family)`` is a
+    new generator for that family of the block.  It must draw sample-major
+    (see the module docstring) and take each family's generator once.  One
+    worker runs the blocks in the caller's thread; ``workers`` threads run
+    every ``workers``-th block each.
     """
     n_samples = whole(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidParameter(f"n_samples must be >= 1, got {n_samples}")
     workers = worker_count(workers)
-
-    def block(b: int) -> np.ndarray:
-        m = min(BLOCK, n_samples - b * BLOCK)
-        return draw_block(lambda family: stream_for(seed, phase, b, family), m)
-
+    out = np.empty((n_samples, *row_shape))
     blocks = range(-(-n_samples // BLOCK))
-    if workers == 1:
-        return _gather(map(block, blocks), n_samples)
+
+    def run(own) -> None:
+        for b in own:
+            draw_block(lambda family: stream_for(seed, phase, b, family),
+                       out[b * BLOCK:(b + 1) * BLOCK])
+
+    threads = min(workers, len(blocks))
+    if threads == 1:
+        run(blocks)
+        return out
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _gather(pool.map(block, blocks), n_samples)
-
-
-def _gather(rows, n_samples: int) -> np.ndarray:
-    """The ``(n_samples, ...)`` stack of the blocks that ``rows`` yields in
-    block order, each copied, as it arrives, into one output made from the
-    first block's shape and dtype.  With one worker no block outlives its
-    copy; a pool's finished blocks wait in their futures for their turn."""
-    out = None
-    for b, block in enumerate(rows):
-        if out is None:
-            out = np.empty((n_samples, *block.shape[1:]), block.dtype)
-        out[b * BLOCK:b * BLOCK + len(block)] = block
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # One future per thread; reading them re-raises a block's error.
+        list(pool.map(run, [blocks[t::threads] for t in range(threads)]))
     return out
 
 

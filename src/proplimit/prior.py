@@ -116,15 +116,17 @@ class NetworkShape:
         return self.widths is None or all(w == self.width for w in self.widths)
 
 
-def _check_input(x, n_in: int) -> np.ndarray:
+def _check_input(x, n_in: int | None = None) -> np.ndarray:
     x = as_matrix(x, "x")
-    if x.shape[0] != n_in:
+    if 0 in x.shape:
+        raise InvalidParameter(f"x must have at least one row and one column, got {x.shape}")
+    if n_in is not None and x.shape[0] != n_in:
         raise ShapeMismatch(f"x has {x.shape[0]} rows, network expects {n_in}")
     return x
 
 
-def _direct_draws(x: np.ndarray, shape: NetworkShape, rng: np.random.Generator, m: int):
-    """``m`` direct-route draws (m, n_out, P), sample-major from ``rng``.
+def _direct_draws(x: np.ndarray, shape: NetworkShape, rng: np.random.Generator, out):
+    """A block's direct-route draws into its rows ``out`` (m, n_out, P), from ``rng``.
 
     Sample ``j`` draws every weight matrix ``W_l`` in turn (input layer
     first), row-major, scaled to N(0, 1/lambdas[l]); each layer is one
@@ -134,16 +136,14 @@ def _direct_draws(x: np.ndarray, shape: NetworkShape, rng: np.random.Generator, 
     """
     dims = (shape.n_in,) + shape.layer_widths + (shape.n_out,)
     sizes = [fan_in * fan_out for fan_in, fan_out in zip(dims, dims[1:])]
-    batch = max(1, DIRECT_BATCH_VALUES // sum(sizes))
-    out = []
+    batch, m = max(1, DIRECT_BATCH_VALUES // sum(sizes)), len(out)
     for lo in range(0, m, batch):
         g = rng.standard_normal((min(batch, m - lo), sum(sizes)))
         h = x
         for l, w in enumerate(np.split(g, np.cumsum(sizes)[:-1], axis=1)):
             w = w.reshape(-1, dims[l + 1], dims[l])
             h = (np.sqrt(1.0 / shape.lambdas[l]) * w @ h) / np.sqrt(dims[l])
-        out.append(h)
-    return np.concatenate(out)
+        out[lo:lo + batch] = h
 
 
 def prior_covariance_exact(x, n_in: int, lambda_star: float, n_out: int) -> np.ndarray:
@@ -191,9 +191,8 @@ def forward_direct_samples(
 ) -> np.ndarray:
     """Stack of direct-route draws: (n, n_out, P), a block from one stream."""
     x = _check_input(x, shape.n_in)
-    return montecarlo.sample_map(
-        lambda streams, m: _direct_draws(x, shape, streams(0), m), n_samples, seed, phase, workers
-    )
+    return montecarlo.sample_map(lambda streams, out: _direct_draws(x, shape, streams(0), out),
+                                 n_samples, (shape.n_out, x.shape[1]), seed, phase, workers)
 
 
 def bartlett_chain_draws(
@@ -236,8 +235,8 @@ def bartlett_chain_draws(
     return flat.reshape(lead + (dim, dim))
 
 
-def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
-    """A block's ``m`` Bartlett-chain products: (m, dim, dim).
+def _chains(width: int, dim: int, depth: int, streams, out: np.ndarray) -> None:
+    """A block's Bartlett-chain products into its rows ``out`` (m, dim, dim).
 
     The block takes its gamma and lower-normal streams once and draws and
     multiplies its chains a sub-batch at a time, as many as
@@ -247,9 +246,8 @@ def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
     Each family is drawn in C order, so the sub-batches read the same
     values as one whole-block call would.
     """
-    gamma_rng, low_rng = streams(FAMILY_GAMMA), streams(FAMILY_LOW)
+    gamma_rng, low_rng, m = streams(FAMILY_GAMMA), streams(FAMILY_LOW), len(out)
     batch = montecarlo.sub_batch(m, 8 * depth * dim * dim)
-    out = np.empty((m, dim, dim))
     for lo in range(0, m, batch):
         hi = min(lo + batch, m)
         # The stack goes straight into the product, never into a local:
@@ -258,11 +256,11 @@ def _chains(width: int, dim: int, depth: int, streams, m: int) -> np.ndarray:
         out[lo:hi] = backend.lt_chain_multiply(
             bartlett_chain_draws(width, dim, (hi - lo, depth), gamma_rng, low_rng)
         )
-    return out
 
 
 def mixture_samples(
     vbar_block,
+    dim: int,
     x,
     lambda_star: float,
     n_samples: int,
@@ -270,30 +268,33 @@ def mixture_samples(
     phase: int = 0,
     workers: int | None = None,
 ) -> np.ndarray:
-    """Stack of mixture draws ``Vbar @ Z @ x / sqrt(n_in * lambda_star)``: (n, d, P).
+    """Stack of mixture draws ``Vbar @ Z @ x / sqrt(n_in * lambda_star)``: (n, dim, P).
 
-    ``n_in`` is the number of rows of ``x``.  ``vbar_block(streams, m)``
-    draws a block's ``m`` mixing matrices (m, d, d); the block adds a
-    ``d x n_in`` standard-normal ``Z`` per sample from the ``FAMILY_Z``
-    stream.  The finite mixture route and the proportional-limit prior
-    differ only in ``vbar_block``.
+    ``n_in`` is the number of rows of ``x``.  ``vbar_block(streams, vbar)``
+    writes a block's mixing matrices into its temporary ``vbar`` (m, dim,
+    dim); the block adds a ``dim x n_in`` standard-normal ``Z`` per sample
+    from the ``FAMILY_Z`` stream and writes its outputs to its rows.  The
+    finite mixture route and the proportional-limit prior differ only in
+    ``vbar_block``.
     """
     lambda_star = montecarlo.real(lambda_star, "lambda_star")
     if not 0 < lambda_star < np.inf:
         # Finite precisions can still multiply out to 0 or inf.
         raise InvalidParameter(f"lambda_star, the product of the precisions, must be "
                                f"finite and > 0, got {lambda_star}")
-    x = as_matrix(x, "x")
+    x = _check_input(x)
     n_in = x.shape[0]
     scale = 1.0 / np.sqrt(n_in * lambda_star)
 
-    def draw_block(streams, m: int) -> np.ndarray:
-        vbar = vbar_block(streams, m)
-        z = streams(FAMILY_Z).standard_normal((m, vbar.shape[-1], n_in))
+    def draw_block(streams, out: np.ndarray) -> None:
+        vbar = np.empty((len(out), dim, dim))
+        vbar_block(streams, vbar)
+        z = streams(FAMILY_Z).standard_normal((len(out), dim, n_in))
         zx = np.einsum("nij,jk->nik", z, x)
-        return np.einsum("nij,njk->nik", vbar, zx) * scale
+        np.einsum("nij,njk->nik", vbar, zx, out=out)
+        out *= scale
 
-    return montecarlo.sample_map(draw_block, n_samples, seed, phase, workers)
+    return montecarlo.sample_map(draw_block, n_samples, (dim, x.shape[1]), seed, phase, workers)
 
 
 def prior_mixture_samples(
@@ -313,8 +314,9 @@ def prior_mixture_samples(
     if not shape.uniform_width:
         raise InvalidParameter("the mixture route requires a common hidden width")
     return mixture_samples(
-        lambda streams, m: _chains(shape.width, shape.n_out, shape.depth, streams, m),
-        _check_input(x, shape.n_in), shape.lambda_star, n_samples, seed, phase, workers,
+        lambda streams, out: _chains(shape.width, shape.n_out, shape.depth, streams, out),
+        shape.n_out, _check_input(x, shape.n_in), shape.lambda_star, n_samples, seed, phase,
+        workers,
     )
 
 
@@ -335,9 +337,9 @@ def vbar_finite_samples(
     depth = montecarlo.whole(depth, "depth")
     width = montecarlo.whole(width, "width")
     dim = montecarlo.whole(dim, "dim")
-    if depth < 1:
-        raise InvalidParameter(f"depth must be >= 1, got {depth}")
+    if depth < 1 or dim < 1:
+        raise InvalidParameter(f"depth and dim must be >= 1, got {depth}, {dim}")
     return montecarlo.sample_map(
-        lambda streams, m: _chains(width, dim, depth, streams, m),
-        n_samples, seed, phase, workers,
+        lambda streams, out: _chains(width, dim, depth, streams, out),
+        n_samples, (dim, dim), seed, phase, workers,
     )

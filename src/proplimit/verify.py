@@ -779,13 +779,12 @@ def prop_iterated_integral_mean(cfg: VerifyConfig) -> list[CheckRow]:
     a, dim, steps = 0.5, 3, 256
     n = cfg.grid_samples
 
-    def draw_block(streams, m):
-        grid, vals = limit.Grid(a, dim, steps, m), np.empty((m, 2))
-        for i, j in limit.block_draws(streams(0), m, grid):
+    def draw_block(streams, vals):
+        grid = limit.Grid(a, dim, steps, len(vals))
+        for i, j in limit.block_draws(streams(0), len(vals), grid):
             vals[i] = [limit.iterated_integral(grid, path, j) for path in ((0, 2), (0, 1, 2))]
-        return vals
 
-    vals = montecarlo.sample_map(draw_block, n, cfg.seed, PH_ITERINT, cfg.workers)
+    vals = montecarlo.sample_map(draw_block, n, (2,), cfg.seed, PH_ITERINT, cfg.workers)
     mean, se = montecarlo.mean_and_se(vals)
     return [
         CheckRow(

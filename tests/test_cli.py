@@ -283,6 +283,42 @@ class TestSampleCommands:
         assert run(args + ["--out-dir", out_b]) == 0
         assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
 
+    def test_empty_x_exits_2(self, tmp_path, capsys):
+        # An x with no columns has no outputs to draw: a header-only CSV
+        # reporting n_samples draws would be a silent success.
+        code = run(["sample-prior", "--seed", 1, "--out-dir", tmp_path, "--set", "x=[[]]",
+                    "--set", "n_out=2", "--set", "depth=2", "--set", "width=4",
+                    "--set", "n_samples=3"])
+        assert code == 2
+        assert "one row and one column" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_two_routes_hold_one_stack_at_a_time(self, tmp_path):
+        # Each route is written and freed before the next is drawn: the
+        # peak stays near one route's stack, not both.
+        args = ["sample-prior", "--seed", 7, "--out-dir", tmp_path,
+                "--set", "x=[[1.0, 0.5], [0.2, -1.0]]", "--set", "n_out=3",
+                "--set", "depth=4", "--set", "width=16", "--set", 'routes=["direct", "mixture"]']
+        assert run(args + ["--set", "n_samples=70"]) == 0  # first-call allocations
+        tracemalloc.start()
+        try:
+            assert run(args + ["--set", "n_samples=40000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 40000 * 3 * 2 * 8
+
+    def test_failing_second_route_leaves_no_samples(self, tmp_path, capsys):
+        # The direct route is written before the mixture route refuses
+        # unequal widths; its rows must not stay behind as a result.
+        code = run(["sample-prior", "--seed", 1, "--out-dir", tmp_path,
+                    *[arg for item in PRIOR_ARGS for arg in ("--set", item)],
+                    "--set", "widths=[4, 5]", "--set", 'routes=["direct", "mixture"]'])
+        assert code == 2
+        assert "common hidden width" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "samples.csv").exists()
+        assert not (tmp_path / "report.json").exists()
+
     def test_sample_prior_csv_bytes_pinned(self, tmp_path, monkeypatch):
         # With the chain product held to a left-to-right einsum loop, the
         # two-route CSV (direct draws, mixture draws, formatting) is pinned.

@@ -17,9 +17,10 @@ SEED = 99
 
 def per_draw(fn):
     """A block function: ``fn(rng)`` per sample, in sample order, on the block's stream."""
-    def draw_block(streams, m):
+    def draw_block(streams, out):
         rng = streams(0)
-        return np.stack([fn(rng) for _ in range(m)])
+        for row in out:
+            row[...] = fn(rng)
 
     return draw_block
 
@@ -42,9 +43,10 @@ def enumerate_paths(row: int, col: int) -> list:
 def per_grid_draw(fn, a, dim, steps):
     """A block function: ``fn(grid, j)`` per draw of a block grid, in sample
     order, with the draws' values as ``per_draw`` simulates them one by one."""
-    def draw_block(streams, m):
-        grid = limit.Grid(a, dim, steps, m)
-        return np.stack([fn(grid, j) for _, j in limit.block_draws(streams(0), m, grid)])
+    def draw_block(streams, out):
+        grid = limit.Grid(a, dim, steps, len(out))
+        for i, j in limit.block_draws(streams(0), len(out), grid):
+            out[i] = fn(grid, j)
 
     return draw_block
 
@@ -66,21 +68,22 @@ class TestSimulatePaths:
 
     def test_increment_variance(self):
         n = 20_000
-        ends = montecarlo.sample_map(per_grid_draw(w_at_one, 1.0, 2, 16), n, SEED, phase=1)
+        ends = montecarlo.sample_map(per_grid_draw(w_at_one, 1.0, 2, 16), n, (2,), SEED, phase=1)
         var = ends.var(axis=0, ddof=1)
         se = np.sqrt(2.0 / n)  # Var(s^2) ~ 2 sigma^4 / n for normals
         assert np.all(np.abs(var - 1.0) < 4 * se)
 
     def test_cross_path_independence(self):
         n = 20_000
-        ends = montecarlo.sample_map(per_grid_draw(w_at_one, 1.0, 3, 16), n, SEED, phase=2)
+        ends = montecarlo.sample_map(per_grid_draw(w_at_one, 1.0, 3, 16), n, (3,), SEED, phase=2)
         corr = np.corrcoef(ends, rowvar=False)
         assert np.max(np.abs(corr[np.triu_indices(3, 1)])) < 4 / np.sqrt(n)
 
     def test_drift_endpoint_mean(self):
         n = 20_000
         ends = montecarlo.sample_map(
-            per_grid_draw(lambda grid, j: grid.paths[j, :, -1], 0.8, 2, 16), n, SEED, phase=3
+            per_grid_draw(lambda grid, j: grid.paths[j, :, -1], 0.8, 2, 16), n, (2,), SEED,
+            phase=3,
         )
         mean, se = montecarlo.mean_and_se(ends)
         target = -0.8 * np.array([1.0, 2.0]) / 2.0
@@ -152,7 +155,7 @@ class TestIteratedIntegral:
         def one(grid, j):
             return [limit.iterated_integral(grid, p, j) for p in ((0, 1), (0, 2), (0, 1, 2))]
 
-        vals = montecarlo.sample_map(per_grid_draw(one, 0.5, 3, 64), n, SEED, phase=4)
+        vals = montecarlo.sample_map(per_grid_draw(one, 0.5, 3, 64), n, (3,), SEED, phase=4)
         mean, se = montecarlo.mean_and_se(vals)
         assert np.all(np.abs(mean) < 4 * se)
 
@@ -301,6 +304,12 @@ class TestRefinementPair:
 
 
 class TestPriorLimit:
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_input_rejected(self, shape):
+        # No rows would divide by zero into all-NaN draws.
+        with pytest.raises(InvalidParameter, match="one row and one column"):
+            limit.prior_limit_samples(np.empty(shape), 0.5, 2, 1.0, 8, 2, 1)
+
     def test_zero_input(self):
         out = limit.prior_limit_samples(np.zeros((2, 3)), 0.5, 2, 1.0, 16, 3, SEED)
         np.testing.assert_array_equal(out, np.zeros((3, 2, 3)))
@@ -487,14 +496,14 @@ class TestSubBatchedDraws:
     def test_samplers_match_per_draw_oracle(self, a, dim, steps, n, workers):
         out = limit.vbar_limit_samples(a, dim, steps, n, SEED, 19, workers)
         one_draw = per_draw(lambda rng: grid_draw(rng, a, dim, steps))
-        want = montecarlo.sample_map(one_draw, n, SEED, 19, workers)
+        want = montecarlo.sample_map(one_draw, n, (dim, dim), SEED, 19, workers)
         assert digest(out) == digest(want)
         if a == 0.0:
             assert np.array_equal(out, np.broadcast_to(np.eye(dim), out.shape))
             assert not np.signbit(out).any()
         x = np.array([[1.0, -0.5, 0.2], [0.4, 0.9, -1.1]])
         prior_out = limit.prior_limit_samples(x, a, dim, 1.5, steps, n, SEED, 20, workers)
-        prior_want = prior.mixture_samples(one_draw, x, 1.5, n, SEED, 20, workers)
+        prior_want = prior.mixture_samples(one_draw, dim, x, 1.5, n, SEED, 20, workers)
         assert digest(prior_out) == digest(prior_want)
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -512,7 +521,7 @@ class TestSubBatchedDraws:
         )
         want = montecarlo.sample_map(
             per_draw(lambda rng: pair_draw(rng, a, dim, coarse_steps, fine_steps)),
-            n, SEED, 21, workers,
+            n, (2, dim, dim), SEED, 21, workers,
         )
         assert digest(coarse) == digest(want[:, 0])
         assert digest(fine) == digest(want[:, 1])

@@ -12,8 +12,8 @@ from proplimit.errors import InvalidParameter
 BLOCK = montecarlo.BLOCK
 
 
-def draw3(streams, m):
-    return streams(0).standard_normal((m, 3))
+def draw3(streams, out):
+    streams(0).standard_normal(out=out)
 
 
 def block_rows(seed, phase, block, cols=3):
@@ -23,44 +23,45 @@ def block_rows(seed, phase, block, cols=3):
 
 class TestSampleMap:
     def test_partition_invariance(self):
-        base = montecarlo.sample_map(draw3, 5 * BLOCK + 3, seed=5, phase=2, workers=1)
+        base = montecarlo.sample_map(draw3, 5 * BLOCK + 3, (3,), seed=5, phase=2, workers=1)
         for workers in (2, 3, 7):
-            out = montecarlo.sample_map(draw3, 5 * BLOCK + 3, seed=5, phase=2, workers=workers)
+            out = montecarlo.sample_map(
+                draw3, 5 * BLOCK + 3, (3,), seed=5, phase=2, workers=workers
+            )
             np.testing.assert_array_equal(base, out)
 
     def test_rows_keyed_by_block_and_position(self):
         # Sample i is row i % BLOCK of block i // BLOCK's stream.
-        out = montecarlo.sample_map(draw3, BLOCK + 10, seed=5, phase=2, workers=1)
+        out = montecarlo.sample_map(draw3, BLOCK + 10, (3,), seed=5, phase=2, workers=1)
         np.testing.assert_array_equal(out[3], block_rows(5, 2, 0)[3])
         np.testing.assert_array_equal(out[BLOCK + 6], block_rows(5, 2, 1)[6])
 
     def test_phases_are_disjoint_streams(self):
-        a = montecarlo.sample_map(draw3, 4, seed=5, phase=1, workers=1)
-        b = montecarlo.sample_map(draw3, 4, seed=5, phase=2, workers=1)
+        a = montecarlo.sample_map(draw3, 4, (3,), seed=5, phase=1, workers=1)
+        b = montecarlo.sample_map(draw3, 4, (3,), seed=5, phase=2, workers=1)
         assert not np.array_equal(a, b)
 
     def test_families_are_disjoint_streams(self):
-        def draw(streams, m):
-            return np.stack([streams(0).standard_normal(m), streams(1).standard_normal(m)], 1)
+        def draw(streams, out):
+            out[:, 0] = streams(0).standard_normal(len(out))
+            out[:, 1] = streams(1).standard_normal(len(out))
 
-        out = montecarlo.sample_map(draw, 8, seed=5, phase=2, workers=1)
+        out = montecarlo.sample_map(draw, 8, (2,), seed=5, phase=2, workers=1)
         assert not np.array_equal(out[:, 0], out[:, 1])
 
     def test_threads_under_thread_switching(self):
         # 21 blocks of two families on 2-4 threads; frequent thread switches
         # would expose blocks sharing a generator or landing out of order.
-        def draw(streams, m):
-            return np.concatenate(
-                [streams(0).standard_normal((m, 3)), streams(2).standard_gamma(0.5, (m, 4))],
-                axis=1,
-            )
+        def draw(streams, out):
+            out[:, :3] = streams(0).standard_normal((len(out), 3))
+            out[:, 3:] = streams(2).standard_gamma(0.5, (len(out), 4))
 
         n = 20 * BLOCK + 5
-        base = montecarlo.sample_map(draw, n, seed=5, phase=3, workers=1)
+        base = montecarlo.sample_map(draw, n, (7,), seed=5, phase=3, workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            outs = [montecarlo.sample_map(draw, n, 5, 3, workers=w) for w in (2, 3, 4)]
+            outs = [montecarlo.sample_map(draw, n, (7,), 5, 3, workers=w) for w in (2, 3, 4)]
         finally:
             sys.setswitchinterval(interval)
         for out in outs:
@@ -68,7 +69,7 @@ class TestSampleMap:
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameter):
-            montecarlo.sample_map(draw3, 0, seed=1, phase=0)
+            montecarlo.sample_map(draw3, 0, (3,), seed=1, phase=0)
 
     def test_blocks_written_into_one_output(self):
         # 100 blocks of depth-2 chains, whose per-block scratch is small:
@@ -84,23 +85,48 @@ class TestSampleMap:
         assert out.shape == (100 * BLOCK, 2, 2)
         assert peak < 1.5 * out.nbytes
 
+    def test_pool_writes_into_one_output(self):
+        # Three threads write their blocks into the one output and hold one
+        # future each, so the pool's peak stays near one output too: not
+        # one output plus a future for each of the 500 blocks.
+        prior.vbar_finite_samples(2, 5, 2, 3 * BLOCK, 1, workers=3)  # loads the pool
+        tracemalloc.start()
+        try:
+            out = prior.vbar_finite_samples(2, 5, 2, 32000, 1, workers=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * out.nbytes
+
+    def test_blocks_write_only_their_own_rows(self):
+        # Each block sees its own slice of the output: m rows, and a view
+        # into the one array sample_map returns.
+        seen = []
+
+        def draw(streams, out):
+            seen.append((len(out), out.base))
+            draw3(streams, out)
+
+        out = montecarlo.sample_map(draw, 2 * BLOCK + 5, (3,), seed=5, phase=2, workers=2)
+        assert sorted(m for m, _ in seen) == [5, BLOCK, BLOCK]
+        assert all(base is out for _, base in seen)
+
 
 class TestBlocks:
     @staticmethod
     def _run(n, workers):
         calls = []
 
-        def draw(streams, m):
+        def draw(streams, out):
             normals, gammas = streams(0), streams(1)
+            m = len(out)
             # Block number: the low FAMILY_SHIFT bits of the stream's key.
             key = int(normals.bit_generator.state["state"]["key"][1])
             calls.append((key & ((1 << montecarlo.FAMILY_SHIFT) - 1), m))
-            return np.concatenate(
-                [normals.standard_normal((m, 3)), gammas.standard_gamma([0.5, 2.0], (m, 2))],
-                axis=1,
-            )
+            out[:, :3] = normals.standard_normal((m, 3))
+            out[:, 3:] = gammas.standard_gamma([0.5, 2.0], (m, 2))
 
-        out = montecarlo.sample_map(draw, n, 9, 4, workers=workers)
+        out = montecarlo.sample_map(draw, n, (5,), 9, 4, workers=workers)
         return out, sorted(calls)
 
     def test_blocks_tile_the_run(self):
@@ -170,18 +196,18 @@ class TestStreamKeys:
         # Pinned bytes of a block's Bartlett draws, gammas and lower
         # normals from their own streams, read back out of the factors:
         # the diagonals alone, then diagonals and lower entries side by side.
-        def draw(streams, m):
+        def draw(streams, out):
             factors = prior.bartlett_chain_draws(
-                64, 3, (m, 200), streams(prior.FAMILY_GAMMA), streams(prior.FAMILY_LOW)
+                64, 3, (len(out), 200), streams(prior.FAMILY_GAMMA), streams(prior.FAMILY_LOW)
             )
             rows, cols = np.tril_indices(3, -1)
-            diag = np.diagonal(factors, axis1=2, axis2=3)
-            return np.concatenate([diag, factors[:, :, rows, cols]], axis=2)
+            out[..., :3] = np.diagonal(factors, axis1=2, axis2=3)
+            out[..., 3:] = factors[:, :, rows, cols]
 
         def digest(out):
             return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:12]
 
-        both = montecarlo.sample_map(draw, 2500, 674797529, 2, workers=workers)
+        both = montecarlo.sample_map(draw, 2500, (200, 6), 674797529, 2, workers=workers)
         assert digest(both[:, :, :3]) == "852349e64ca0"
         assert digest(both) == "c6afdbc13a0a"
 
@@ -243,7 +269,7 @@ class TestWorkerCount:
 
     def test_samplers_reject_fractional_workers(self):
         with pytest.raises(InvalidParameter):
-            montecarlo.sample_map(draw3, 4, seed=1, phase=0, workers=2.5)
+            montecarlo.sample_map(draw3, 4, (3,), seed=1, phase=0, workers=2.5)
         with pytest.raises(InvalidParameter):
             prior.vbar_finite_samples(2, 4, 2, 4, seed=1, workers=2.5)
 
@@ -307,7 +333,7 @@ def _dataset(beta):
     pytest.param(lambda: _shape((True, 2.0, 3.0)), None, id="lambdas-bool"),
     pytest.param(lambda: prior.prior_covariance_exact(X3, 3, "1", 2), None, id="exact-lambda-star-string"),
     pytest.param(
-        lambda: prior.mixture_samples(None, X3, True, 3, 1), None, id="mixture-lambda-star-bool"
+        lambda: prior.mixture_samples(None, 2, X3, True, 3, 1), None, id="mixture-lambda-star-bool"
     ),
     pytest.param(lambda: _dataset("1"), None, id="beta-string"),
     pytest.param(lambda: _dataset(True), None, id="beta-bool"),

@@ -149,6 +149,12 @@ class TestVbarFinite:
         with pytest.raises(InvalidParameter, match="depth"):
             prior.vbar_finite_samples(depth, 4, 2, 1, SEED)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_gate(self, dim):
+        # A typed error, not numpy's failure to allocate a negative shape.
+        with pytest.raises(InvalidParameter, match="dim"):
+            prior.vbar_finite_samples(2, 4, dim, 1, SEED)
+
     def test_first_diagonal_unit_second_moment(self):
         n = 50_000
         draws = prior.vbar_finite_samples(12, 6, 2, n, SEED, phase=2)
@@ -317,6 +323,12 @@ class TestPriorMixture:
         shape = make_shape(depth=1, lambdas=(1e200, 1e200))
         with np.errstate(over="ignore"), pytest.raises(InvalidParameter):
             prior.prior_mixture_samples(np.eye(3), shape, 2, SEED)
+
+    @pytest.mark.parametrize("sampler", [prior.forward_direct_samples,
+                                         prior.prior_mixture_samples])
+    def test_input_without_columns_rejected(self, sampler):
+        with pytest.raises(InvalidParameter, match="one row and one column"):
+            sampler(np.empty((3, 0)), make_shape(), 2, SEED)
 
     def test_mixture_rejects_unequal_widths(self):
         with pytest.raises(InvalidParameter):
